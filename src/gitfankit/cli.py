@@ -64,26 +64,33 @@ def fan_payload(fan: Fan, n: int) -> dict:
 
 
 
-def _guard_check(n: int, limit: int, what: str, force: bool) -> bool:
-    """True when execution may proceed; warns when forcing past a guard."""
-    if n <= limit:
+def _guard_check(key: str, what: str, n: int, force: bool) -> bool:
+    """True when n lies in the domain and size guard of ``key`` in the guard
+    table; warns when forcing past a guard."""
+    lo, hi = gr.GUARDS[key]
+    if n < lo:
+        print(f"{what} needs n >= {lo} (got {n})", file=sys.stderr)
+        return False
+    if n <= hi:
         return True
     if force:
         print(
-            f"warning: forcing {what} past its guard (n={n} > {limit}); "
+            f"warning: forcing {what} past its guard (n={n} > {hi}); "
             "expect a long run",
             file=sys.stderr,
         )
         return True
-    print(f"guard: {what} needs n <= {limit} (got {n}); use --force", file=sys.stderr)
+    print(f"guard: {what} needs n <= {hi} (got {n}); use --force", file=sys.stderr)
     return False
 
 
 def cmd_ysets(args) -> int:
     n = args.n
-    if not _guard_check(n, 6, "ysets", args.force):
+    if not _guard_check("ysets", "ysets", n, args.force) or (
+        args.oracle and not _guard_check("oracle", "ysets --oracle", n, args.force)
+    ):
         return EXIT_USAGE
-    ysets = gr.enumerate_y_sets(n, force=True)
+    ysets = gr.enumerate_y_sets(n, args.force)
     payload = {
         "n": n,
         "count": len(ysets),
@@ -91,9 +98,7 @@ def cmd_ysets(args) -> int:
     }
     print(f"n={n}: {len(ysets)} Y-sets")
     if args.oracle:
-        if not _guard_check(n, 3, "ysets --oracle", args.force):
-            return EXIT_USAGE
-        brute = {frozenset(y.members) for y in gr.brute_force_supports(n, force=True)}
+        brute = {frozenset(y.members) for y in gr.brute_force_supports(n, args.force)}
         enum = {frozenset(y.members) for y in ysets}
         equal = brute == enum
         payload["oracle"] = {"count": len(brute), "equal": equal}
@@ -103,16 +108,6 @@ def cmd_ysets(args) -> int:
             return EXIT_CLAIM_FAILED
     _emit(payload, args)
     return EXIT_OK
-
-
-_FAN_GUARDS = {
-    "gitfan": 5,
-    "gitfan-star": 5,
-    "sigma0": 5,
-    "sigma1": 5,
-    "sigmar": 5,
-    "delta": 4,
-}
 
 
 def _build_fan(which: str, n: int, force: bool) -> Fan:
@@ -133,10 +128,7 @@ def _build_fan(which: str, n: int, force: bool) -> Fan:
 
 def cmd_fan(args) -> int:
     n = args.n
-    if not _guard_check(n, _FAN_GUARDS[args.which], f"fan {args.which}", args.force):
-        return EXIT_USAGE
-    if n < (3 if args.which != "gitfan" else 2):
-        print(f"fan {args.which} needs a larger n", file=sys.stderr)
+    if not _guard_check(args.which, f"fan {args.which}", n, args.force):
         return EXIT_USAGE
     try:
         fan = _build_fan(args.which, n, args.force)
@@ -150,17 +142,6 @@ def cmd_fan(args) -> int:
     )
     _emit(payload, args)
     return EXIT_OK
-
-
-_CLAIM_GUARDS = {
-    "walls": 5,
-    "star-subfan": 5,
-    "fk-bridge": 99,
-    "thm44": 99,
-    "delta-subfan": 4,
-    "rays": 4,
-    "nu-equality": 5,
-}
 
 
 def _run_claim(claim: str, n: int, seed: int, force: bool, jobs: int = 1) -> dict:
@@ -190,12 +171,11 @@ def cmd_verify(args) -> int:
     )
     reports = []
     for claim in claims:
-        limit = _CLAIM_GUARDS[claim]
-        if n > limit:
-            if args.claim == "all" and not args.force:
-                continue
-            if not _guard_check(n, limit, f"verify {claim}", args.force):
-                return EXIT_USAGE
+        lo, hi = gr.GUARDS[claim]
+        if args.claim == "all" and (n < lo or (n > hi and not args.force)):
+            continue
+        if not _guard_check(claim, f"verify {claim}", n, args.force):
+            return EXIT_USAGE
         t0 = time.perf_counter()
         try:
             rep = _run_claim(claim, n, args.seed, args.force, args.jobs)
@@ -251,7 +231,7 @@ def cmd_centers(args) -> int:
 
 def cmd_poset(args) -> int:
     n = args.n
-    if not _guard_check(n, _FAN_GUARDS[args.which], f"poset {args.which}", args.force):
+    if not _guard_check(args.which, f"poset {args.which}", n, args.force):
         return EXIT_USAGE
     try:
         fan = _build_fan(args.which, n, args.force)

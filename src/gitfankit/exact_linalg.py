@@ -1,9 +1,11 @@
 """Exact rational vectors, matrices and the linear algebra used everywhere else.
 
 All arithmetic is over ``fractions.Fraction`` (arbitrary-precision, always
-reduced, positive denominator), so nothing here ever rounds.  Elimination is
-fraction-free (Bareiss) on integer-cleared rows for rank, and reduced row
-echelon form over the rationals for kernels and solving.
+reduced, positive denominator), so nothing here ever rounds.  Every routine
+first clears denominators row by row and then eliminates over the integers:
+fraction-free (Bareiss) elimination for rank, and integer Gauss-Jordan
+elimination, read off as the rational reduced row echelon form, for kernels
+and solving.  The integer cores also serve the cone conversions directly.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
-
-ExactScalar = Fraction
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -148,13 +148,19 @@ class QMatrix:
         return all(a == 0 for a in self.entries)
 
 
-def content(values: Iterable[int]) -> int:
-    g = 0
-    for x in values:
-        g = math.gcd(g, abs(x))
-        if g == 1:
-            return 1
-    return g
+def _cleared(v: Iterable[Scalar]) -> list[int]:
+    """The vector times the lcm of its denominators: integers, same direction.
+
+    Plain ints pass through unchanged (their denominator is one)."""
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr]
+
+
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries; zero stays zero."""
+    g = math.gcd(*v)
+    return tuple(v) if g <= 1 else tuple(x // g for x in v)
 
 
 def primitive_vector(v: Iterable[Scalar]) -> tuple[int, ...]:
@@ -162,69 +168,64 @@ def primitive_vector(v: Iterable[Scalar]) -> tuple[int, ...]:
 
     The direction is preserved: scaling is by a positive rational only.
     """
-    fr = [_frac(x) for x in v]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = content(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return _primitive(_cleared(v))
 
 
-def _integer_rows(m: QMatrix) -> list[list[int]]:
-    out = []
-    for i in range(m.rows):
-        row = list(m.row(i).entries)
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
-
-
-def rank(m: QMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    a = _integer_rows(m)
-    rows, cols = m.rows, m.cols
+def _bareiss_rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows by fraction-free (Bareiss) elimination."""
+    a = [list(v) for v in vectors if any(v)]
+    if not a:
+        return 0
+    cols = len(a[0])
     r = 0
     prev = 1
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
+        for i in range(r + 1, len(a)):
             for j in range(c + 1, cols):
                 a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
             a[i][c] = 0
         prev = a[r][c]
         r += 1
-        if r == rows:
+        if r == len(a):
             break
     return r
 
 
-def rref(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rows, pivot columns)."""
-    a = [list(m.row(i).entries) for i in range(m.rows)]
+def rank(m: QMatrix) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    return _bareiss_rank([_cleared(r) for r in m.row_list()])
+
+
+def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Gauss-Jordan elimination of integer rows, without fractions.
+
+    Returns the nonzero rows of an echelon form and its pivot columns.  Each
+    row is primitive, its pivot is positive and the other pivot columns are
+    zero in it, so dividing every row by its pivot gives the reduced row
+    echelon form over the rationals.
+    """
+    a = [tuple(r) for r in rows]
+    cols = len(a[0]) if a else 0
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+    for c in range(cols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        top = a[r] = _primitive(a[r] if a[r][c] > 0 else [-x for x in a[r]])
+        p = top[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f != 0 and i != r:
+                a[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == len(a):
             break
     return a[:r], pivots
 
@@ -236,7 +237,7 @@ def kernel_basis(m: QMatrix) -> QMatrix:
     free variable set to one before integer scaling.  For the weight matrices
     used downstream this reproduces the fixture Gale duals exactly.
     """
-    rows, pivots = rref(m)
+    rows, pivots = _rref([_cleared(r) for r in m.row_list()])
     pivset = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -244,8 +245,8 @@ def kernel_basis(m: QMatrix) -> QMatrix:
             continue
         vec = [Fraction(0)] * m.cols
         vec[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -rows[i][free]
+        for row, p in zip(rows, pivots):
+            vec[p] = Fraction(-row[free], row[p])
         basis.append(primitive_vector(vec))
     return QMatrix.from_rows(basis) if basis else QMatrix.zero(0, m.cols)
 
@@ -254,21 +255,12 @@ def solve(m: QMatrix, b: QVector) -> Optional[QVector]:
     """One exact solution of Mx = b with free variables zeroed, or None."""
     if b.dim != m.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    aug = QMatrix(
-        m.rows,
-        m.cols + 1,
-        [
-            m.entries[i * m.cols + j] if j < m.cols else b[i]
-            for i in range(m.rows)
-            for j in range(m.cols + 1)
-        ],
-    )
-    rows, pivots = rref(aug)
+    rows, pivots = _rref([_cleared(r + [b[i]]) for i, r in enumerate(m.row_list())])
     if m.cols in pivots:
         return None
     x = [Fraction(0)] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][m.cols]
+    for row, p in zip(rows, pivots):
+        x[p] = Fraction(row[m.cols], row[p])
     return QVector(x)
 
 

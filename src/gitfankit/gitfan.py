@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import grassmann as gr
-from .exact_linalg import QMatrix, QVector, primitive_vector, solve
-from .grassmann import GuardExceeded, Pair, TwoBlock, YSet
+from .exact_linalg import QMatrix, QVector, primitive_vector, rank, solve
+from .grassmann import Pair, TwoBlock, YSet, check_guard
 from .polyhedral import (
     Cone,
     Fan,
@@ -35,11 +34,6 @@ class ChamberCertificationError(AssertionError):
         self.rep = rep
         self.region_cone = region_cone
         self.chamber_cone = chamber_cone
-
-
-def _guard(n: int, limit: int, what: str, force: bool) -> None:
-    if n > limit and not force:
-        raise GuardExceeded(f"{what} guarded at n <= {limit}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -127,12 +121,8 @@ def _y_star_pool(n: int) -> _WeightCones:
     return _weight_cone_pool(n, members)
 
 
-def _scale_point(w: Sequence) -> tuple[int, ...]:
-    return primitive_vector([Fraction(x) for x in w]) if any(w) else tuple(0 for _ in w)
-
-
 def _chamber_from_pool(w: Sequence, n: int, pool: _WeightCones, support: Cone) -> GitChamber:
-    pt = _scale_point(w)
+    pt = primitive_vector(w)
     if len(pt) != n:
         raise ValueError("point has wrong dimension")
     if not support.contains(pt):
@@ -184,33 +174,38 @@ def _wall_regions(n: int, star: bool) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+# Each guarded fan checks its guard and then calls a cache keyed by n alone,
+# so every spelling of the force flag shares one cached result.
+
+
 def wall_fan(n: int, force: bool = False) -> Fan:
     """The fan cut out of the orthant directly by the two-block walls."""
-    _guard(n, 5, "wall_fan", force)
+    check_guard("gitfan", n, force)
+    return _wall_fan(n)
+
+
+@lru_cache(maxsize=None)
+def _wall_fan(n: int) -> Fan:
     return fan_from_maximal([cone for cone, _ in _wall_regions(n, False)])
 
 
-@lru_cache(maxsize=None)
 def git_fan(n: int, force: bool = False) -> Fan:
     """GIT fan by sign-region enumeration, every region certified against the
     defining intersection formula; disagreement raises."""
-    _guard(n, 5, "git_fan", force)
-    chambers = []
-    for region_cone, rep in _wall_regions(n, False):
-        ch = chamber(rep, n)
-        if ch.cone != region_cone:
-            raise ChamberCertificationError(rep, region_cone, ch.cone)
-        chambers.append(ch.cone)
-    return fan_from_maximal(chambers)
+    check_guard("gitfan", n, force)
+    return _certified_fan(n, False)
+
+
+def git_fan_star(n: int, force: bool = False) -> Fan:
+    check_guard("gitfan-star", n, force)
+    return _certified_fan(n, True)
 
 
 @lru_cache(maxsize=None)
-def git_fan_star(n: int, force: bool = False) -> Fan:
-    _guard(n, 5, "git_fan_star", force)
+def _certified_fan(n: int, star: bool) -> Fan:
     chambers = []
-    for region_cone, rep in _wall_regions(n, True):
-        ch = chamber_star(rep, n)
+    for region_cone, rep in _wall_regions(n, star):
+        ch = chamber_star(rep, n) if star else chamber(rep, n)
         if ch.cone != region_cone:
             raise ChamberCertificationError(rep, region_cone, ch.cone)
         chambers.append(ch.cone)
@@ -290,7 +285,7 @@ def envelope_sets(lam: GitChamber, n: int, force: bool = False) -> EnvelopeSets:
     relint(lam) in relint(omega_J); relint(omega_J) in relint(omega_I) is
     then automatic because omega_J is full dimensional.
     """
-    _guard(n, 4, "envelope_sets", force)
+    check_guard("envelope-sets", n, force)
     witnesses = _enveloping_witnesses(n, _lam_key(lam, n))
     all_pairs, _ = gr.pairs(n)
     idx = {p: k for k, p in enumerate(all_pairs)}
@@ -305,7 +300,7 @@ def envelope_sets(lam: GitChamber, n: int, force: bool = False) -> EnvelopeSets:
 
 
 @lru_cache(maxsize=None)
-def sigma_fan_cached(n: int, lam_key: int, force: bool = False) -> Fan:
+def sigma_fan_cached(n: int, lam_key: int) -> Fan:
     wd = gr.weights(n)
     witnesses = _enveloping_witnesses(n, lam_key)
     minimal = [
@@ -375,11 +370,15 @@ def sigma_r_carrier(tb: TwoBlock) -> Cone:
     return Cone.from_generators(gens, wd.p.rows)
 
 
-@lru_cache(maxsize=None)
 def sigma_r(n: int, force: bool = False, check_extension: bool = False) -> Fan:
     """Iterated stellar subdivision of the lambda1 ambient fan in the nu rays,
     in descending order; each carrier is verified before subdividing."""
-    _guard(n, 5, "sigma_r", force)
+    check_guard("sigmar", n, force)
+    return _sigma_r(n, check_extension)
+
+
+@lru_cache(maxsize=None)
+def _sigma_r(n: int, check_extension: bool) -> Fan:
     base = sigma_fan_cached(n, 1)
     fan = _sigma_r_with_order(base, nu_order(n))
     if check_extension:
@@ -429,7 +428,7 @@ def _gkz_pool(n: int) -> tuple[Cone, ...]:
 def gkz_cone(v: Sequence, n: int, force: bool = False) -> Cone:
     """GKZ cone of a point: intersection of all column-spanned cones whose
     relative interior contains it."""
-    _guard(n, 4, "gkz_cone", force)
+    check_guard("delta", n, force)
     pt = tuple(int(x) for x in v)
     ineqs: list = []
     eqs: list = []
@@ -462,12 +461,6 @@ def _gkz_walls(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(walls))
 
 
-def _int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    from .polyhedral import _int_rank as pr
-
-    return pr(vectors)
-
-
 @dataclass(frozen=True)
 class DeltaReduction:
     fan: Fan
@@ -477,8 +470,8 @@ class DeltaReduction:
 
 
 @lru_cache(maxsize=None)
-def _delta_reduction_data(n: int, force: bool = False) -> DeltaReduction:
-    _guard(n, 4, "delta_reduction", force)
+def _delta_reduction_data(n: int) -> DeltaReduction:
+    """Cached by n alone: callers check the "delta" guard first."""
     from .polyhedral import arrangement_leaves
 
     wd = gr.weights(n)
@@ -519,7 +512,7 @@ def _delta_reduction_data(n: int, force: bool = False) -> DeltaReduction:
         basis = [
             tuple(sign * x for x in gr.split_image(wd, block)) for block in tree
         ] + [lin]
-        if _int_rank(basis) != len(basis):
+        if rank(QMatrix.from_rows(basis)) != len(basis):
             raise AssertionError("tree cone image is degenerate")
         twalls: set[tuple[int, ...]] = set()
         for a in walls:
@@ -585,7 +578,8 @@ def _delta_reduction_data(n: int, force: bool = False) -> DeltaReduction:
 def delta_reduction(n: int, force: bool = False) -> Fan:
     """The Delta-reduction of the GKZ fan: maximal GKZ cones whose relative
     interiors meet the projected tropical variety, closed under faces."""
-    return _delta_reduction_data(n, force).fan
+    check_guard("delta", n, force)
+    return _delta_reduction_data(n).fan
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +647,7 @@ def verify_nu_equality(n: int, force: bool = False) -> dict:
     """nu well-definedness: identical block expressions, difference of the
     coefficient vectors in the row space of Q with unit coefficients, and the
     carrier membership in both ambient fans."""
+    check_guard("nu-equality", n, force)
     wd = gr.weights(n)
     all_pairs, _ = gr.pairs(n)
     certificates = []
@@ -723,7 +718,8 @@ def verify_nu_equality(n: int, force: bool = False) -> dict:
 def verify_delta_subfan(n: int, force: bool = False) -> dict:
     """The pipeline theorem at desk scale: the Delta-reduction is a subfan of
     the iterated stellar subdivision, with cone-by-cone certificates."""
-    data = _delta_reduction_data(n, force)
+    check_guard("delta-subfan", n, force)
+    data = _delta_reduction_data(n)
     sr = sigma_r(n, force)
     certificates = []
     ok = True
@@ -756,8 +752,9 @@ def verify_delta_subfan(n: int, force: bool = False) -> dict:
 def verify_ray_classification(n: int, force: bool = False) -> dict:
     """Rays of the Delta-reduction against the predicted candidates, plus the
     contraction check on the lambda0 ambient fan."""
+    check_guard("rays", n, force)
     wd = gr.weights(n)
-    data = _delta_reduction_data(n, force)
+    data = _delta_reduction_data(n)
     candidates: dict[tuple[int, ...], str] = {}
     for p in gr.pairs(n)[1]:
         candidates[primitive_vector(wd.v[p])] = f"v_{p[0]}{p[1]}"
@@ -900,19 +897,10 @@ def center_ideal(sigma0: Fan, nu: Sequence[int], n: int) -> CenterIdeal:
     coords = solve(mat, QVector(pt))
     if coords is None:
         raise AssertionError("carrier does not span its ray")
-    den = 1
-    for x in coords.entries:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    alphas = [int(x * den) for x in coords.entries]
-    g = 0
-    for a in alphas:
-        g = math.gcd(g, a)
-    alphas = [a // g for a in alphas]
+    alphas = primitive_vector(coords)
     if any(a < 1 for a in alphas):
         raise AssertionError("ray is not interior to its carrier")
-    c = 1
-    for a in alphas:
-        c = c * a // math.gcd(c, a)
+    c = math.lcm(*alphas)
     exps = []
     for combo in _bounded_solutions(alphas, c):
         exps.append(tuple(combo))

@@ -11,12 +11,11 @@ normals of two-block partitions, Pluecker quadruples and the tree-metric
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 from .exact_linalg import QMatrix, QVector, gale_dual, solve
 
@@ -25,6 +24,39 @@ Pair = tuple[int, int]
 
 class GuardExceeded(ValueError):
     """A size guard was exceeded; rerun with force where supported."""
+
+
+# (minimum n, maximum n) of every command, claim and guarded library function.
+# Below the minimum n is outside the domain; the maximum keeps runs at desk
+# scale, and force lifts only the maximum.
+GUARDS: dict[str, tuple[int, float]] = {
+    "ysets": (2, 6),
+    "oracle": (2, 3),
+    "gitfan": (2, 5),
+    "gitfan-star": (3, 5),
+    "sigma0": (3, 5),
+    "sigma1": (3, 5),
+    "sigmar": (3, 5),
+    "delta": (3, 4),
+    "envelope-sets": (3, 4),
+    "walls": (2, 5),
+    "star-subfan": (3, 5),
+    "fk-bridge": (2, math.inf),
+    "thm44": (2, math.inf),
+    "delta-subfan": (3, 4),
+    "rays": (3, 4),
+    "nu-equality": (3, 5),
+}
+
+
+def check_guard(what: str, n: int, force: bool = False) -> None:
+    """Raise ValueError below the domain of ``what`` and GuardExceeded above
+    its size guard unless forced."""
+    lo, hi = GUARDS[what]
+    if n < lo:
+        raise ValueError(f"{what} needs n >= {lo}, got {n}")
+    if n > hi and not force:
+        raise GuardExceeded(f"{what} guarded at n <= {hi}, got {n}")
 
 
 def pairs(n: int) -> tuple[list[Pair], list[Pair]]:
@@ -119,51 +151,36 @@ def is_y_set(ys: YSet) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _star_rules(n: int) -> list[tuple[int, int, int]]:
+def y_set_masks(n: int) -> tuple[int, ...]:
+    """Bitmasks (in canonical pair order) of all Y-sets, ascending.
+
+    Depth first over the pairs in canonical order.  The exchange rules of a
+    4-set i<j<k<l involve exactly its six pairs, so they are all decided with
+    the last of them, (k, l); a branch is cut there as soon as one fails.
+    """
     all_pairs, _ = pairs(n)
-    idx = {p: k for k, p in enumerate(all_pairs)}
-    rules = []
-    for a, b in itertools.combinations(all_pairs, 2):
-        i, j = a
-        k, l = b
-        if len({i, j, k, l}) < 4:
-            continue
-        mp = (1 << idx[a]) | (1 << idx[b])
-        m1 = (1 << idx[(min(j, l), max(j, l))]) | (1 << idx[(min(i, k), max(i, k))])
-        m2 = (1 << idx[(min(j, k), max(j, k))]) | (1 << idx[(min(i, l), max(i, l))])
-        rules.append((mp, m1, m2))
-    return rules
-
-
-@lru_cache(maxsize=None)
-def y_set_masks(n: int, force: bool = False) -> tuple[int, ...]:
-    """Bitmasks (in canonical pair order) of all Y-sets, ascending."""
-    if n > 6 and not force:
-        raise GuardExceeded(f"Y-set enumeration guarded at n <= 6, got {n}")
-    m = len(pairs(n)[0])
-    rules = _star_rules(n)
-    if n >= 5:
-        out_chunks = []
-        chunk = 1 << 22
-        for start in range(0, 1 << m, chunk):
-            arr = np.arange(start, min(start + chunk, 1 << m), dtype=np.int64)
-            alive = np.ones(arr.shape, dtype=bool)
-            for mp, m1, m2 in rules:
-                sel = (arr & mp) == mp
-                bad = sel & ((arr & m1) != m1) & ((arr & m2) != m2)
-                alive &= ~bad
-            out_chunks.extend(int(x) for x in arr[alive])
-        return tuple(out_chunks)
+    bit = {p: 1 << k for k, p in enumerate(all_pairs)}
+    # rules[k]: (matching, other matching, other matching) masks closed at pair k
+    rules: list[list[tuple[int, int, int]]] = [[] for _ in all_pairs]
+    for i, j, k, l in itertools.combinations(range(n + 1), 4):
+        m1 = bit[(i, j)] | bit[(k, l)]
+        m2 = bit[(i, k)] | bit[(j, l)]
+        m3 = bit[(i, l)] | bit[(j, k)]
+        rules[all_pairs.index((k, l))] += [(m1, m2, m3), (m2, m1, m3), (m3, m1, m2)]
     out = []
-    for mask in range(1 << m):
-        ok = True
-        for mp, m1, m2 in rules:
-            if mask & mp == mp and mask & m1 != m1 and mask & m2 != m2:
-                ok = False
-                break
-        if ok:
+    stack = [(0, 0)]
+    while stack:
+        depth, mask = stack.pop()
+        if depth == len(all_pairs):
             out.append(mask)
-    return tuple(out)
+            continue
+        for cand in (mask, mask | 1 << depth):
+            if all(
+                cand & mp != mp or cand & ma == ma or cand & mb == mb
+                for mp, ma, mb in rules[depth]
+            ):
+                stack.append((depth + 1, cand))
+    return tuple(sorted(out))
 
 
 def mask_to_yset(mask: int, n: int) -> YSet:
@@ -182,9 +199,8 @@ def yset_to_mask(ys: YSet) -> int:
 
 def enumerate_y_sets(n: int, force: bool = False) -> list[YSet]:
     """All Y-sets over {0..n}, in deterministic (mask-ascending) order."""
-    if n > 6 and not force:
-        raise GuardExceeded(f"enumerate_y_sets guarded at n <= 6, got {n}")
-    return [mask_to_yset(m, n) for m in y_set_masks(n, force)]
+    check_guard("ysets", n, force)
+    return [mask_to_yset(m, n) for m in y_set_masks(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +341,7 @@ def y_set_witness(ys: YSet) -> tuple[QVector, QVector, str]:
 
 def brute_force_supports(n: int, force: bool = False) -> set[YSet]:
     """All wedge supports within the witness value ranges; oracle for n <= 3."""
-    if n > 3 and not force:
-        raise GuardExceeded(f"brute_force_supports guarded at n <= 3, got {n}")
+    check_guard("oracle", n, force)
     out: set[YSet] = set()
     xs = list(itertools.product(range(n + 1), repeat=n))
     ys_ = list(itertools.product((0, 1), repeat=n))

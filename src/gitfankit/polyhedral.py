@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .exact_linalg import QMatrix, QVector, primitive_vector, rref, solve
+from .exact_linalg import QMatrix, QVector, _bareiss_rank, _primitive, _rref, solve
 
 IVec = tuple[int, ...]
 
@@ -40,42 +40,8 @@ def _neg(a: IVec) -> IVec:
     return tuple(-x for x in a)
 
 
-def _prim(v: Sequence[int]) -> IVec:
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-        if g == 1:
-            return tuple(v)
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
-
-
 def _combine(ca: int, a: Sequence[int], cb: int, b: Sequence[int]) -> IVec:
-    return _prim([ca * x + cb * y for x, y in zip(a, b)])
-
-
-def _int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    a = [list(v) for v in vectors if any(v)]
-    if not a:
-        return 0
-    cols = len(a[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, len(a)):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == len(a):
-            break
-    return r
+    return _primitive([ca * x + cb * y for x, y in zip(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +139,7 @@ class _DDState:
         self.insert(_neg(a))
 
     def cone_dim(self) -> int:
-        return len(self.lin) + _int_rank(self.rays) if self.rays else len(self.lin)
+        return len(self.lin) + _bareiss_rank(self.rays)
 
 
 def _dd(
@@ -195,43 +161,26 @@ def _dd(
 
 def _canonical_subspace_basis(vectors: Sequence[IVec], ambient: int) -> tuple[IVec, ...]:
     """Canonical primitive basis (RREF rows) of the span of the given vectors."""
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return ()
-    rows, _ = rref(QMatrix.from_rows(vecs))
-    return tuple(primitive_vector(r) for r in rows)
-
-
-def _solve_small(g: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Solve an invertible small integer system by Gaussian elimination."""
-    k = len(g)
-    a = [[Fraction(g[i][j]) for j in range(k)] + [Fraction(rhs[i])] for i in range(k)]
-    for c in range(k):
-        piv = next(i for i in range(c, k) if a[i][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for i in range(k):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [a[i][k] for i in range(k)]
+    rows, _ = _rref([v for v in vectors if any(v)])
+    return tuple(rows)
 
 
 def _reduce_mod_subspace(v: IVec, basis: Sequence[IVec]) -> IVec:
-    """Orthogonal reduction of v modulo span(basis), exact over the rationals."""
+    """Orthogonal reduction of v modulo span(basis), exact over the rationals.
+
+    The Gram system G y = B v is solved over the integers: row i of its
+    echelon form reads d_i y_i = e_i, so with L the lcm of the d_i the
+    reduction scaled by L is L v - sum (L e_i / d_i) b_i.
+    """
     if not basis:
         return v
-    gram = [[_dot(a, b) for b in basis] for a in basis]
-    rhs = [_dot(a, v) for a in basis]
-    y = _solve_small(gram, rhs)
-    reduced = [
-        Fraction(x) - sum((yi * b[j] for yi, b in zip(y, basis)), Fraction(0))
-        for j, x in enumerate(v)
-    ]
-    if all(x == 0 for x in reduced):
-        return tuple(0 for _ in v)
-    return primitive_vector(reduced)
+    rows, _ = _rref([[_dot(a, b) for b in basis] + [_dot(a, v)] for a in basis])
+    k = len(basis)
+    den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    coeffs = [den // row[i] * row[k] for i, row in enumerate(rows)]
+    return _primitive(
+        [den * x - sum(c * b[j] for c, b in zip(coeffs, basis)) for j, x in enumerate(v)]
+    )
 
 
 def _canonical_rays(rays: Sequence[IVec], lineality: Sequence[IVec]) -> tuple[IVec, ...]:
@@ -274,7 +223,7 @@ class Cone:
                 raise ValueError("generator has wrong dimension")
             if not any(g):
                 continue
-            g = _prim(g)
+            g = _primitive(g)
             if g not in seen:
                 seen.add(g)
                 gens.append(g)
@@ -288,10 +237,10 @@ class Cone:
         ambient: int,
     ) -> "Cone":
         cleaned_ineqs = tuple(
-            sorted({_prim(tuple(int(x) for x in a)) for a in ineqs if any(a)})
+            sorted({_primitive([int(x) for x in a]) for a in ineqs if any(a)})
         )
         cleaned_eqs = tuple(
-            sorted({_prim(tuple(int(x) for x in e)) for e in eqs if any(e)})
+            sorted({_primitive([int(x) for x in e]) for e in eqs if any(e)})
         )
         return _cone_from_ineqs(cleaned_ineqs, cleaned_eqs, ambient)
 
@@ -558,7 +507,7 @@ class Fan:
         return hash((self.ambient, tuple(sorted(c._key() for c in self.maximal))))
 
 
-def fan_from_maximal(cones: Iterable[Cone], validate: bool = True) -> Fan:
+def fan_from_maximal(cones: Iterable[Cone]) -> Fan:
     """Assemble a fan from a collection of cones.
 
     Cones that are faces of others in the collection are pruned; the common
@@ -589,14 +538,13 @@ def fan_from_maximal(cones: Iterable[Cone], validate: bool = True) -> Fan:
             redundant = True
         if not redundant:
             keep.append(c)
-    if validate:
-        for i, c1 in enumerate(keep):
-            for c2 in keep[i + 1 :]:
-                if not _pair_has_common_face(c1, c2):
-                    raise FanAxiomViolation(
-                        "pairwise intersection is not a common face",
-                        offending=(c1, c2),
-                    )
+    for i, c1 in enumerate(keep):
+        for c2 in keep[i + 1 :]:
+            if not _pair_has_common_face(c1, c2):
+                raise FanAxiomViolation(
+                    "pairwise intersection is not a common face",
+                    offending=(c1, c2),
+                )
     ordered = tuple(sorted(keep, key=lambda c: (c.rays, c.lineality, c.facets)))
     return Fan(ambient, ordered)
 
@@ -625,7 +573,7 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
     """Stellar subdivision of a simplicial fan at a ray inside its support."""
     if not fan.is_simplicial:
         raise ValueError("stellar subdivision requires a simplicial fan")
-    nu = _prim(tuple(int(x) for x in ray))
+    nu = _primitive([int(x) for x in ray])
     if not any(nu):
         raise ValueError("zero ray")
     holders = [c for c in fan.maximal if c.contains(nu)]

@@ -192,23 +192,6 @@ def blow_up(lattice: FiniteSemilattice, xi: Hashable) -> FiniteSemilattice:
     return FiniteSemilattice(labels, leq)
 
 
-@dataclass(frozen=True)
-class ElementFamily:
-    """Ordered family of distinct elements, with the larger-first convention."""
-
-    elements: tuple[Hashable, ...]
-
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("family elements must be distinct")
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def is_sorted_family(lattice: FiniteSemilattice, family) -> bool:
     """True when larger elements come first: xi_i > xi_j implies i < j."""
     family = list(family)

@@ -1,7 +1,15 @@
 """Command line behaviour: exit codes, payloads, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import gitfankit
+from gitfankit import cli
 from gitfankit.cli import main
 
 
@@ -133,3 +141,47 @@ def test_verify_all_n3(capsys):
     assert code == 0
     for claim in ("walls", "star-subfan", "fk-bridge", "thm44", "delta-subfan", "rays", "nu-equality"):
         assert f"{claim}: pass" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "delta-subfan", "-n", "2"],
+        ["verify", "rays", "-n", "2"],
+        ["verify", "nu-equality", "-n", "2"],
+        ["poset", "sigma0", "-n", "2"],
+        ["poset", "sigma1", "-n", "2"],
+        ["poset", "sigmar", "-n", "2"],
+        ["poset", "gitfan-star", "-n", "2"],
+        ["poset", "delta", "-n", "2"],
+        ["fan", "delta", "-n", "2"],
+    ],
+)
+def test_below_domain_is_usage_error(args, capsys):
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_all_skips_claims_outside_domain(monkeypatch, capsys):
+    ran = []
+
+    def fake_claim(claim, n, seed, force, jobs=1):
+        ran.append(claim)
+        return {"claim": claim, "n": n, "result": True}
+
+    monkeypatch.setattr(cli, "_run_claim", fake_claim)
+    assert main(["verify", "all", "-n", "2"]) == 0
+    assert ran == ["walls", "fk-bridge", "thm44"]
+    ran.clear()
+    assert main(["verify", "all", "-n", "6", "--force"]) == 0
+    assert ran == ["walls", "star-subfan", "fk-bridge", "thm44", "delta-subfan", "rays", "nu-equality"]
+    capsys.readouterr()
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(gitfankit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gitfankit.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -126,6 +126,25 @@ def test_primitive_vector():
     assert primitive_vector([4, -6]) == (2, -3)
 
 
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ([3, 5, -7], (3, 5, -7)),
+        ([-9, 6, 0], (-3, 2, 0)),
+        ([Fraction(-1, 2), 3, Fraction(5, 4)], (-2, 12, 5)),
+        ([Fraction(-2, 3), Fraction(4, 9), 0], (-3, 2, 0)),
+        (["1/6", -1, 2], (1, -6, 12)),
+        ([0, 0, 0], (0, 0, 0)),
+        ([Fraction(0), Fraction(0)], (0, 0)),
+        ([], ()),
+    ],
+)
+def test_primitive_vector_cases(v, expected):
+    got = primitive_vector(v)
+    assert got == expected
+    assert all(type(x) is int for x in got)
+
+
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 5).flatmap(
         lambda c: st.lists(

@@ -74,6 +74,15 @@ def test_git_fan_guard():
         gf.git_fan(6)
 
 
+def test_cache_keys_ignore_force():
+    assert gf.git_fan(4) is gf.git_fan(4, False) is gf.git_fan(4, force=False)
+    gf._delta_reduction_data.cache_clear()
+    gf.delta_reduction(3)
+    gf.delta_reduction(3, False)
+    gf.verify_delta_subfan(3)
+    assert gf._delta_reduction_data.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_star_subfan(n):
     assert is_subfan(gf.git_fan_star(n), gf.git_fan(n))

@@ -7,6 +7,7 @@ from gitfankit.exact_linalg import rank
 from gitfankit.grassmann import (
     GuardExceeded,
     TwoBlock,
+    YSet,
     all_splits,
     all_two_blocks,
     brute_force_supports,
@@ -113,6 +114,18 @@ def test_brute_force_soundness_direction():
     # every realised support satisfies the exchange condition
     for y in brute_force_supports(3):
         assert is_y_set(y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_y_set_masks_match_exchange_filter(n):
+    # the pruned enumerator against the exchange test on all 2^m subsets
+    m = len(pairs(n)[0])
+    expected = tuple(mask for mask in range(1 << m) if is_y_set(mask_to_yset(mask, n)))
+    assert y_set_masks(n) == expected
+
+
+def test_y_set_counts():
+    assert [len(y_set_masks(n)) for n in range(2, 7)] == [8, 37, 172, 814, 4013]
 
 
 def test_oracle_equivalence_n4_forced():
@@ -300,6 +313,18 @@ def test_relint_criterion_n3_smoke():
     bad = [p for p in order if p not in {(0, 1), (2, 3)}]
     sigma = Cone.from_generators([wd.v[p] for p in bad], 3)
     assert not delta_meets_relint(sigma, wd)  # complement {01},{23} is not
+
+
+def test_relint_criterion_n4():
+    """relint(cone(v_p; p in J)) meets Delta iff the complement of J is a
+    Y-set, for every column subset J at n=4."""
+    wd = weights(4)
+    all_pairs = pairs(4)[0]
+    for mask in range(1 << len(all_pairs)):
+        members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
+        sigma = Cone.from_generators([wd.v[p] for p in members], wd.p.rows)
+        complement = YSet(4, frozenset(all_pairs) - frozenset(members))
+        assert delta_meets_relint(sigma, wd) == is_y_set(complement), members
 
 
 def test_delta_contains_lineality_and_splits():

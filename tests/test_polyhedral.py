@@ -1,8 +1,10 @@
 """Cones, fans, stellar subdivision, arrangement sweeps."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gitfankit.polyhedral import (
     Cone,
@@ -66,6 +68,44 @@ def test_simplicial_facets_against_inverse_oracle():
         c = Cone.from_generators(gens, dim)
         produced += 1
         assert set(c.facets) == set(inv_rows)
+
+
+# generator sets with optional -g partners, so that lineality is common
+generator_sets = st.integers(2, 5).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(
+            st.tuples(st.lists(st.integers(-3, 3), min_size=d, max_size=d), st.booleans()),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+)
+
+
+def is_canonical_basis(rows):
+    """Primitive RREF rows: positive pivots, strictly increasing, alone in
+    their columns."""
+    leads = [next(i for i, x in enumerate(r) if x) for r in rows]
+    return (
+        leads == sorted(set(leads))
+        and all(r[i] > 0 and math.gcd(*r) == 1 for r, i in zip(rows, leads))
+        and all(r[i] == 0 for k, r in enumerate(rows) for j, i in enumerate(leads) if j != k)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets)
+def test_roundtrip_through_inequalities(case):
+    d, drawn = case
+    gens = []
+    for g, with_negative in drawn:
+        gens.append(tuple(g))
+        if with_negative:
+            gens.append(tuple(-x for x in g))
+    c = Cone.from_generators(gens, d)
+    assert Cone.from_inequalities(c.facets, c.span_eqs, ambient=d) == c
+    assert is_canonical_basis(c.lineality) and is_canonical_basis(c.span_eqs)
 
 
 def test_roundtrip_random_cones():
