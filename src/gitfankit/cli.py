@@ -313,7 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    args.jobs = _jobs_from_env(args.jobs)
+    try:
+        args.jobs = _jobs_from_env(args.jobs)
+    except ValueError:
+        print(
+            f"GITFANKIT_JOBS must be an integer (got {os.environ['GITFANKIT_JOBS']!r})",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     if args.n < 2:
         print("need n >= 2", file=sys.stderr)
         return EXIT_USAGE

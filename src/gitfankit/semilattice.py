@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from functools import reduce
+from operator import and_
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .polyhedral import Cone, Fan, fan_from_maximal, stellar_subdivide
 
@@ -28,13 +30,25 @@ class BlowPair:
         return f"({self.xi!r},{self.x!r})"
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class FiniteSemilattice:
     """Finite meet-semilattice given by labelled elements and a <= relation.
 
-    Construction validates that the relation is a partial order, that every
-    pair has a greatest lower bound, and that a unique bottom exists.  The
-    meet table is materialised once; joins are computed on demand and may be
-    absent.
+    The order is stored once, as bitmasks over element indices: bit k of
+    ``_up[i]`` is set when i <= k, and bit k of ``_down[i]`` when k <= i.
+    Construction validates that the relation is a partial order, that a
+    unique bottom exists and that every pair has a greatest lower bound.
+    Meets and joins are lookups: the meet of a set is the element whose
+    down-set is the intersection of theirs, the join the element whose up-set
+    is the intersection of theirs, and the join is absent when no element has
+    that up-set.
     """
 
     def __init__(self, labels: Sequence[Hashable], leq: Sequence[Sequence[bool]]):
@@ -42,46 +56,36 @@ class FiniteSemilattice:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError("duplicate labels")
-        self._leq = tuple(tuple(bool(x) for x in row) for row in leq)
-        if len(self._leq) != n or any(len(r) != n for r in self._leq):
+        rows = [tuple(row) for row in leq]
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("relation matrix has wrong shape")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._validate_order()
-        self._meet = self._build_meet_table()
-        bottoms = [i for i in range(n) if all(self._leq[i][j] for j in range(n))]
+        up = [sum(1 << k for k, x in enumerate(row) if x) for row in rows]
+        down = [0] * n
+        for i, mask in enumerate(up):
+            for k in _bits(mask):
+                down[k] |= 1 << i
+        for i, mask in enumerate(up):
+            if not mask >> i & 1:
+                raise ValueError("relation not reflexive")
+            if mask & down[i] != 1 << i:
+                raise ValueError("relation not antisymmetric")
+            if any(up[k] & ~mask for k in _bits(mask)):
+                raise ValueError("relation not transitive")
+        bottoms = [i for i, mask in enumerate(up) if mask == (1 << n) - 1]
         if len(bottoms) != 1:
             raise ValueError("no unique bottom element")
-        self._bottom = bottoms[0]
-
-    # -- construction helpers ------------------------------------------------
-
-    def _validate_order(self) -> None:
-        n = len(self.labels)
+        by_down = {mask: i for i, mask in enumerate(down)}
         for i in range(n):
-            if not self._leq[i][i]:
-                raise ValueError("relation not reflexive")
-        for i in range(n):
-            for j in range(n):
-                if i != j and self._leq[i][j] and self._leq[j][i]:
-                    raise ValueError("relation not antisymmetric")
-                if self._leq[i][j]:
-                    for k in range(n):
-                        if self._leq[j][k] and not self._leq[i][k]:
-                            raise ValueError("relation not transitive")
-
-    def _build_meet_table(self) -> list[list[int]]:
-        n = len(self.labels)
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                lower = [k for k in range(n) if self._leq[k][i] and self._leq[k][j]]
-                greatest = [m for m in lower if all(self._leq[k][m] for k in lower)]
-                if len(greatest) != 1:
+            for j in range(i + 1, n):
+                if down[i] & down[j] not in by_down:
                     raise ValueError(
                         f"elements {self.labels[i]!r}, {self.labels[j]!r} have no meet"
                     )
-                table[i][j] = table[j][i] = greatest[0]
-        return table
+        self._up, self._down = up, down
+        self._by_up = {mask: i for i, mask in enumerate(up)}
+        self._by_down = by_down
+        self._bottom = bottoms[0]
 
     # -- basic queries --------------------------------------------------------
 
@@ -96,7 +100,7 @@ class FiniteSemilattice:
         return self.labels[self._bottom]
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
-        return self._leq[self._index[a]][self._index[b]]
+        return bool(self._up[self._index[a]] >> self._index[b] & 1)
 
     def lt(self, a: Hashable, b: Hashable) -> bool:
         return a != b and self.leq(a, b)
@@ -105,53 +109,33 @@ class FiniteSemilattice:
         return self.leq(a, b) or self.leq(b, a)
 
     def below(self, a: Hashable) -> list[Hashable]:
-        i = self._index[a]
-        return [self.labels[k] for k in range(len(self.labels)) if self._leq[k][i]]
+        return [self.labels[k] for k in _bits(self._down[self._index[a]])]
 
     def interval(self, a: Hashable, b: Hashable) -> list[Hashable]:
-        ia, ib = self._index[a], self._index[b]
-        return [
-            self.labels[k]
-            for k in range(len(self.labels))
-            if self._leq[ia][k] and self._leq[k][ib]
-        ]
+        mask = self._up[self._index[a]] & self._down[self._index[b]]
+        return [self.labels[k] for k in _bits(mask)]
 
     def meet(self, xs: Iterable[Hashable]) -> Hashable:
-        idxs = [self._index[x] for x in xs]
-        if not idxs:
+        masks = [self._down[self._index[x]] for x in xs]
+        if not masks:
             raise ValueError("meet of the empty set")
-        acc = idxs[0]
-        for i in idxs[1:]:
-            acc = self._meet[acc][i]
-        return self.labels[acc]
+        return self.labels[self._by_down[reduce(and_, masks)]]
 
     def join(self, xs: Iterable[Hashable]) -> Optional[Hashable]:
-        idxs = [self._index[x] for x in xs]
-        if not idxs:
+        masks = [self._up[self._index[x]] for x in xs]
+        if not masks:
             raise ValueError("join of the empty set")
-        n = len(self.labels)
-        upper = [
-            k for k in range(n) if all(self._leq[i][k] for i in idxs)
-        ]
-        if not upper:
-            return None
-        acc = upper[0]
-        for k in upper[1:]:
-            acc = self._meet[acc][k]
-        return self.labels[acc]
+        k = self._by_up.get(reduce(and_, masks))
+        return None if k is None else self.labels[k]
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover relations as index pairs (lower, upper)."""
-        n = len(self.labels)
+        """Cover relations as index pairs (lower, upper): j covers i when
+        the interval from i to j is exactly {i, j}."""
         edges = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and self._leq[i][j]:
-                    if not any(
-                        k != i and k != j and self._leq[i][k] and self._leq[k][j]
-                        for k in range(n)
-                    ):
-                        edges.append((i, j))
+        for i, mask in enumerate(self._up):
+            for j in _bits(mask & ~(1 << i)):
+                if mask & self._down[j] == (1 << i) | (1 << j):
+                    edges.append((i, j))
         return edges
 
     def dump(self) -> dict:
@@ -168,27 +152,26 @@ class FiniteSemilattice:
 
 
 def blow_up(lattice: FiniteSemilattice, xi: Hashable) -> FiniteSemilattice:
-    """Combinatorial blow-up at xi: keep x with x not >= xi, adjoin pairs (xi, x)."""
+    """Combinatorial blow-up at xi: keep x with x not >= xi, adjoin pairs (xi, x)
+    for the survivors x that have a join with xi.
+
+    Survivors keep their order, (xi, x) <= (xi, y) iff x <= y, y <= (xi, x)
+    iff y <= x, and no pair lies below a survivor.
+    """
     if xi not in lattice:
         raise ValueError(f"element {xi!r} not in the semilattice")
     if xi == lattice.bottom:
         raise ValueError("cannot blow up the bottom element")
-    survivors = [x for x in lattice.labels if not lattice.leq(xi, x)]
-    pairs = [x for x in survivors if lattice.join((x, xi)) is not None]
-    labels: list[Hashable] = list(survivors) + [BlowPair(xi, x) for x in pairs]
-    ns, np_ = len(survivors), len(pairs)
-    n = ns + np_
-    leq = [[False] * n for _ in range(n)]
-    for i, x in enumerate(survivors):
-        for j, y in enumerate(survivors):
-            leq[i][j] = lattice.leq(x, y)
-    for i, x in enumerate(pairs):
-        for j, y in enumerate(pairs):
-            leq[ns + i][ns + j] = lattice.leq(x, y)
-    for j, y in enumerate(survivors):
-        for i, x in enumerate(pairs):
-            # (xi, x) >= y  iff  x >= y
-            leq[j][ns + i] = lattice.leq(y, x)
+    up = lattice._up
+    above_xi = up[lattice._index[xi]]
+    survivors = [i for i in range(len(lattice)) if not above_xi >> i & 1]
+    # in a finite meet-semilattice, x and xi have a join iff they have a
+    # common upper bound
+    pairs = [i for i in survivors if up[i] & above_xi]
+    leq = [[up[i] >> k & 1 for k in survivors + pairs] for i in survivors]
+    leq += [[0] * len(survivors) + [up[i] >> k & 1 for k in pairs] for i in pairs]
+    labels = [lattice.labels[i] for i in survivors]
+    labels += [BlowPair(xi, lattice.labels[i]) for i in pairs]
     return FiniteSemilattice(labels, leq)
 
 
@@ -393,10 +376,10 @@ def harmonious_closure(
 def face_poset(fan: Fan) -> FiniteSemilattice:
     """All cones of the fan ordered by the face relation; labels are the cones."""
     cones = sorted(fan.cones().values(), key=lambda c: (c.dim, c.rays, c.lineality))
-    leq = [
-        [c2.contains_cone(c1) for c2 in cones]
-        for c1 in cones
-    ]
+    # cones of a fan share its lineality and carry canonical rays modulo it,
+    # so one cone lies in another exactly when its rays are among the other's
+    ray_sets = [frozenset(c.rays) for c in cones]
+    leq = [[r1 <= r2 for r2 in ray_sets] for r1 in ray_sets]
     return FiniteSemilattice(cones, leq)
 
 
@@ -408,18 +391,12 @@ def poset_isomorphic(l1: FiniteSemilattice, l2: FiniteSemilattice) -> bool:
 
     def refine(lat: FiniteSemilattice) -> list:
         n = len(lat)
-        colors = [
-            (
-                sum(lat._leq[k][i] for k in range(n)),
-                sum(lat._leq[i][k] for k in range(n)),
-            )
-            for i in range(n)
-        ]
+        colors = [(lat._down[i].bit_count(), lat._up[i].bit_count()) for i in range(n)]
         for _ in range(n):
             new = []
             for i in range(n):
-                down = sorted(colors[k] for k in range(n) if lat._leq[k][i] and k != i)
-                up = sorted(colors[k] for k in range(n) if lat._leq[i][k] and k != i)
+                down = sorted(colors[k] for k in _bits(lat._down[i] & ~(1 << i)))
+                up = sorted(colors[k] for k in _bits(lat._up[i] & ~(1 << i)))
                 new.append((colors[i], tuple(down), tuple(up)))
             canon = {c: idx for idx, c in enumerate(sorted(set(new)))}
             new_ids = [canon[c] for c in new]
@@ -444,12 +421,11 @@ def poset_isomorphic(l1: FiniteSemilattice, l2: FiniteSemilattice) -> bool:
         for j in candidates[i]:
             if j in used:
                 continue
-            ok = True
-            for i2, j2 in assignment.items():
-                if l1._leq[i][i2] != l2._leq[j][j2] or l1._leq[i2][i] != l2._leq[j2][j]:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                (l1._up[i] >> i2 & 1) == (l2._up[j] >> j2 & 1)
+                and (l1._down[i] >> i2 & 1) == (l2._down[j] >> j2 & 1)
+                for i2, j2 in assignment.items()
+            ):
                 assignment[i] = j
                 used.add(j)
                 if backtrack(pos + 1):

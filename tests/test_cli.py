@@ -164,6 +164,14 @@ def test_below_domain_is_usage_error(args, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_malformed_jobs_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("GITFANKIT_JOBS", "abc")
+    code, _, err = run(["ysets", "-n", "3"], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_all_skips_claims_outside_domain(monkeypatch, capsys):
     ran = []
 

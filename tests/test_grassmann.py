@@ -327,6 +327,22 @@ def test_relint_criterion_n4():
         assert delta_meets_relint(sigma, wd) == is_y_set(complement), members
 
 
+def test_opposite_tropical_sign_fails_at_n4():
+    """The n=3 sign calibration is not vacuous at n=4: under the opposite
+    sign some column subset disagrees with the Y-set criterion."""
+    from gitfankit.grassmann import _relint_meets_delta
+
+    wd = weights(4)
+    all_pairs = pairs(4)[0]
+    for mask in range(1 << len(all_pairs)):
+        members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
+        sigma = Cone.from_generators([wd.v[p] for p in members], wd.p.rows)
+        complement = YSet(4, frozenset(all_pairs) - frozenset(members))
+        if _relint_meets_delta(sigma, 4, -tropical_sign()) != is_y_set(complement):
+            return
+    pytest.fail("the opposite sign agrees with the Y-set criterion on every subset")
+
+
 def test_delta_contains_lineality_and_splits():
     wd = weights(3)
     lin = lineality_image(wd)

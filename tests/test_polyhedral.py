@@ -252,6 +252,17 @@ def test_stellar_preserves_support():
     assert refinement_preserves_support(f0, f1)
 
 
+def test_stellar_sweep_keeps_simplicial_support():
+    from gitfankit.semilattice import random_interior_ray, random_simplicial_fan
+
+    rng = random.Random(17)
+    for _ in range(30):
+        fan = random_simplicial_fan(rng, rng.randint(2, 4), 7)
+        sub = stellar_subdivide(fan, random_interior_ray(rng, fan))
+        assert sub.is_simplicial
+        assert refinement_preserves_support(fan, sub)
+
+
 def test_stellar_outside_support():
     with pytest.raises(ValueError):
         stellar_subdivide(orthant_fan(2), (-1, 0))

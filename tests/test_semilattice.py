@@ -89,6 +89,23 @@ def test_meet_validation_rejects_meetless():
         FiniteSemilattice(labels, leq)
 
 
+@pytest.mark.parametrize(
+    "labels, leq, message",
+    [
+        (["0", "0"], [[1, 1], [0, 1]], "duplicate labels"),
+        (["0", "a"], [[1, 1]], "wrong shape"),
+        (["0", "a"], [[1, 1], [0, 0]], "not reflexive"),
+        (["0", "a"], [[1, 1], [1, 1]], "not antisymmetric"),
+        (["0", "a", "b"], [[1, 1, 0], [0, 1, 1], [0, 0, 1]], "not transitive"),
+        (["a", "b"], [[1, 0], [0, 1]], "no unique bottom"),
+        ([], [], "no unique bottom"),
+    ],
+)
+def test_constructor_rejections(labels, leq, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteSemilattice(labels, leq)
+
+
 def test_blow_up_two_cone():
     f = fan_from_maximal([Cone.from_generators([(1, 0), (0, 1)], 2)])
     lat = face_poset(f)
@@ -313,6 +330,98 @@ def test_random_fans_are_valid():
     for _ in range(10):
         fan = random_simplicial_fan(rng, rng.randint(2, 4), 7)
         assert fan.is_simplicial
+
+
+class ReferencePoset:
+    """Brute-force poset queries straight from the definitions, on positions
+    into a label list (hashing cone labels in every query would dominate)."""
+
+    def __init__(self, labels, le):
+        self.labels = list(labels)
+        self.le = le
+        self.elems = range(len(self.labels))
+
+    def below(self, a):
+        return [x for x in self.elems if self.le[x][a]]
+
+    def interval(self, a, b):
+        return [x for x in self.elems if self.le[a][x] and self.le[x][b]]
+
+    def meet(self, a, b):
+        lower = [x for x in self.elems if self.le[x][a] and self.le[x][b]]
+        greatest = [m for m in lower if all(self.le[x][m] for x in lower)]
+        assert len(greatest) == 1
+        return greatest[0]
+
+    def join(self, a, b):
+        upper = [x for x in self.elems if self.le[a][x] and self.le[b][x]]
+        least = [m for m in upper if all(self.le[m][x] for x in upper)]
+        assert len(least) <= 1
+        return least[0] if least else None
+
+    def covers(self):
+        return {
+            (a, b)
+            for a in self.elems
+            for b in self.elems
+            if a != b
+            and self.le[a][b]
+            and not any(self.le[a][c] and self.le[c][b] for c in self.elems if c not in (a, b))
+        }
+
+    def blow_up(self, xi):
+        i = self.labels.index(xi)
+        survivors = [x for x in self.elems if not self.le[i][x]]
+        pairs = [x for x in survivors if self.join(x, i) is not None]
+        labels = [self.labels[x] for x in survivors]
+        labels += [BlowPair(xi, self.labels[x]) for x in pairs]
+        # survivors keep their order; (xi, x) <= (xi, y) iff x <= y;
+        # y <= (xi, x) iff y <= x; no pair lies below a survivor
+        le = [[self.le[x][y] for y in survivors + pairs] for x in survivors]
+        le += [[False] * len(survivors) + [self.le[x][y] for y in pairs] for x in pairs]
+        return ReferencePoset(labels, le)
+
+
+def assert_matches_reference(lat, ref):
+    pos = {lab: i for i, lab in enumerate(ref.labels)}
+    assert set(lat.labels) == set(pos)
+    perm = [pos[lab] for lab in lat.labels]
+
+    def at(xs):
+        return sorted(pos[x] for x in xs)
+
+    for a in lat.labels:
+        assert at(lat.below(a)) == ref.below(pos[a])
+        for b in lat.labels:
+            ia, ib = pos[a], pos[b]
+            assert lat.leq(a, b) == ref.le[ia][ib]
+            assert at(lat.interval(a, b)) == ref.interval(ia, ib)
+            assert pos[lat.meet([a, b])] == ref.meet(ia, ib)
+            join = lat.join([a, b])
+            assert (None if join is None else pos[join]) == ref.join(ia, ib)
+    assert {(perm[i], perm[j]) for i, j in lat.hasse_edges()} == ref.covers()
+
+
+def test_bitset_order_matches_reference():
+    # face posets of random fans and one blow-up of each, against the
+    # geometric containment relation and the blow-up definition
+    rng = random.Random(11)
+    for _ in range(20):
+        fan = random_simplicial_fan(rng, rng.randint(2, 4), 7)
+        lat = face_poset(fan)
+        geometric = [[b.contains_cone(a) for b in lat.labels] for a in lat.labels]
+        ref = ReferencePoset(lat.labels, geometric)
+        assert_matches_reference(lat, ref)
+        xi = rng.choice([x for x in lat.labels if x != lat.bottom])
+        assert_matches_reference(blow_up(lat, xi), ref.blow_up(xi))
+
+
+def test_face_poset_git_fan_n5():
+    from gitfankit.gitfan import git_fan
+
+    lat = face_poset(git_fan(5))
+    assert len(lat) == 752
+    assert len(lat.hasse_edges()) == 2525
 
 
 def test_dump_shape():
