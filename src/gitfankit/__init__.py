@@ -74,3 +74,16 @@ from .semilattice import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty the package's result caches: the pair-check cache and the cone
+    caches of ``polyhedral`` and every ``lru_cache`` of ``gitfan`` and
+    ``grassmann``.  Results do not change; later calls recompute them."""
+    from . import gitfan, grassmann, polyhedral
+
+    polyhedral._PAIR_CACHE.clear()
+    for mod in (gitfan, grassmann, polyhedral):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()

@@ -30,18 +30,32 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+class UsageError(Exception):
+    """Bad input from the command line or environment: exit 2, one stderr line."""
+
+
 def _jobs_from_env(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("GITFANKIT_JOBS")
-    return int(env) if env else 1
+    if value is None:
+        env = os.environ.get("GITFANKIT_JOBS")
+        try:
+            value = int(env) if env else 1
+        except ValueError:
+            raise UsageError(f"GITFANKIT_JOBS must be an integer (got {env!r})") from None
+        if value < 1:
+            raise UsageError(f"GITFANKIT_JOBS must be at least 1 (got {value})")
+    elif value < 1:
+        raise UsageError(f"--jobs must be at least 1 (got {value})")
+    return value
 
 
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write {args.output}: {err.strerror}") from None
     elif args.format == "json":
         sys.stdout.write(text)
 
@@ -313,19 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        args.jobs = _jobs_from_env(args.jobs)
-    except ValueError:
-        print(
-            f"GITFANKIT_JOBS must be an integer (got {os.environ['GITFANKIT_JOBS']!r})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     if args.n < 2:
         print("need n >= 2", file=sys.stderr)
         return EXIT_USAGE
     try:
+        args.jobs = _jobs_from_env(args.jobs)
         return args.func(args)
+    except UsageError as err:
+        print(err, file=sys.stderr)
+        return EXIT_USAGE
     except GuardExceeded as err:
         print(f"guard: {err}", file=sys.stderr)
         return EXIT_USAGE

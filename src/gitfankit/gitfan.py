@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -20,6 +21,7 @@ from .grassmann import Pair, TwoBlock, YSet, check_guard
 from .polyhedral import (
     Cone,
     Fan,
+    _dot,
     fan_from_maximal,
     is_subfan,
     stellar_subdivide,
@@ -425,26 +427,90 @@ def _gkz_pool(n: int) -> tuple[Cone, ...]:
     return tuple(seen.values())
 
 
+@dataclass(frozen=True)
+class _GkzTable:
+    """The pool's span equations and facet normals, each listed once.
+
+    ``eqs`` pairs the i-th distinct span equation with the bit 1 << i, so a
+    pool cone's span is the bitmask ``span_masks[k]`` over them; its facets
+    are the indices ``facet_ids[k]`` into ``normals``.
+    """
+
+    eqs: tuple[tuple[tuple[int, ...], int], ...]
+    span_masks: tuple[int, ...]
+    normals: tuple[tuple[int, ...], ...]
+    facet_ids: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _gkz_table(n: int) -> _GkzTable:
+    pool = _gkz_pool(n)
+    eq_bit = {e: 1 << i for i, e in enumerate(sorted({e for c in pool for e in c.span_eqs}))}
+    normals = sorted({a for c in pool for a in c.facets})
+    normal_id = {a: i for i, a in enumerate(normals)}
+    return _GkzTable(
+        tuple(eq_bit.items()),
+        tuple(sum(eq_bit[e] for e in c.span_eqs) for c in pool),
+        tuple(normals),
+        tuple(tuple(normal_id[a] for a in c.facets) for c in pool),
+    )
+
+
+def _zero_mask(eqs: Iterable[tuple[Sequence[int], int]], x: Sequence[int]) -> int:
+    """OR of the masks of the equations that vanish at x."""
+    zero = 0
+    for e, mask in eqs:
+        if not sum(map(operator.mul, e, x)):
+            zero |= mask
+    return zero
+
+
+def _gkz_profile(pt: Sequence[int], n: int) -> frozenset[int]:
+    """Indices of the pool cones whose relative interior contains pt.
+
+    A cone whose span misses pt is skipped on its mask alone; facet signs of
+    the rest are computed once per distinct normal.
+    """
+    table = _gkz_table(n)
+    zero = _zero_mask(table.eqs, pt)
+    positive: dict[int, bool] = {}
+    profile = []
+    for i, (mask, fids) in enumerate(zip(table.span_masks, table.facet_ids)):
+        if mask & ~zero:
+            continue
+        for f in fids:
+            if f not in positive:
+                positive[f] = _dot(table.normals[f], pt) > 0
+            if not positive[f]:
+                break
+        else:
+            profile.append(i)
+    return frozenset(profile)
+
+
+def _profile_cone(profile: Iterable[int], pt: Sequence[int], n: int) -> Cone:
+    """Intersection of the pool cones of a profile, checked to hold pt in its
+    relative interior."""
+    pool = _gkz_pool(n)
+    sigma = Cone.from_inequalities(
+        [a for i in profile for a in pool[i].facets],
+        [e for i in profile for e in pool[i].span_eqs],
+        ambient=gr.weights(n).p.rows,
+    )
+    if not sigma.contains(pt, "relative_interior"):
+        raise AssertionError("GKZ cone does not contain its point in relint")
+    return sigma
+
+
 def gkz_cone(v: Sequence, n: int, force: bool = False) -> Cone:
     """GKZ cone of a point: intersection of all column-spanned cones whose
     relative interior contains it."""
     check_guard("delta", n, force)
     pt = tuple(int(x) for x in v)
-    ineqs: list = []
-    eqs: list = []
-    found = False
-    for c in _gkz_pool(n):
-        if c.contains(pt, "relative_interior"):
-            found = True
-            ineqs.extend(c.facets)
-            eqs.extend(c.span_eqs)
-    if not found:
+    profile = _gkz_profile(pt, n)
+    if not profile:
         raise ValueError(f"point {pt} lies in no column cone's relative interior")
-    dim = gr.weights(n).p.rows
-    sigma = Cone.from_inequalities(ineqs, eqs, ambient=dim)
-    if not sigma.contains(pt, "relative_interior"):
-        raise AssertionError("GKZ cone does not contain its point in relint")
-    return sigma
+    return _profile_cone(profile, pt, n)
 
 
 @lru_cache(maxsize=None)
@@ -459,6 +525,33 @@ def _gkz_walls(n: int) -> tuple[tuple[int, ...], ...]:
                 normal = tuple(-x for x in normal)
             walls.add(normal)
     return tuple(sorted(walls))
+
+
+def _generic_rep(
+    vecs: Sequence[tuple[int, ...]],
+    eqs: Sequence[tuple[Sequence[int], int]],
+    span_masks: Sequence[int],
+    dim: int,
+) -> tuple[int, ...]:
+    """sum_e k^e vecs[e] for the first k = 1, 2, ... that lies in no span
+    missing one of the vecs.
+
+    The spans are bitmasks over the equations ``eqs`` (as in ``_GkzTable``),
+    so a point lies in a span when the span's mask is inside the point's
+    zero mask.
+    """
+    if not vecs:
+        return (0,) * dim
+    shared = -1
+    for v in vecs:
+        shared &= _zero_mask(eqs, v)
+    missed = [m for m in span_masks if m & ~shared]
+    for k in range(1, 64):
+        rep = tuple(sum(k**e * v[j] for e, v in enumerate(vecs)) for j in range(dim))
+        zero = _zero_mask(eqs, rep)
+        if all(m & ~zero for m in missed):
+            return rep
+    raise AssertionError("no generic representative found")
 
 
 @dataclass(frozen=True)
@@ -479,31 +572,8 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     sign = gr.tropical_sign()
     walls = _gkz_walls(n)
     lin = gr.lineality_image(wd)
-    pool = _gkz_pool(n)
-    proper_spans = sorted(
-        {c.span_eqs for c in pool if 0 < len(c.span_eqs)}
-    )
-
-    def generic_rep(rays: Sequence[tuple[int, ...]], lins: Sequence[tuple[int, ...]]):
-        vecs = list(rays) + list(lins)
-        if not vecs:
-            return tuple(0 for _ in range(dim))
-        for k in range(1, 64):
-            rep = tuple(
-                sum(k**e * v[i] for e, v in enumerate(vecs)) for i in range(dim)
-            )
-            ok = True
-            for span in proper_spans:
-                if all(sum(a * b for a, b in zip(eq, rep)) == 0 for eq in span):
-                    if not all(
-                        all(sum(a * b for a, b in zip(eq, v)) == 0 for eq in span)
-                        for v in vecs
-                    ):
-                        ok = False
-                        break
-            if ok:
-                return rep
-        raise AssertionError("no generic representative found")
+    table = _gkz_table(n)
+    span_masks = sorted({m for m in table.span_masks if m})
 
     profiles: dict[frozenset[int], tuple[Cone, tuple[int, ...]]] = {}
     rep_count = 0
@@ -528,35 +598,22 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
             coord = tuple(1 if j == i else 0 for j in range(k))
             twalls.add(coord)
         leaves = arrangement_leaves(k, [], sorted(twalls), with_boundaries=True)
+        # span equations pulled back to tree coordinates, where e.(B^T t) is
+        # (B e).t; equations that become equal share one entry
+        merged: dict[tuple[int, ...], int] = {}
+        for e, bit in table.eqs:
+            te = tuple(_dot(e, b) for b in basis)
+            merged[te] = merged.get(te, 0) | bit
+        tree_eqs = list(merged.items())
         for leaf in leaves:
-            amb_rays = [
-                tuple(sum(r[j] * basis[j][i] for j in range(k)) for i in range(dim))
-                for r in leaf.rays
-            ]
-            amb_lins = [
-                tuple(sum(l[j] * basis[j][i] for j in range(k)) for i in range(dim))
-                for l in leaf.lineality
-            ]
-            rep = generic_rep(amb_rays, amb_lins)
+            t = _generic_rep(list(leaf.rays) + list(leaf.lineality), tree_eqs, span_masks, k)
+            rep = tuple(sum(t[j] * basis[j][i] for j in range(k)) for i in range(dim))
             rep_count += 1
             if not gr.delta_contains(rep, wd):
                 continue
-            profile = frozenset(
-                i
-                for i, c in enumerate(pool)
-                if c.contains(rep, "relative_interior")
-            )
-            if profile in profiles:
-                continue
-            ineqs: list = []
-            eqs: list = []
-            for i in profile:
-                ineqs.extend(pool[i].facets)
-                eqs.extend(pool[i].span_eqs)
-            sigma = Cone.from_inequalities(ineqs, eqs, ambient=dim)
-            if not sigma.contains(rep, "relative_interior"):
-                raise AssertionError("Delta representative escapes its GKZ cone")
-            profiles[profile] = (sigma, rep)
+            profile = _gkz_profile(rep, n)
+            if profile not in profiles:
+                profiles[profile] = (_profile_cone(profile, rep, n), rep)
 
     by_key: dict[tuple, tuple[Cone, tuple[int, ...]]] = {}
     for sigma, rep in profiles.values():

@@ -592,18 +592,42 @@ def tropical_sign() -> int:
     return 1 if verdicts[1] else -1
 
 
+@lru_cache(maxsize=None)
+def _p_right_inverse(n: int) -> tuple[tuple[int, ...], ...]:
+    """Integer right inverse of P up to a positive scale: the rows, one per
+    pair, of a matrix R with P R = D I, where the columns of R are the
+    preimages under P of the unit vectors and D > 0 is the lcm of their
+    denominators."""
+    p = weights(n).p
+    cols = []
+    for i in range(p.rows):
+        x = solve(p, QVector([1 if j == i else 0 for j in range(p.rows)]))
+        if x is None:
+            raise AssertionError("P is surjective; solve cannot fail")
+        cols.append(x.entries)
+    d = math.lcm(*(x.denominator for col in cols for x in col))
+    r = tuple(tuple((col[k] * d).numerator for col in cols) for k in range(p.cols))
+    for i, row in enumerate(p.row_list()):
+        for j in range(p.rows):
+            if sum(a * r[k][j] for k, a in enumerate(row)) != (d if i == j else 0):
+                raise AssertionError("P R = D I failed for the right inverse of P")
+    return r
+
+
 def delta_contains(p: Sequence, wd: WeightData) -> bool:
     """Membership of a point in the projected tropical variety Delta.
 
-    Solves P w = p for one preimage and applies the calibrated four-point
-    test; the choice of preimage is irrelevant because ker P is the row space
-    of Q, which lies in the tropical lineality.
+    Applies the calibrated four-point test to the preimage R p, where R is
+    the integer matrix with P R = D I built once per n.  The choice of
+    preimage is irrelevant because ker P is the row space of Q, which lies in
+    the tropical lineality, and the positive scale D is irrelevant because
+    the four-point test is invariant under positive scaling.
     """
-    w0 = solve(wd.p, QVector(list(p)))
-    if w0 is None:
-        raise AssertionError("P is surjective; solve cannot fail")
     s = tropical_sign()
-    return trop_contains([s * t for t in w0.entries], wd.n)
+    return trop_contains(
+        [s * sum(a * x for a, x in zip(row, p)) for row in _p_right_inverse(wd.n)],
+        wd.n,
+    )
 
 
 def delta_meets_relint(cone, wd: WeightData) -> bool:

@@ -404,7 +404,9 @@ def _common_face_via(c1: Cone, c2: Cone, u: IVec) -> bool:
     return all(c2.contains(g) for g in tight1) and all(c1.contains(g) for g in tight2)
 
 
+# verdicts of the pair check, oldest first; bounded like the cone caches
 _PAIR_CACHE: dict[tuple, bool] = {}
+_PAIR_CACHE_MAX = 200_000
 
 
 def _pair_has_common_face(c1: Cone, c2: Cone) -> bool:
@@ -413,6 +415,8 @@ def _pair_has_common_face(c1: Cone, c2: Cone) -> bool:
     if hit is not None:
         return hit
     result = _pair_has_common_face_uncached(c1, c2)
+    if len(_PAIR_CACHE) >= _PAIR_CACHE_MAX:
+        del _PAIR_CACHE[next(iter(_PAIR_CACHE))]
     _PAIR_CACHE[cache_key] = result
     return result
 

@@ -498,13 +498,15 @@ def verify_fk_bridge(
     """Random sweep: face_poset(stellar(f, nu)) iso blow_up(face_poset(f), carrier).
 
     Each trial draws from its own (seed, trial)-derived generator, so the
-    outcome is identical for every worker count.
+    outcome is identical for every worker count; at most one worker process
+    is started per trial.
     """
     trials = [(seed, t, max_ambient, max_rays) for t in range(samples)]
-    if jobs > 1:
+    workers = min(jobs, samples)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_fk_bridge_trial, trials)
     else:
         results = [_fk_bridge_trial(t) for t in trials]

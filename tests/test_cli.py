@@ -172,6 +172,35 @@ def test_malformed_jobs_env_is_usage_error(monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["--jobs", "0"], None),
+        (["--jobs", "-2"], None),
+        ([], "0"),
+        ([], "-1"),
+    ],
+)
+def test_jobs_below_one_is_usage_error(args, env, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("GITFANKIT_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("GITFANKIT_JOBS", env)
+    code, _, err = run(["ysets", "-n", "3", *args], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run(["fan", "gitfan", "-n", "3", "-o", str(target)], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not target.exists()
+
+
 def test_verify_all_skips_claims_outside_domain(monkeypatch, capsys):
     ran = []
 

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+import gitfankit
 import gitfankit.gitfan as gf
 import gitfankit.grassmann as gr
-from gitfankit.exact_linalg import QMatrix, kernel_basis, primitive_vector
+from gitfankit.exact_linalg import QMatrix, QVector, kernel_basis, primitive_vector, solve
 from gitfankit.grassmann import GuardExceeded, TwoBlock, YSet
+from gitfankit import polyhedral
 from gitfankit.polyhedral import Cone, is_subfan
 
 
@@ -322,6 +324,147 @@ def test_delta_witnesses_in_relint():
         assert gr.delta_contains(wit, wd)
 
 
+# (trees, representatives tried, maximal cones) and the sorted witnesses: the
+# generic representatives that first reached each maximal cone's profile
+DELTA_PINS = {
+    3: ((3, 51, 5), [(-2, -4, -4), (-2, -2, 2), (-2, 2, -2), (2, -2, -2), (6, 2, 2)]),
+    4: (
+        (15, 4365, 17),
+        [
+            (-6, -6, -2, -2, -6, -6), (-6, -2, -6, -6, -2, -6), (-4, -4, -2, 2, -4, -4),
+            (-4, -4, 2, -2, -4, -4), (-4, -2, -4, -4, 2, -4), (-4, 2, -4, -4, -2, -4),
+            (-2, -6, -6, -6, -6, -2), (-2, -4, -4, -4, -4, 2), (-2, -2, -2, 10, 2, 2),
+            (-2, -2, 2, 2, -2, -2), (-2, 2, -2, -2, 2, -2), (-2, 10, 2, -2, -2, 2),
+            (2, -4, -4, -4, -4, -2), (2, -2, -2, -2, -2, 2), (6, 2, 2, 2, 2, 6),
+            (10, -2, 2, -2, 2, -2), (10, 2, -2, 2, -2, -2),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_delta_reduction_counts(n):
+    counts, witnesses = DELTA_PINS[n]
+    data = gf._delta_reduction_data(n)
+    assert (data.tree_count, data.rep_count, len(data.fan.maximal)) == counts
+    assert sorted(data.witnesses.values()) == witnesses
+    for c in data.fan.maximal:
+        assert c.contains(data.witnesses[(c.facets, c.span_eqs)], "relative_interior")
+
+
+def _delta_test_points(n, rng):
+    """Seeded integer points: zero, images of random tree metrics, sums of
+    random column subsets (which lie in proper pool spans) and random points."""
+    wd = gr.weights(n)
+    sign = gr.tropical_sign()
+    lin = gr.lineality_image(wd)
+    trees = gr.trivalent_trees(n)
+    dim = wd.p.rows
+    points = [(0,) * dim]
+    for _ in range(25):
+        tree = rng.choice(trees)
+        gens = [gr.split_image(wd, block) for block in tree]
+        coeffs = [rng.randint(0, 4) for _ in gens]
+        t = rng.randint(-3, 3)
+        points.append(
+            tuple(
+                sign * sum(c * g[i] for c, g in zip(coeffs, gens)) + t * lin[i]
+                for i in range(dim)
+            )
+        )
+        cols = rng.sample(wd.pairs0, rng.randint(1, 4))
+        points.append(tuple(sum(wd.v[p][i] for p in cols) for i in range(dim)))
+        points.append(tuple(rng.randint(-6, 6) for _ in range(dim)))
+    return points
+
+
+def _delta_contains_reference(point, wd):
+    """The four-point test on the preimage that ``solve`` picks."""
+    w = solve(wd.p, QVector(list(point)))
+    return gr.trop_contains([gr.tropical_sign() * x for x in w.entries], wd.n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_delta_contains_matches_solve_reference(n):
+    wd = gr.weights(n)
+    verdicts = set()
+    for point in _delta_test_points(n, random.Random(100 + n)):
+        expected = _delta_contains_reference(point, wd)
+        verdicts.add(expected)
+        for scale in (1, 2, 7):
+            assert gr.delta_contains(tuple(scale * x for x in point), wd) == expected, point
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gkz_profile_matches_pool_scan(n):
+    pool = gf._gkz_pool(n)
+    data = gf._delta_reduction_data(n)
+    points = list(data.witnesses.values()) + _delta_test_points(n, random.Random(200 + n))
+    for point in points:
+        expected = frozenset(
+            i for i, c in enumerate(pool) if c.contains(point, "relative_interior")
+        )
+        assert gf._gkz_profile(point, n) == expected, point
+
+
+def _generic_rep_reference(vecs, spans, dim):
+    """The vector-by-vector genericity search over explicit span equations."""
+
+    def in_span(span, x):
+        return all(sum(a * b for a, b in zip(eq, x)) == 0 for eq in span)
+
+    for k in range(1, 64):
+        rep = tuple(sum(k**e * v[i] for e, v in enumerate(vecs)) for i in range(dim))
+        if not any(
+            in_span(span, rep) and not all(in_span(span, v) for v in vecs)
+            for span in spans
+        ):
+            return rep
+    raise AssertionError("no generic representative found")
+
+
+def _orthogonal(x, rng):
+    """An integer vector orthogonal to x (of dimension 2 or 3); a random one
+    when x is zero."""
+    if not any(x):
+        return tuple(rng.randint(-2, 2) for _ in x)
+    if len(x) == 2:
+        return (-x[1], x[0])
+    u = [rng.randint(-2, 2) for _ in range(3)]
+    return (
+        x[1] * u[2] - x[2] * u[1],
+        x[2] * u[0] - x[0] * u[2],
+        x[0] * u[1] - x[1] * u[0],
+    )
+
+
+def test_generic_rep_matches_reference():
+    """Span tests by equation bitmasks pick the same k and representative as
+    the explicit search, also where the first candidates lie in a bad span."""
+    rng = random.Random(31)
+    later_k = 0
+    for _ in range(300):
+        dim = rng.choice((2, 3))
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 3))]
+        spans = []
+        for _ in range(rng.randint(1, 4)):
+            # a hyperplane through the k-th candidate, sometimes cut down by
+            # a random second equation
+            k = rng.randint(1, 3)
+            cand = tuple(sum(k**e * v[i] for e, v in enumerate(vecs)) for i in range(dim))
+            span = {_orthogonal(cand, rng)}
+            if rng.random() < 0.3:
+                span.add(tuple(rng.randint(-1, 1) for _ in range(dim)))
+            spans.append(sorted(span))
+        bit = {eq: 1 << i for i, eq in enumerate(sorted({eq for span in spans for eq in span}))}
+        masks = sorted({sum(bit[eq] for eq in span) for span in spans})
+        expected = _generic_rep_reference(vecs, spans, dim)
+        assert gf._generic_rep(vecs, list(bit.items()), masks, dim) == expected
+        later_k += expected != tuple(sum(v[i] for v in vecs) for i in range(dim))
+    assert later_k > 20
+
+
 def test_ray_classification_n3():
     rep = gf.verify_ray_classification(3)
     assert rep["result"]
@@ -440,3 +583,19 @@ def test_downstream_invariance_under_permuted_gale_dual():
         ]
         carrier = Cone.from_generators([vcols[p] for p in carrier_pairs], alt.rows)
         assert carrier.contains(alt_nu(tb.block), "relative_interior")
+
+
+def test_clear_caches_keeps_results():
+    before = (gf.git_fan(3), gf.sigma_r(3), gf.delta_reduction(3))
+    gitfankit.clear_caches()
+    assert not polyhedral._PAIR_CACHE
+    for cached in (
+        polyhedral._cone_from_gens,
+        polyhedral._cone_from_ineqs,
+        gf._delta_reduction_data,
+        gf._gkz_pool,
+        gr.weights,
+        gr._p_right_inverse,
+    ):
+        assert cached.cache_info().currsize == 0
+    assert (gf.git_fan(3), gf.sigma_r(3), gf.delta_reduction(3)) == before

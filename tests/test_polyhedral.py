@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gitfankit import polyhedral
 from gitfankit.polyhedral import (
     Cone,
     FanAxiomViolation,
@@ -286,6 +287,20 @@ def test_iterated_empty():
 
 
 # -- subfans ------------------------------------------------------------------
+
+
+def test_pair_cache_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(polyhedral, "_PAIR_CACHE", {})
+    monkeypatch.setattr(polyhedral, "_PAIR_CACHE_MAX", 3)
+    rays = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
+    cones = [cone(a, b) for a, b in zip(rays, rays[1:])]
+    keys = []
+    for c1, c2 in zip(cones, cones[1:]):
+        assert polyhedral._pair_has_common_face(c1, c2)
+        keys.append(tuple(sorted((c1._key(), c2._key()))))
+    assert list(polyhedral._PAIR_CACHE) == keys[-3:]
+    assert len(fan_from_maximal(cones).maximal) == len(cones)
+    assert len(polyhedral._PAIR_CACHE) == 3
 
 
 def test_subfan_reflexive():

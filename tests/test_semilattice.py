@@ -320,6 +320,34 @@ def test_harmonious_closure_all_pairs_harmonious():
         assert is_harmonious(lat, clo, (a, b))
 
 
+def test_fk_bridge_workers_clamped_to_samples(monkeypatch):
+    import multiprocessing
+
+    opened = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records the size, starts nothing."""
+
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    rep = verify_fk_bridge(seed=5, samples=3, jobs=64)
+    assert opened == [3]
+    assert verify_fk_bridge(seed=5, samples=1, jobs=8) == verify_fk_bridge(seed=5, samples=1)
+    assert rep == verify_fk_bridge(seed=5, samples=3)
+    assert opened == [3]
+
+
 def test_fk_bridge_sweep_smoke():
     rep = verify_fk_bridge(seed=5, samples=25)
     assert rep["result"] and rep["samples"] == 25
