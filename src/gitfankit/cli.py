@@ -10,6 +10,7 @@ timings are printed to the console only, never written into reports.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -46,6 +47,23 @@ def _jobs_from_env(value: Optional[int]) -> int:
     elif value < 1:
         raise UsageError(f"--jobs must be at least 1 (got {value})")
     return value
+
+
+def _check_output_path(path: str) -> None:
+    """Fail before any computation when ``path`` cannot take the payload; the
+    file itself is neither created nor truncated here."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _emit(payload: dict, args) -> None:
@@ -332,6 +350,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         args.jobs = _jobs_from_env(args.jobs)
+        if args.output:
+            _check_output_path(args.output)
         return args.func(args)
     except UsageError as err:
         print(err, file=sys.stderr)

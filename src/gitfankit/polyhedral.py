@@ -9,6 +9,7 @@ lists.
 The conversion engine is a double description method over plain Python
 integers with the combinatorial adjacency test, run in both directions
 (generators -> facets via the dual cone, facets -> generators directly).
+Faces need no conversion: they are read from facet-ray incidence bitmasks.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
-from .exact_linalg import QMatrix, QVector, _bareiss_rank, _primitive, _rref, solve
+from .exact_linalg import QMatrix, QVector, _primitive, _rref, solve
 
 IVec = tuple[int, ...]
 
@@ -137,9 +138,6 @@ class _DDState:
     def insert_equation(self, a: Sequence[int]) -> None:
         self.insert(a)
         self.insert(_neg(a))
-
-    def cone_dim(self) -> int:
-        return len(self.lin) + _bareiss_rank(self.rays)
 
 
 def _dd(
@@ -301,12 +299,6 @@ class Cone:
             ambient=self.ambient,
         )
 
-    def face_cut_by(self, normals: Iterable[IVec]) -> "Cone":
-        """The face of this cone on which the given valid normals vanish."""
-        return Cone.from_inequalities(
-            self.facets, self.span_eqs + tuple(normals), ambient=self.ambient
-        )
-
     def is_face_of(self, other: "Cone") -> bool:
         """Exact test that self is a face of other."""
         if self.ambient != other.ambient:
@@ -327,24 +319,56 @@ class Cone:
                 return False
         return True
 
-    def faces(self) -> list["Cone"]:
-        """All faces, from the minimal face (zero when pointed) up to the cone."""
-        found: dict[tuple, Cone] = {self._key(): self}
-        frontier = [self]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for a in c.facets:
-                    f = c.face_cut_by((a,))
-                    k = f._key()
-                    if k not in found:
-                        found[k] = f
-                        nxt.append(f)
-            frontier = nxt
-        return sorted(found.values(), key=lambda c: (c.dim, c.rays, c.lineality))
+    def faces(self, known: Container[tuple[IVec, ...]] = ()) -> list["Cone"]:
+        """All faces, from the minimal face (zero when pointed) up to the cone,
+        except those whose ray tuple is in ``known``."""
+        zeros = self._zero_masks()
+        found = []
+        for m in _face_masks(len(self.rays), zeros):
+            if tuple(r for i, r in enumerate(self.rays) if m >> i & 1) not in known:
+                found.append(self._face(m, zeros))
+        return sorted(found, key=lambda c: (c.dim, c.rays, c.lineality))
+
+    def _zero_masks(self) -> list[int]:
+        """Per facet normal, the bitmask of the rays it vanishes on."""
+        return [
+            sum(1 << i for i, r in enumerate(self.rays) if _dot(a, r) == 0)
+            for a in self.facets
+        ]
+
+    def _face(self, mask: int, zeros: Sequence[int]) -> "Cone":
+        """The face whose rays are the rays in ``mask``, in canonical form.
+
+        It keeps this cone's lineality; its span equations add the normals
+        tight on the mask; its facets come from the normals whose cut of the
+        mask is maximal among the proper cuts (normals with equal cuts reduce
+        to the same vector modulo the face's span).
+        """
+        if mask == (1 << len(self.rays)) - 1:
+            return self
+        rays = tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
+        tight = tuple(a for a, z in zip(self.facets, zeros) if mask & z == mask)
+        span_eqs = _canonical_subspace_basis(self.span_eqs + tight, self.ambient)
+        cuts: dict[int, IVec] = {}
+        for a, z in zip(self.facets, zeros):
+            if mask & z != mask:
+                cuts.setdefault(mask & z, a)
+        ridges = [
+            a for c, a in cuts.items() if not any(c != o and c & o == c for o in cuts)
+        ]
+        facets = _canonical_rays(ridges, span_eqs)
+        return Cone(self.ambient, rays, self.lineality, facets, span_eqs)
 
     def _key(self) -> tuple:
         return (self.facets, self.span_eqs)
+
+
+def _face_masks(nrays: int, zeros: Sequence[int]) -> set[int]:
+    """Ray masks of all faces: the full mask and every AND of zero masks."""
+    masks = {(1 << nrays) - 1}
+    for z in zeros:
+        masks |= {m & z for m in masks}
+    return masks
 
 
 @lru_cache(maxsize=200_000)
@@ -469,11 +493,17 @@ class Fan:
         return all(c.is_simplicial for c in self.maximal)
 
     def cones(self) -> dict[tuple, Cone]:
-        """All cones of the fan (faces of maximal cones), keyed canonically."""
+        """All cones of the fan (faces of maximal cones), keyed canonically.
+
+        Cones of a fan share its lineality and carry canonical rays, so a face
+        shared by several maximal cones is built once, for its ray set.
+        """
         out: dict[tuple, Cone] = {}
+        built: set[tuple[IVec, ...]] = set()
         for c in self.maximal:
-            for f in c.faces():
-                out.setdefault(f._key(), f)
+            for f in c.faces(built):
+                built.add(f.rays)
+                out[f._key()] = f
         return out
 
     def contains_point(self, point: Sequence[int]) -> bool:
@@ -492,8 +522,12 @@ class Fan:
         for c in self.maximal:
             if not c.contains(point):
                 continue
-            tight = [a for a in c.facets if _dot(a, point) == 0]
-            face = c.face_cut_by(tight) if tight else c
+            zeros = c._zero_masks()
+            mask = (1 << len(c.rays)) - 1
+            for a, z in zip(c.facets, zeros):
+                if _dot(a, point) == 0:
+                    mask &= z
+            face = c._face(mask, zeros)
             if best is None or face.dim < best.dim:
                 best = face
         if best is not None and not best.contains(point, "relative_interior"):
@@ -627,23 +661,23 @@ class ArrangementLeaf:
     signs: tuple[int, ...]
     rays: tuple[IVec, ...]
     lineality: tuple[IVec, ...]
+    ambient: int
 
     def representative(self) -> IVec:
-        dim = len(self.rays[0]) if self.rays else (len(self.lineality[0]) if self.lineality else 0)
-        pt = [0] * dim
+        pt = [0] * self.ambient
         for r in self.rays:
             for i, x in enumerate(r):
                 pt[i] += x
         return tuple(pt)
 
 
-def _not_flattened(state: _DDState, wall: IVec, sign: int) -> bool:
-    """True when the state cone is not contained in the wall it must be strict on."""
+def _sides(state: _DDState, wall: IVec) -> tuple[bool, bool]:
+    """Whether the wall is strictly positive, and strictly negative, somewhere
+    on the state's cone."""
     if any(_dot(wall, l) != 0 for l in state.lin):
-        return True
-    if sign > 0:
-        return any(_dot(wall, r) > 0 for r in state.rays)
-    return any(_dot(wall, r) < 0 for r in state.rays)
+        return True, True
+    dots = [_dot(wall, r) for r in state.rays]
+    return any(d > 0 for d in dots), any(d < 0 for d in dots)
 
 
 def arrangement_leaves(
@@ -660,44 +694,44 @@ def arrangement_leaves(
     returned (signs in {+1,-1}); with it true every realised face is returned
     (signs in {+1,0,-1}), where realised means the closed class is not stuck
     inside a wall carrying a strict sign.
+
+    A branch is decided by the wall's signs on the parent's cone before any
+    cut: a strict side the wall never reaches would be flattened (or, for
+    regions, lose dimension) and is skipped.  A strict cut keeps the span, so
+    earlier strict signs are re-checked only after a zero cut that lowers the
+    dimension; pruning there drops exactly the subtrees that emit nothing.
     """
     root = _DDState(ambient)
     for e in base_eqs:
         root.insert_equation(e)
     for a in base_ineqs:
         root.insert(a)
-    target_dim = root.cone_dim()
     leaves: list[ArrangementLeaf] = []
-
-    def emit(state: _DDState, signs: tuple[int, ...]) -> None:
-        if with_boundaries:
-            # a later wall can flatten an earlier strict sign: re-check all
-            for j, s in enumerate(signs):
-                if s != 0 and not _not_flattened(state, walls[j], s):
-                    return
-        leaves.append(
-            ArrangementLeaf(signs, tuple(state.rays), tuple(state.lin))
-        )
 
     def recurse(state: _DDState, depth: int, signs: tuple[int, ...]) -> None:
         if depth == len(walls):
-            emit(state, signs)
+            leaves.append(
+                ArrangementLeaf(signs, tuple(state.rays), tuple(state.lin), ambient)
+            )
             return
         w = walls[depth]
-        for sign in (1, -1):
-            child = state.copy()
-            child.insert(w if sign > 0 else _neg(w))
-            if with_boundaries:
-                if _not_flattened(child, w, sign):
-                    recurse(child, depth + 1, signs + (sign,))
-            else:
-                if child.cone_dim() == target_dim:
-                    recurse(child, depth + 1, signs + (sign,))
+        pos, neg = _sides(state, w)
+        if not with_boundaries and not (pos or neg):
+            # the wall vanishes on the region: both closed sides are all of it
+            pos = neg = True
+        for sign, reached in ((1, pos), (-1, neg)):
+            if reached:
+                child = state.copy()
+                child.insert(w if sign > 0 else _neg(w))
+                recurse(child, depth + 1, signs + (sign,))
         if with_boundaries:
             child = state.copy()
             child.insert_equation(w)
-            if child.cone_dim() >= 0:
-                recurse(child, depth + 1, signs + (0,))
+            if (pos or neg) and any(
+                s and not _sides(child, walls[j])[s < 0] for j, s in enumerate(signs)
+            ):
+                return
+            recurse(child, depth + 1, signs + (0,))
 
     recurse(root, 0, ())
     return leaves

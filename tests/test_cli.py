@@ -201,6 +201,55 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "all", "-n", "4"],
+        ["fan", "gitfan", "-n", "3"],
+        ["poset", "sigma1", "-n", "3"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "read-only-file"])
+def test_bad_output_path_fails_before_computing(args, where, tmp_path, monkeypatch, capsys):
+    def forbidden(*a, **k):
+        raise AssertionError("computed before checking the output path")
+
+    monkeypatch.setattr(cli, "_run_claim", forbidden)
+    monkeypatch.setattr(cli, "_build_fan", forbidden)
+    if where == "missing-dir":
+        target = tmp_path / "missing" / "x.json"
+    elif where == "directory":
+        target = tmp_path
+    else:
+        target = tmp_path / "x.json"
+        target.write_text("kept\n")
+        monkeypatch.setattr(cli.os, "access", lambda p, mode: p != str(target))
+    code, _, err = run([*args, "-o", str(target)], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"cannot write {target}: ")
+    if where == "missing-dir":
+        assert not target.parent.exists()
+    elif where == "read-only-file":
+        assert target.read_text() == "kept\n"
+
+
+def test_good_output_path_is_not_touched_before_writing(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "x.json"
+    seen = []
+
+    def fake_claim(claim, n, seed, force, jobs=1):
+        seen.append(target.exists())
+        return {"claim": claim, "n": n, "result": True}
+
+    monkeypatch.setattr(cli, "_run_claim", fake_claim)
+    code, _, _ = run(["verify", "thm44", "-n", "3", "-o", str(target)], capsys)
+    assert code == 0
+    assert seen == [False]
+    assert json.loads(target.read_text())["claim"] == "thm44"
+
+
 def test_verify_all_skips_claims_outside_domain(monkeypatch, capsys):
     ran = []
 

@@ -372,3 +372,171 @@ def test_arrangement_faces_braid_count():
     assert by_zeros.get(3) == [(0, 0, 0)]
     full = [l for l in leaves if l.signs == (0, 0, 0)]
     assert full[0].lineality and not full[0].rays
+
+
+def test_zero_cone_leaf_representative_is_ambient_zero():
+    leaves = arrangement_leaves(2, [], [(1, 0), (0, 1)], with_boundaries=True)
+    zero = [l for l in leaves if l.signs == (0, 0)]
+    assert len(zero) == 1 and not zero[0].rays and not zero[0].lineality
+    assert zero[0].representative() == (0, 0)
+    assert all(len(l.representative()) == 2 for l in leaves)
+
+
+# -- faces from incidence against double-description references --------------
+
+
+def reference_faces(c):
+    """Faces by one double-description cut per facet, iterated."""
+    found = {c._key(): c}
+    frontier = [c]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for a in f.facets:
+                g = Cone.from_inequalities(f.facets, f.span_eqs + (a,), ambient=f.ambient)
+                if g._key() not in found:
+                    found[g._key()] = g
+                    nxt.append(g)
+        frontier = nxt
+    return sorted(found.values(), key=lambda c: (c.dim, c.rays, c.lineality))
+
+
+def reference_carrier(fan, point):
+    best = None
+    for c in fan.maximal:
+        if c.contains(point):
+            tight = tuple(a for a in c.facets if sum(x * y for x, y in zip(a, point)) == 0)
+            f = Cone.from_inequalities(c.facets, c.span_eqs + tight, ambient=c.ambient)
+            if best is None or f.dim < best.dim:
+                best = f
+    return best
+
+
+def test_faces_match_dd_reference():
+    rng = random.Random(5)
+    kinds = {"lineality": 0, "not simplicial": 0, "zero": 0, "lower-dimensional": 0}
+    cases = [Cone.from_generators([], d) for d in (2, 3)]
+    for _ in range(120):
+        dim = rng.randint(2, 5)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.3:
+            gens.append(tuple(-x for x in gens[0]))
+        if rng.random() < 0.3:
+            # confine the cone to a hyperplane through the origin
+            h = tuple(rng.randint(-2, 2) for _ in range(dim))
+            gens = [tuple(h[j] * g[0] - h[0] * g[j] if j else 0 for j in range(dim)) for g in gens]
+        cases.append(Cone.from_generators(gens, dim))
+    for c in cases:
+        kinds["lineality"] += bool(c.lineality)
+        kinds["not simplicial"] += len(c.rays) > c.dim - len(c.lineality)
+        kinds["zero"] += c.is_zero()
+        kinds["lower-dimensional"] += c.dim < c.ambient
+        assert c.faces() == reference_faces(c)
+    assert min(kinds.values()) >= 2, kinds
+
+
+def test_fan_cones_match_dd_reference():
+    from gitfankit.gitfan import git_fan
+    from gitfankit.semilattice import random_interior_ray, random_simplicial_fan
+
+    rng = random.Random(29)
+    fans = [random_simplicial_fan(rng, rng.randint(2, 4), 8) for _ in range(25)]
+    fans.append(git_fan(4))
+    # not simplicial: the cones over the faces of the cube, and two half-spaces
+    corners = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+    fans.append(fan_from_maximal(
+        cone(*(v for v in corners if v[i] == s)) for i in range(3) for s in (1, -1)
+    ))
+    fans.append(fan_from_maximal(
+        Cone.from_inequalities([(s, 0, 0)], ambient=3) for s in (1, -1)
+    ))
+    assert len(fans[-2].maximal) == 6 and not fans[-2].is_simplicial
+    assert fans[-1].maximal[0].lineality
+    for fan in fans:
+        expected = {f._key(): f for c in fan.maximal for f in reference_faces(c)}
+        assert fan.cones() == expected
+        for _ in range(5):
+            point = random_interior_ray(rng, fan)
+            assert fan.carrier(point) == reference_carrier(fan, point)
+
+
+# -- arrangement sweep against the unpruned recursion ------------------------
+
+
+def reference_leaves(ambient, base_ineqs, walls, base_eqs=(), with_boundaries=False):
+    """Cut both strict sides (and the wall) on every branch, filter afterwards."""
+    from gitfankit.exact_linalg import _bareiss_rank
+    from gitfankit.polyhedral import _DDState
+
+    def cone_dim(state):
+        return len(state.lin) + _bareiss_rank(state.rays)
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def not_flattened(state, wall, sign):
+        if any(dot(wall, l) != 0 for l in state.lin):
+            return True
+        return any(sign * dot(wall, r) > 0 for r in state.rays)
+
+    root = _DDState(ambient)
+    for e in base_eqs:
+        root.insert_equation(e)
+    for a in base_ineqs:
+        root.insert(a)
+    target_dim = cone_dim(root)
+    leaves = []
+
+    def recurse(state, depth, signs):
+        if depth == len(walls):
+            if not with_boundaries or all(
+                s == 0 or not_flattened(state, walls[j], s) for j, s in enumerate(signs)
+            ):
+                leaves.append((signs, tuple(state.rays), tuple(state.lin)))
+            return
+        w = walls[depth]
+        for sign in (1, -1):
+            child = state.copy()
+            child.insert(tuple(sign * x for x in w))
+            if (
+                not_flattened(child, w, sign)
+                if with_boundaries
+                else cone_dim(child) == target_dim
+            ):
+                recurse(child, depth + 1, signs + (sign,))
+        if with_boundaries:
+            child = state.copy()
+            child.insert_equation(w)
+            recurse(child, depth + 1, signs + (0,))
+
+    recurse(root, 0, ())
+    return leaves
+
+
+@pytest.mark.parametrize("with_boundaries", [False, True])
+def test_arrangement_leaves_match_unpruned_reference(with_boundaries):
+    rng = random.Random(41 + with_boundaries)
+    seen = {"base_ineqs": 0, "base_eqs": 0, "wall vanishing on base": 0, "none": 0}
+    for _ in range(70):
+        dim = rng.randint(2, 4)
+
+        def vec():
+            return tuple(rng.randint(-2, 2) for _ in range(dim))
+
+        ineqs = [vec() for _ in range(rng.choice([0, 0, 1, 2, 3]))]
+        eqs = [vec() for _ in range(rng.choice([0, 0, 0, 1]))]
+        walls = [vec() for _ in range(rng.randint(1, 4 if with_boundaries else 5))]
+        if eqs and rng.random() < 0.5:
+            walls.insert(rng.randrange(len(walls) + 1), tuple(2 * x for x in eqs[0]))
+        if ineqs and rng.random() < 0.3:
+            walls.insert(rng.randrange(len(walls) + 1), ineqs[0])
+        seen["base_ineqs"] += bool(ineqs)
+        seen["base_eqs"] += bool(eqs)
+        seen["none"] += not ineqs and not eqs
+        seen["wall vanishing on base"] += any(any(e) and w == tuple(2 * x for x in e) for e in eqs for w in walls)
+        got = arrangement_leaves(dim, ineqs, walls, base_eqs=eqs, with_boundaries=with_boundaries)
+        assert [(l.signs, l.rays, l.lineality) for l in got] == reference_leaves(
+            dim, ineqs, walls, eqs, with_boundaries
+        )
+        assert all(l.ambient == dim for l in got)
+    assert min(seen.values()) >= 3, seen
