@@ -224,6 +224,8 @@ def cmd_verify(args) -> int:
 
 def cmd_centers(args) -> int:
     n = args.n
+    if not _guard_check("centers", "centers", n, args.force):
+        return EXIT_USAGE
     try:
         block = sorted({int(x) for x in args.block.split(",")})
     except ValueError:

@@ -46,6 +46,7 @@ GUARDS: dict[str, tuple[int, float]] = {
     "delta-subfan": (3, 4),
     "rays": (3, 4),
     "nu-equality": (3, 5),
+    "centers": (3, 5),
 }
 
 

@@ -10,6 +10,9 @@ The conversion engine is a double description method over plain Python
 integers with the combinatorial adjacency test, run in both directions
 (generators -> facets via the dual cone, facets -> generators directly).
 Faces need no conversion: they are read from facet-ray incidence bitmasks.
+Neither does stellar subdivision: its pieces are simplicial cones built from
+the dual basis of their rays, and each subdivided star is certified locally
+instead of re-checking every pair of cones of the fan.
 """
 
 from __future__ import annotations
@@ -241,6 +244,47 @@ class Cone:
             sorted({_primitive([int(x) for x in e]) for e in eqs if any(e)})
         )
         return _cone_from_ineqs(cleaned_ineqs, cleaned_eqs, ambient)
+
+    @staticmethod
+    def simplicial(rays: Iterable[Sequence[int]], ambient: int) -> "Cone":
+        """The cone over linearly independent rays, equal to
+        ``from_generators`` but without double description.
+
+        Within the span the facet normals are the dual basis: one integer
+        RREF of the Gram matrix augmented by the identity gives row i as
+        d_i (e_i | row i of the inverse), d_i > 0, and the normal of the
+        facet opposite ray i is that inverse row applied to the rays.  The
+        span equations are the kernel of the rays.  Dependent (or zero or
+        repeated) rays raise ``ValueError``.
+        """
+        gens = tuple(sorted(_primitive([int(x) for x in r]) for r in rays))
+        if any(len(g) != ambient for g in gens):
+            raise ValueError("generator has wrong dimension")
+        k = len(gens)
+        gram = [
+            [_dot(a, b) for b in gens] + [int(i == j) for j in range(k)]
+            for i, a in enumerate(gens)
+        ]
+        inverse, pivots = _rref(gram)
+        if pivots != list(range(k)):
+            raise ValueError("rays are linearly dependent")
+        facets = tuple(
+            sorted(
+                _primitive([_dot(row[k:], col) for col in zip(*gens)])
+                for row in inverse
+            )
+        )
+        echelon, ray_pivots = _rref(gens)
+        den = math.lcm(*(row[p] for row, p in zip(echelon, ray_pivots)))
+        kernel = []
+        for free in sorted(set(range(ambient)) - set(ray_pivots)):
+            v = [0] * ambient
+            v[free] = den
+            for row, p in zip(echelon, ray_pivots):
+                v[p] = -den // row[p] * row[free]
+            kernel.append(v)
+        span_eqs = _canonical_subspace_basis(kernel, ambient)
+        return Cone(ambient, gens, (), facets, span_eqs)
 
     # -- basic queries ------------------------------------------------------
 
@@ -583,8 +627,12 @@ def fan_from_maximal(cones: Iterable[Cone]) -> Fan:
                     "pairwise intersection is not a common face",
                     offending=(c1, c2),
                 )
-    ordered = tuple(sorted(keep, key=lambda c: (c.rays, c.lineality, c.facets)))
-    return Fan(ambient, ordered)
+    return Fan(ambient, tuple(sorted(keep, key=_fan_order)))
+
+
+def _fan_order(c: Cone) -> tuple:
+    """Sort key of the maximal cones of a ``Fan``."""
+    return (c.rays, c.lineality, c.facets)
 
 
 def is_subfan(f1: Fan, f2: Fan) -> bool:
@@ -608,28 +656,116 @@ def _simplicial_coordinates(cone: Cone, point: IVec) -> list[Fraction]:
 
 
 def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
-    """Stellar subdivision of a simplicial fan at a ray inside its support."""
+    """Stellar subdivision of a simplicial fan at a ray inside its support.
+
+    The carrier tau is the set of rays on which nu has positive simplicial
+    coordinates in a cone holding it.  Only the star of tau changes: each
+    maximal cone c whose rays contain tau is replaced by its |tau| pieces
+    cone(rays(c) - {t} + {nu}), t in tau.  Nothing is re-validated pairwise;
+    the checks are local:
+
+    - the cones holding nu are exactly the cones whose rays contain tau
+      (else ``FanAxiomViolation``);
+    - every piece has independent rays (``Cone.simplicial``);
+    - the pieces of each star cone tile it (``_check_star_tiling``).
+
+    That suffices for the result to be a fan.  Cones outside the star do not
+    change, so their pairs still meet in common faces.  A piece p of c meets
+    an outside cone d inside G = c ∩ d, a face of c without tau (d does not
+    hold nu); every face of c without tau is a face of a piece, so p ∩ d =
+    p ∩ G is a face of G and of p.  Two pieces of one star cone meet properly
+    by the tiling.  Pieces of star cones c and c' meet inside the face
+    H = c ∩ c', which contains tau; the pieces of c restricted to H are the
+    pieces of H, and those are fixed by ray sets, so c' induces the same ones
+    and the two pieces meet in a common piece face.
+    """
     if not fan.is_simplicial:
         raise ValueError("stellar subdivision requires a simplicial fan")
     nu = _primitive([int(x) for x in ray])
     if not any(nu):
         raise ValueError("zero ray")
-    holders = [c for c in fan.maximal if c.contains(nu)]
-    if not holders:
+    holds = [c.contains(nu) for c in fan.maximal]
+    holder = next((c for c, h in zip(fan.maximal, holds) if h), None)
+    if holder is None:
         raise ValueError("ray lies outside the support of the fan")
-    coords = _simplicial_coordinates(holders[0], nu)
-    carrier_rays = frozenset(
-        r for r, t in zip(holders[0].rays, coords) if t > 0
-    )
+    coords = _simplicial_coordinates(holder, nu)
+    carrier_rays = sorted(r for r, t in zip(holder.rays, coords) if t > 0)
+    in_star = [set(carrier_rays) <= set(c.rays) for c in fan.maximal]
+    if holds != in_star:
+        raise FanAxiomViolation(
+            "the cones holding the ray are not the star of its carrier",
+            offending=tuple(
+                c for c, h, s in zip(fan.maximal, holds, in_star) if h != s
+            ),
+        )
     new_max: list[Cone] = []
-    for c in fan.maximal:
-        if carrier_rays <= set(c.rays):
-            for dropped in sorted(carrier_rays):
-                gens = [r for r in c.rays if r != dropped] + [nu]
-                new_max.append(Cone.from_generators(gens, fan.ambient))
-        else:
+    for c, s in zip(fan.maximal, in_star):
+        if not s:
             new_max.append(c)
-    return fan_from_maximal(new_max)
+            continue
+        pieces = [
+            Cone.simplicial([r for r in c.rays if r != t] + [nu], fan.ambient)
+            for t in carrier_rays
+        ]
+        _check_star_tiling(c, pieces)
+        new_max.extend(pieces)
+    return Fan(fan.ambient, tuple(sorted(new_max, key=_fan_order)))
+
+
+def _check_star_tiling(cone: Cone, pieces: Sequence[Cone]) -> None:
+    """Certify that simplicial pieces tile a simplicial cone, or raise
+    ``FanAxiomViolation``.
+
+    This is the triangulation criterion of De Loera-Rambau-Santos,
+    *Triangulations* (2010), in the span of the cone: every piece lies in the
+    cone with its dimension; a piece facet on the cone's boundary belongs to
+    exactly one piece, and any other facet to exactly two, whose apexes lie
+    on opposite sides of it; and a relative interior point of one piece lies
+    in no other piece.  Crossing an interior facet leaves the number of
+    pieces covering a generic point unchanged, so it is constant over the
+    cone, and the point makes it one.  The boundary count follows from the
+    other checks; it is kept because it names the fault (a duplicated piece,
+    or the cone kept beside its pieces) where it occurs.
+    """
+    if not pieces:
+        raise FanAxiomViolation("no pieces", offending=(cone,))
+    pool = {r for p in pieces for r in p.rays}
+    inside = {r for r in pool if cone.contains(r)}
+    for p in pieces:
+        if p.dim != cone.dim or not inside.issuperset(p.rays):
+            raise FanAxiomViolation("piece outside the cone", offending=(cone, p))
+    # per facet of the cone, the piece rays on it
+    boundary = [frozenset(r for r in pool if _dot(a, r) == 0) for a in cone.facets]
+    sharers: dict[frozenset, list[tuple[Cone, IVec]]] = {}
+    for p in pieces:
+        for apex in p.rays:
+            facet = frozenset(p.rays) - {apex}
+            sharers.setdefault(facet, []).append((p, apex))
+    for facet, holders in sharers.items():
+        if any(facet <= z for z in boundary):
+            if len(holders) != 1:
+                raise FanAxiomViolation(
+                    "boundary facet in several pieces",
+                    offending=tuple(p for p, _ in holders),
+                )
+            continue
+        if len(holders) != 2:
+            raise FanAxiomViolation(
+                "interior facet not shared by exactly two pieces",
+                offending=tuple(p for p, _ in holders),
+            )
+        (p1, a1), (p2, a2) = holders
+        normal = next(a for a in p1.facets if _dot(a, a1) > 0)
+        if _dot(normal, a2) >= 0:
+            raise FanAxiomViolation(
+                "pieces on the same side of a shared facet", offending=(p1, p2)
+            )
+    point = pieces[0].relint_point()
+    for p in pieces[1:]:
+        if p.contains(point):
+            raise FanAxiomViolation(
+                "a point covered by two pieces", offending=(pieces[0], p)
+            )
 
 
 def iterated_stellar(fan: Fan, rays: Iterable[Sequence[int]]) -> Fan:

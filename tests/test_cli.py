@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, payloads, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,15 @@ def test_fan_sigmar_equals_sigma1_n3(tmp_path, capsys):
     assert main(["fan", "sigma1", "-n", "3", "-o", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_fan_sigmar_n5_payload_pinned(tmp_path, capsys):
+    out = tmp_path / "sigmar5.json"
+    assert main(["fan", "sigmar", "-n", "5", "-o", str(out)]) == 0
+    assert "25 rays, 291 maximal cones" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "34b0ab5cd49ce81df82c85923754c6268de4d26923f650afcb32151e9187c46f"
+    )
 
 
 def test_fan_delta_guard(capsys):
@@ -120,6 +130,22 @@ def test_centers_schema_n4(capsys):
 def test_centers_rejects_singleton(capsys):
     code, _, err = run(["centers", "-n", "3", "-A", "3"], capsys)
     assert code == 2
+
+
+def test_centers_guard(monkeypatch, capsys):
+    class Built(Exception):
+        pass
+
+    def build_sigma_fan(n, which):
+        raise Built((n, which))
+
+    monkeypatch.setattr(cli.gfan, "sigma_fan_cached", build_sigma_fan)
+    code, _, err = run(["centers", "-n", "6", "-A", "2,3"], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "guard" in err
+    with pytest.raises(Built) as exc:
+        main(["centers", "-n", "6", "-A", "2,3", "--force"])
+    assert exc.value.args[0] == (6, 0)
 
 
 def test_poset_dump(tmp_path, capsys):

@@ -271,6 +271,33 @@ def test_sigma_r_second_linear_extension():
     assert gf.sigma_r(4, check_extension=True) == gf.sigma_r(4)
 
 
+def test_sigma_r_n4_every_linear_extension_agrees():
+    base = gf.sigma_fan_cached(4, 1)
+    orders = list(itertools.permutations(gf.nu_order(4)))
+    assert len(orders) == 6
+    assert {gf._sigma_r_with_order(base, o) for o in orders} == {gf.sigma_r(4)}
+
+
+def test_sigma_r_n5_disjoint_blocks_commute():
+    order = gf.nu_order(5)
+    pos = {tuple(sorted(tb.block)): i for i, tb in enumerate(order)}
+    i, j = pos[(2, 5)], pos[(3, 4)]
+    order[i], order[j] = order[j], order[i]
+    assert gf._sigma_r_with_order(gf.sigma_fan_cached(5, 1), order) == gf.sigma_r(5)
+
+
+def test_sigma_r_n5_pinned():
+    from collections import Counter
+
+    sr = gf.sigma_r(5)
+    assert len(sr.rays) == 25 and len(sr.maximal) == 291
+    assert Counter(c.dim for c in sr.maximal) == {6: 18, 7: 152, 8: 120, 10: 1}
+    # a refinement: every cone lies in exactly one Sigma_1 cone of its dimension
+    s1 = gf.sigma_fan_cached(5, 1)
+    for c in sr.maximal:
+        assert sum(d.dim == c.dim and d.contains_cone(c) for d in s1.maximal) == 1
+
+
 def test_gkz_cone_relint_and_region_stability():
     # two points in the relative interior of the same chamber give one cone
     c1 = gf.gkz_cone((1, 2, 3), 3)

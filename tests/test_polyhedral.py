@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gitfankit import polyhedral
 from gitfankit.polyhedral import (
     Cone,
+    Fan,
     FanAxiomViolation,
     arrangement_leaves,
     dual_description,
@@ -540,3 +541,167 @@ def test_arrangement_leaves_match_unpruned_reference(with_boundaries):
         )
         assert all(l.ambient == dim for l in got)
     assert min(seen.values()) >= 3, seen
+
+
+# -- stellar subdivision as star surgery ---------------------------------------
+
+
+def reference_stellar(fan, nu):
+    """Stellar subdivision by double description and pairwise validation,
+    with the carrier read from ``Fan.carrier``."""
+    from gitfankit.exact_linalg import primitive_vector
+
+    nu = primitive_vector(nu)
+    tau = set(fan.carrier(nu).rays)
+    new = []
+    for c in fan.maximal:
+        if tau <= set(c.rays):
+            new += [Cone.from_generators([r for r in c.rays if r != t] + [nu], fan.ambient)
+                    for t in sorted(tau)]
+        else:
+            new.append(c)
+    return fan_from_maximal(new)
+
+
+def keep_random_faces(rng, fan):
+    """A non-pure fan: some maximal cones replaced by a random proper face."""
+    kept = []
+    for c in fan.maximal:
+        if len(c.rays) > 1 and rng.random() < 0.5:
+            c = Cone.from_generators(rng.sample(c.rays, rng.randint(1, len(c.rays) - 1)), fan.ambient)
+        kept.append(c)
+    return fan_from_maximal(kept)
+
+
+def face_ray(rng, fan):
+    """A positive combination of the rays of a random face of a random cone.
+
+    ``random_interior_ray`` draws one coefficient per coordinate rather than
+    per ray, so its ray lies in the positive orthant but not always in the
+    face it started from; outside the orthant's subdivisions it can leave the
+    support."""
+    cone_rays = rng.choice(fan.maximal).rays
+    rays = rng.sample(cone_rays, rng.randint(1, len(cone_rays)))
+    coeffs = [rng.randint(1, 3) for _ in rays]
+    return tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(fan.ambient))
+
+
+def star_pieces(c, tau, nu):
+    return [Cone.simplicial([r for r in c.rays if r != t] + [nu], c.ambient) for t in tau]
+
+
+def test_stellar_matches_pairwise_reference():
+    from collections import Counter
+
+    from gitfankit.semilattice import random_interior_ray, random_simplicial_fan
+
+    rng = random.Random(47)
+    carrier_dims = Counter()
+    nonpure = 0
+    for trial in range(36):
+        fan = random_simplicial_fan(rng, rng.randint(2, 4), 7)
+        if trial % 2:
+            fan = keep_random_faces(rng, fan)
+        for _ in range(3):
+            nonpure += len({c.dim for c in fan.maximal}) > 1
+            nu = face_ray(rng, fan) if trial % 2 else random_interior_ray(rng, fan)
+            carrier_dims[fan.carrier(nu).dim] += 1
+            sub = stellar_subdivide(fan, nu)
+            assert sub.maximal == fan_from_maximal(list(sub.maximal)).maximal
+            assert sub.maximal == reference_stellar(fan, nu).maximal
+            fan = sub
+    assert set(carrier_dims) == {1, 2, 3, 4}, carrier_dims
+    assert carrier_dims[1] >= 5 and nonpure >= 20, (carrier_dims, nonpure)
+
+
+def test_sigma_r_steps_match_pairwise_reference():
+    from gitfankit import gitfan as gf
+
+    for n in (3, 4):
+        fan = gf.sigma_fan_cached(n, 1)
+        for tb in gf.nu_order(n):
+            fan = stellar_subdivide(fan, gf.nu_ray(tb))
+            assert fan_from_maximal(list(fan.maximal)).maximal == fan.maximal
+        assert fan == gf.sigma_r(n)
+
+
+def test_simplicial_constructor_matches_dd():
+    from gitfankit.exact_linalg import _bareiss_rank
+
+    rng = random.Random(53)
+    lower = full = 0
+    while lower < 40 or full < 20:
+        ambient = rng.randint(1, 5)
+        k = rng.randint(0, ambient)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(ambient)) for _ in range(k)]
+        if _bareiss_rank(rays) < k:
+            continue
+        lower += k < ambient
+        full += k == ambient
+        rays = [tuple(rng.randint(1, 3) * x for x in r) for r in rays]
+        assert Cone.simplicial(rays, ambient) == Cone.from_generators(rays, ambient)
+
+
+@pytest.mark.parametrize("rays", [
+    [(1, 0, 0), (2, 0, 0)],
+    [(1, 0, 0), (1, 0, 0)],
+    [(1, 0, 0), (0, 0, 0)],
+    [(1, 1, 0), (1, 0, 0), (0, 1, 0)],
+])
+def test_simplicial_constructor_rejects_dependent_rays(rays):
+    with pytest.raises(ValueError):
+        Cone.simplicial(rays, 3)
+
+
+@pytest.mark.parametrize("nu", [(1, 1, 1), (1, 2, 0), (3, 0, 0)])
+def test_tiling_certificate_accepts_star_pieces(nu):
+    c = cone((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    tau = [r for r in c.rays if any(x and y for x, y in zip(r, nu))]
+    polyhedral._check_star_tiling(c, star_pieces(c, tau, nu))
+
+
+@pytest.mark.parametrize("nu", [(1, 1, 1), (1, 2, 0), (1, 0, 0)])
+@pytest.mark.parametrize("corruption", ["dropped", "duplicated", "kept"])
+def test_tiling_certificate_rejects_corrupted_stars(nu, corruption):
+    c = cone((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    tau = [r for r in c.rays if any(x and y for x, y in zip(r, nu))]
+    pieces = star_pieces(c, tau, nu)
+    pieces, reason = {
+        "dropped": (pieces[1:], "interior facet|no pieces"),
+        "duplicated": (pieces + pieces[:1], "interior facet|boundary facet"),
+        "kept": (pieces + [c], "boundary facet"),
+    }[corruption]
+    with pytest.raises(FanAxiomViolation, match=reason):
+        polyhedral._check_star_tiling(c, pieces)
+
+
+def test_tiling_certificate_rejects_folded_pieces():
+    # the facet counts hold, but two pieces lie on one side of a shared facet
+    c = cone((1, 0), (0, 1))
+    pieces = [cone((1, 0), (1, 3)), cone((1, 2), (1, 3)), cone((1, 2), (0, 1))]
+    with pytest.raises(FanAxiomViolation, match="same side"):
+        polyhedral._check_star_tiling(c, pieces)
+
+
+def test_tiling_certificate_rejects_double_cover():
+    # the triangle over the cone and a subdivision of it with new points on
+    # every edge: no facet is shared wrongly, but every point is covered twice
+    a, b, d = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    ab, bd, da = (1, 1, 0), (0, 1, 1), (1, 0, 1)
+    c = cone(a, b, d)
+    pieces = [c, cone(a, ab, da), cone(ab, b, bd), cone(da, bd, d), cone(ab, bd, da)]
+    with pytest.raises(FanAxiomViolation, match="covered by two"):
+        polyhedral._check_star_tiling(c, pieces)
+
+
+@pytest.mark.parametrize("piece", [cone((-1, 0), (0, 1)), cone((1, 0))])
+def test_tiling_certificate_rejects_piece_outside_or_thin(piece):
+    with pytest.raises(FanAxiomViolation, match="outside"):
+        polyhedral._check_star_tiling(cone((1, 0), (0, 1)), [piece])
+
+
+def test_stellar_rejects_holders_outside_the_star():
+    # not a fan: the second cone holds (1, 1) without having the carrier's rays
+    bad = Fan(2, (cone((0, 1), (1, 0)), cone((1, 0), (1, 2))))
+    with pytest.raises(FanAxiomViolation, match="star"):
+        stellar_subdivide(bad, (1, 1))
