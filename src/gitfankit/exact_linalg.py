@@ -53,10 +53,6 @@ class QVector:
     def __neg__(self) -> "QVector":
         return QVector(-a for a in self.entries)
 
-    def scale(self, c: Scalar) -> "QVector":
-        c = _frac(c)
-        return QVector(c * a for a in self.entries)
-
     def dot(self, other: "QVector") -> Fraction:
         return sum(
             (a * b for a, b in zip(self.entries, other.entries, strict=True)),

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from . import grassmann as gr
 from .exact_linalg import QMatrix, QVector, primitive_vector, rank, solve
-from .grassmann import Pair, TwoBlock, YSet, check_guard
+from .grassmann import Pair, TwoBlock, check_guard
 from .polyhedral import (
     Cone,
     Fan,
@@ -112,14 +112,12 @@ def _y_pool(n: int) -> _WeightCones:
 
 @lru_cache(maxsize=None)
 def _y_star_pool(n: int) -> _WeightCones:
-    """Y*-sets: subsets of the inner pairs satisfying the exchange condition."""
-    _, inner = gr.pairs(n)
-    members = []
-    for r in range(len(inner) + 1):
-        for combo in itertools.combinations(inner, r):
-            ys = YSet(n, frozenset(combo))
-            if gr.is_y_set(ys):
-                members.append(ys.members)
+    """Y*-sets: the Y-sets made of inner pairs only."""
+    all_pairs, _ = gr.pairs(n)
+    outer = sum(1 << k for k, p in enumerate(all_pairs) if p[0] == 0)
+    members = [
+        gr.mask_to_yset(m, n).members for m in gr.y_set_masks(n) if not m & outer
+    ]
     return _weight_cone_pool(n, members)
 
 
@@ -227,33 +225,30 @@ def _f1j(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i + 1 in (1, j) else -1 for i in range(n))
 
 
-@lru_cache(maxsize=None)
-def lambda0(n: int) -> GitChamber:
-    """The chamber on the w_01 side of the first wall."""
+def _certified_chamber(n: int, ineqs: list) -> GitChamber:
+    """The chamber cut out by the inequalities, certified against the
+    defining intersection at its relative interior point."""
     if n < 3:
         raise ValueError("need n >= 3")
     eye = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    cone = Cone.from_inequalities(eye + [_f1(n)], ambient=n)
+    cone = Cone.from_inequalities(eye + ineqs, ambient=n)
     ch = chamber(cone.relint_point(), n)
     if ch.cone != cone:
         raise ChamberCertificationError(cone.relint_point(), cone, ch.cone)
     return ch
+
+
+@lru_cache(maxsize=None)
+def lambda0(n: int) -> GitChamber:
+    """The chamber on the w_01 side of the first wall."""
+    return _certified_chamber(n, [_f1(n)])
 
 
 @lru_cache(maxsize=None)
 def lambda1(n: int) -> GitChamber:
     """The adjacent chamber across ker(f1), inside the smaller support."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    eye = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     neg_f1 = tuple(-x for x in _f1(n))
-    cone = Cone.from_inequalities(
-        eye + [neg_f1] + [_f1j(n, j) for j in range(2, n + 1)], ambient=n
-    )
-    ch = chamber(cone.relint_point(), n)
-    if ch.cone != cone:
-        raise ChamberCertificationError(cone.relint_point(), cone, ch.cone)
-    return ch
+    return _certified_chamber(n, [neg_f1] + [_f1j(n, j) for j in range(2, n + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -372,26 +367,16 @@ def sigma_r_carrier(tb: TwoBlock) -> Cone:
     return Cone.from_generators(gens, wd.p.rows)
 
 
-def sigma_r(n: int, force: bool = False, check_extension: bool = False) -> Fan:
+def sigma_r(n: int, force: bool = False) -> Fan:
     """Iterated stellar subdivision of the lambda1 ambient fan in the nu rays,
     in descending order; each carrier is verified before subdividing."""
     check_guard("sigmar", n, force)
-    return _sigma_r(n, check_extension)
+    return _sigma_r(n)
 
 
 @lru_cache(maxsize=None)
-def _sigma_r(n: int, check_extension: bool) -> Fan:
-    base = sigma_fan_cached(n, 1)
-    fan = _sigma_r_with_order(base, nu_order(n))
-    if check_extension:
-        alt = sorted(
-            gr.true_two_blocks(n),
-            key=lambda tb: (-len(tb.block), [-i for i in sorted(tb.block)]),
-        )
-        fan_alt = _sigma_r_with_order(base, alt)
-        if fan != fan_alt:
-            raise AssertionError("sigma_r depends on the linear extension")
-    return fan
+def _sigma_r(n: int) -> Fan:
+    return _sigma_r_with_order(sigma_fan_cached(n, 1), nu_order(n))
 
 
 def _sigma_r_with_order(base: Fan, order: Sequence[TwoBlock]) -> Fan:
@@ -618,13 +603,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     by_key: dict[tuple, tuple[Cone, tuple[int, ...]]] = {}
     for sigma, rep in profiles.values():
         by_key.setdefault((sigma.facets, sigma.span_eqs), (sigma, rep))
-    cones = [c for c, _ in by_key.values()]
-    maximal = [
-        c
-        for c in cones
-        if not any(d is not c and d.contains_cone(c) for d in cones)
-    ]
-    fan = fan_from_maximal(maximal)
+    fan = fan_from_maximal(c for c, _ in by_key.values())
     witnesses = {
         (c.facets, c.span_eqs): by_key[(c.facets, c.span_eqs)][1]
         for c in fan.maximal
@@ -992,19 +971,6 @@ def center_pullback(a: Iterable[int], n: int) -> list[str]:
     a = sorted(set(a))
     if not set(a) <= set(range(2, n + 1)) or len(a) < 2:
         raise ValueError("block must be a subset of {2..n} with at least 2 elements")
-    nv = n - 1
-    zero = tuple(0 for _ in range(nv))
-    out = []
-    for i in a:
-        t = list(zero)
-        t[i - 2] = 2
-        out.append(_poly_str({(tuple(t), zero): 1}, n))
-    for j, k in itertools.combinations(a, 2):
-        t1, s1 = list(zero), list(zero)
-        t1[j - 2] = 1
-        s1[k - 2] = 1
-        t2, s2 = list(zero), list(zero)
-        t2[k - 2] = 1
-        s2[j - 2] = 1
-        out.append(_poly_str({(tuple(t1), tuple(s1)): 1, (tuple(t2), tuple(s2)): -1}, n))
-    return out
+    return [_poly_str(_pullback_monomial({(0, i): 2}, n), n) for i in a] + [
+        _poly_str(_pullback_monomial({p: 1}, n), n) for p in itertools.combinations(a, 2)
+    ]

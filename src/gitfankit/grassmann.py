@@ -101,11 +101,6 @@ class WeightData:
     def pairs0(self) -> list[Pair]:
         return pairs(self.n)[0]
 
-    @property
-    def pairsN(self) -> list[Pair]:
-        return pairs(self.n)[1]
-
-
 def _weight_column(pair: Pair, n: int) -> tuple[int, ...]:
     i, j = pair
     if i == 0:
@@ -187,15 +182,6 @@ def y_set_masks(n: int) -> tuple[int, ...]:
 def mask_to_yset(mask: int, n: int) -> YSet:
     all_pairs, _ = pairs(n)
     return YSet(n, frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1))
-
-
-def yset_to_mask(ys: YSet) -> int:
-    all_pairs, _ = pairs(ys.n)
-    idx = {p: k for k, p in enumerate(all_pairs)}
-    mask = 0
-    for p in ys.members:
-        mask |= 1 << idx[p]
-    return mask
 
 
 def enumerate_y_sets(n: int, force: bool = False) -> list[YSet]:
@@ -517,13 +503,6 @@ def trop_contains(w: Sequence, n: int) -> bool:
         if sum(1 for t in s if t == m) < 2:
             return False
     return True
-
-
-def _relint_rep_of_columns(wd: WeightData, subset: Iterable[Pair]) -> tuple[int, ...]:
-    cols = [wd.v[p] for p in subset]
-    if not cols:
-        return tuple(0 for _ in range(wd.p.rows))
-    return tuple(sum(c[i] for c in cols) for i in range(wd.p.rows))
 
 
 @lru_cache(maxsize=None)

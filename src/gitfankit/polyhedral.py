@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Container, Iterable, Optional, Sequence
 
-from .exact_linalg import QMatrix, QVector, _primitive, _rref, solve
+from .exact_linalg import _primitive, _rref
 
 IVec = tuple[int, ...]
 
@@ -380,6 +379,18 @@ class Cone:
             for a in self.facets
         ]
 
+    def _carrier_mask(self, point: Sequence[int], zeros: Sequence[int]) -> int:
+        """Ray mask of the smallest face holding a point of this cone: the
+        AND of the zero masks of the facets tight at the point.  In a
+        simplicial cone these are the rays on which the point has a positive
+        coordinate, since the facet opposite ray r is the only one positive
+        on r."""
+        mask = (1 << len(self.rays)) - 1
+        for a, z in zip(self.facets, zeros):
+            if _dot(a, point) == 0:
+                mask &= z
+        return mask
+
     def _face(self, mask: int, zeros: Sequence[int]) -> "Cone":
         """The face whose rays are the rays in ``mask``, in canonical form.
 
@@ -478,44 +489,20 @@ _PAIR_CACHE_MAX = 200_000
 
 
 def _pair_has_common_face(c1: Cone, c2: Cone) -> bool:
+    """Whether c1 and c2 meet in a common face, decided by one certificate:
+    the relative interior of {u : u >= 0 on c1, u <= 0 on c2}."""
     cache_key = tuple(sorted((c1._key(), c2._key())))
     hit = _PAIR_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    result = _pair_has_common_face_uncached(c1, c2)
+    constraints = list(c1.generators()) + [_neg(g) for g in c2.generators()]
+    _, rays = _dd(c1.ambient, constraints)
+    u = tuple(sum(col) for col in zip(*rays)) if rays else tuple(0 for _ in range(c1.ambient))
+    result = _common_face_via(c1, c2, u)
     if len(_PAIR_CACHE) >= _PAIR_CACHE_MAX:
         del _PAIR_CACHE[next(iter(_PAIR_CACHE))]
     _PAIR_CACHE[cache_key] = result
     return result
-
-
-def _pair_has_common_face_uncached(c1: Cone, c2: Cone) -> bool:
-    # cheap candidates: support the common-ray face, or sum one-sided facets
-    common = set(c1.rays) & set(c2.rays)
-    for a, b in ((c1, c2), (c2, c1)):
-        tight = [f for f in a.facets if all(_dot(f, r) == 0 for r in common)]
-        if tight:
-            u = tuple(sum(col) for col in zip(*tight))
-            if a is c2:
-                u = _neg(u)
-            if any(u) and _common_face_via(c1, c2, u):
-                return True
-        sep = [
-            f
-            for f in a.facets
-            if all(_dot(f, g) <= 0 for g in b.generators())
-        ]
-        if sep:
-            u = tuple(sum(col) for col in zip(*sep))
-            if a is c2:
-                u = _neg(u)
-            if any(u) and _common_face_via(c1, c2, u):
-                return True
-    # definitive certificate: relint of {u : u >= 0 on c1, u <= 0 on c2}
-    constraints = list(c1.generators()) + [_neg(g) for g in c2.generators()]
-    _, rays = _dd(c1.ambient, constraints)
-    u = tuple(sum(col) for col in zip(*rays)) if rays else tuple(0 for _ in range(c1.ambient))
-    return _common_face_via(c1, c2, u)
 
 
 @dataclass(frozen=True)
@@ -567,11 +554,7 @@ class Fan:
             if not c.contains(point):
                 continue
             zeros = c._zero_masks()
-            mask = (1 << len(c.rays)) - 1
-            for a, z in zip(c.facets, zeros):
-                if _dot(a, point) == 0:
-                    mask &= z
-            face = c._face(mask, zeros)
+            face = c._face(c._carrier_mask(point, zeros), zeros)
             if best is None or face.dim < best.dim:
                 best = face
         if best is not None and not best.contains(point, "relative_interior"):
@@ -647,19 +630,12 @@ def is_subfan(f1: Fan, f2: Fan) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _simplicial_coordinates(cone: Cone, point: IVec) -> list[Fraction]:
-    mat = QMatrix.from_rows(list(cone.rays)).transpose()
-    x = solve(mat, QVector(point))
-    if x is None:
-        raise ValueError("point outside the span of the cone")
-    return list(x.entries)
-
-
 def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
     """Stellar subdivision of a simplicial fan at a ray inside its support.
 
     The carrier tau is the set of rays on which nu has positive simplicial
-    coordinates in a cone holding it.  Only the star of tau changes: each
+    coordinates in a cone holding it, read from the facets tight at nu as in
+    ``Fan.carrier``.  Only the star of tau changes: each
     maximal cone c whose rays contain tau is replaced by its |tau| pieces
     cone(rays(c) - {t} + {nu}), t in tau.  Nothing is re-validated pairwise;
     the checks are local:
@@ -688,8 +664,8 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
     holder = next((c for c, h in zip(fan.maximal, holds) if h), None)
     if holder is None:
         raise ValueError("ray lies outside the support of the fan")
-    coords = _simplicial_coordinates(holder, nu)
-    carrier_rays = sorted(r for r, t in zip(holder.rays, coords) if t > 0)
+    mask = holder._carrier_mask(nu, holder._zero_masks())
+    carrier_rays = [r for i, r in enumerate(holder.rays) if mask >> i & 1]
     in_star = [set(carrier_rays) <= set(c.rays) for c in fan.maximal]
     if holds != in_star:
         raise FanAxiomViolation(

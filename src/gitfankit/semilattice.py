@@ -442,33 +442,26 @@ def poset_isomorphic(l1: FiniteSemilattice, l2: FiniteSemilattice) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def random_interior_ray(
+    rng: random.Random, fan: Fan, min_rays: int = 1
+) -> tuple[int, ...]:
+    """A positive combination, one coefficient per ray, of at least
+    ``min_rays`` random rays of a random maximal cone: in a simplicial fan
+    its carrier is exactly the face those rays span."""
+    cone_rays = rng.choice(fan.maximal).rays
+    rays = rng.sample(cone_rays, rng.randint(min_rays, len(cone_rays)))
+    coeffs = [rng.randint(1, 3) for _ in rays]
+    return tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(fan.ambient))
+
+
 def random_simplicial_fan(rng: random.Random, ambient: int, max_rays: int) -> Fan:
     """Random simplicial fan grown from an orthant by random stellar subdivisions."""
-    gens = [
-        tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)
-    ]
-    fan = fan_from_maximal([Cone.from_generators(gens, ambient)])
+    fan = _orthant_fan(ambient)
     while len(fan.rays) < max_rays:
-        cone = rng.choice(fan.maximal)
-        k = rng.randint(2, len(cone.rays))
-        face_rays = rng.sample(list(cone.rays), k)
-        nu = tuple(
-            sum(rng.randint(1, 3) * r[i] for r in face_rays) for i in range(ambient)
-        )
-        fan = stellar_subdivide(fan, nu)
+        fan = stellar_subdivide(fan, random_interior_ray(rng, fan, 2))
         if rng.random() < 0.25:
             break
     return fan
-
-
-def random_interior_ray(rng: random.Random, fan: Fan) -> tuple[int, ...]:
-    cone = rng.choice(fan.maximal)
-    k = rng.randint(1, len(cone.rays))
-    face_rays = rng.sample(list(cone.rays), k)
-    return tuple(
-        sum(rng.randint(1, 3) * r[i] for r in face_rays)
-        for i in range(fan.ambient)
-    )
 
 
 def _fk_bridge_trial(args: tuple[int, int, int, int]) -> Optional[dict]:

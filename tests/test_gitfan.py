@@ -267,10 +267,6 @@ def test_sigma_r_carriers_interior():
             assert s1.has_cone(carrier)
 
 
-def test_sigma_r_second_linear_extension():
-    assert gf.sigma_r(4, check_extension=True) == gf.sigma_r(4)
-
-
 def test_sigma_r_n4_every_linear_extension_agrees():
     base = gf.sigma_fan_cached(4, 1)
     orders = list(itertools.permutations(gf.nu_order(4)))

@@ -213,6 +213,42 @@ def test_fan_prunes_faces():
     assert f.maximal == (big,)
 
 
+def test_pair_check_matches_intersection_reference(monkeypatch):
+    """The pair certificate against the definition: c1 and c2 meet in a
+    common face iff their intersection is a face of both."""
+    monkeypatch.setattr(polyhedral, "_PAIR_CACHE", {})
+    rng = random.Random(11)
+
+    def vec(dim):
+        return tuple(rng.randint(-2, 2) for _ in range(dim))
+
+    def random_cone(dim):
+        gens = [vec(dim) for _ in range(rng.randint(1, dim + 1))]
+        if rng.random() < 0.2:
+            gens.append(tuple(-x for x in gens[0]))
+        return Cone.from_generators(gens, dim)
+
+    verdicts = []
+    lineality = lower = 0
+    for _ in range(400):
+        dim = rng.randint(2, 4)
+        c1 = random_cone(dim)
+        gens = c1.generators()
+        if gens and rng.random() < 0.5:
+            # a partner built on some of c1's generators, so both verdicts occur
+            c2 = Cone.from_generators(rng.sample(gens, rng.randint(1, len(gens))) + [vec(dim)], dim)
+        else:
+            c2 = random_cone(dim)
+        m = c1.intersect(c2)
+        verdict = polyhedral._pair_has_common_face(c1, c2)
+        assert verdict == (m.is_face_of(c1) and m.is_face_of(c2)), (c1, c2)
+        verdicts.append(verdict)
+        lineality += bool(c1.lineality or c2.lineality)
+        lower += c1.dim < dim or c2.dim < dim
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+    assert lineality >= 50 and lower >= 50
+
+
 # -- stellar subdivision ------------------------------------------------------
 
 
@@ -573,19 +609,6 @@ def keep_random_faces(rng, fan):
     return fan_from_maximal(kept)
 
 
-def face_ray(rng, fan):
-    """A positive combination of the rays of a random face of a random cone.
-
-    ``random_interior_ray`` draws one coefficient per coordinate rather than
-    per ray, so its ray lies in the positive orthant but not always in the
-    face it started from; outside the orthant's subdivisions it can leave the
-    support."""
-    cone_rays = rng.choice(fan.maximal).rays
-    rays = rng.sample(cone_rays, rng.randint(1, len(cone_rays)))
-    coeffs = [rng.randint(1, 3) for _ in rays]
-    return tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(fan.ambient))
-
-
 def star_pieces(c, tau, nu):
     return [Cone.simplicial([r for r in c.rays if r != t] + [nu], c.ambient) for t in tau]
 
@@ -604,7 +627,7 @@ def test_stellar_matches_pairwise_reference():
             fan = keep_random_faces(rng, fan)
         for _ in range(3):
             nonpure += len({c.dim for c in fan.maximal}) > 1
-            nu = face_ray(rng, fan) if trial % 2 else random_interior_ray(rng, fan)
+            nu = random_interior_ray(rng, fan)
             carrier_dims[fan.carrier(nu).dim] += 1
             sub = stellar_subdivide(fan, nu)
             assert sub.maximal == fan_from_maximal(list(sub.maximal)).maximal

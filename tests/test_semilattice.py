@@ -18,6 +18,7 @@ from gitfankit.semilattice import (
     iterated_blow_up,
     join_exists_in_blowup,
     poset_isomorphic,
+    random_interior_ray,
     random_simplicial_fan,
     verify_fk_bridge,
 )
@@ -358,6 +359,18 @@ def test_random_fans_are_valid():
     for _ in range(10):
         fan = random_simplicial_fan(rng, rng.randint(2, 4), 7)
         assert fan.is_simplicial
+
+
+def test_random_interior_ray_carrier_is_the_sampled_face():
+    """The drawn ray is a positive combination of the sampled rays, so its
+    carrier is exactly their face; a twin generator replays the sample."""
+    for seed in range(60):
+        fan = random_simplicial_fan(random.Random(seed), 4, 8)
+        rng, twin = random.Random(seed), random.Random(seed)
+        nu = random_interior_ray(rng, fan)
+        cone_rays = twin.choice(fan.maximal).rays
+        face = twin.sample(cone_rays, twin.randint(1, len(cone_rays)))
+        assert fan.carrier(nu).rays == tuple(sorted(face)), seed
 
 
 class ReferencePoset:
