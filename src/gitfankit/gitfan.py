@@ -549,7 +549,18 @@ class DeltaReduction:
 
 @lru_cache(maxsize=None)
 def _delta_reduction_data(n: int) -> DeltaReduction:
-    """Cached by n alone: callers check the "delta" guard first."""
+    """Maximal GKZ cones met by Delta, each with its first-found witness.
+
+    Each trivalent tree's cone is mapped into the Gale-dual coordinates by
+    its split images and the lineality image. The GKZ walls, pulled back to
+    those tree coordinates, cut the closed tree cone (split coordinates
+    >= 0) into cells; a generic point of each cell is a representative. The
+    tree cone images cover Delta and each lies inside it, so every
+    representative is asserted to lie in Delta, and the GKZ profiles of the
+    representatives give the cones.
+
+    Cached by n alone: callers check the "delta" guard first.
+    """
     from .polyhedral import arrangement_leaves
 
     wd = gr.weights(n)
@@ -577,12 +588,13 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
                 if next(x for x in ta if x) < 0:
                     ta = tuple(-x for x in ta)
                 twalls.add(ta)
-        # coordinate hyperplanes slice the tree cone image out of its span
+        # the closed tree cone: t_i >= 0 on the split coordinates, the
+        # lineality coordinate free.  A GKZ wall equal to some t_i = 0 stays
+        # a wall: its zero side, on that facet, has another GKZ sign vector
+        # than the interior next to it
         k = len(basis)
-        for i in range(len(tree)):
-            coord = tuple(1 if j == i else 0 for j in range(k))
-            twalls.add(coord)
-        leaves = arrangement_leaves(k, [], sorted(twalls), with_boundaries=True)
+        orthant = [tuple(1 if j == i else 0 for j in range(k)) for i in range(len(tree))]
+        leaves = arrangement_leaves(k, orthant, sorted(twalls), with_boundaries=True)
         # span equations pulled back to tree coordinates, where e.(B^T t) is
         # (B e).t; equations that become equal share one entry
         merged: dict[tuple[int, ...], int] = {}
@@ -595,7 +607,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
             rep = tuple(sum(t[j] * basis[j][i] for j in range(k)) for i in range(dim))
             rep_count += 1
             if not gr.delta_contains(rep, wd):
-                continue
+                raise AssertionError(f"tree cone representative {rep} lies outside Delta")
             profile = _gkz_profile(rep, n)
             if profile not in profiles:
                 profiles[profile] = (_profile_cone(profile, rep, n), rep)

@@ -519,7 +519,8 @@ def _orthant_fan(dim: int) -> Fan:
 
 
 def _sorted_families(lattice: FiniteSemilattice) -> list[tuple]:
-    """All sorted families (ordered, distinct, larger-first) of nonbottom elements."""
+    """All sorted families (ordered, distinct, larger-first) of nonbottom
+    elements, in depth-first preorder: each family comes after its prefix."""
     elems = [x for x in lattice.labels if x != lattice.bottom]
     out: list[tuple] = []
 
@@ -536,6 +537,21 @@ def _sorted_families(lattice: FiniteSemilattice) -> list[tuple]:
     return [f for f in out if f]
 
 
+def _sorted_family_blow_ups(
+    lattice: FiniteSemilattice,
+) -> Iterator[tuple[tuple, FiniteSemilattice]]:
+    """Each sorted family with its iterated blow-up, built from its prefix's.
+
+    The families come in depth-first preorder, so the current family's
+    prefixes are on a stack: ``chain[k]`` is the blow-up along family[:k].
+    """
+    chain = [lattice]
+    for family in _sorted_families(lattice):
+        del chain[len(family):]
+        chain.append(blow_up(chain[-1], family[-1]))
+        yield family, chain[-1]
+
+
 def verify_blowup_join_criterion(max_dim: int = 3) -> dict:
     """Exhaustive sweep on orthant face posets: nested in a building superset
     implies the (xi, 0)-join exists in the iterated blow-up."""
@@ -550,10 +566,9 @@ def verify_blowup_join_criterion(max_dim: int = 3) -> dict:
             for s in itertools.combinations(elems, r)
             if is_building_set(lattice, s)
         ]
-        for family in _sorted_families(lattice):
+        for family, blown in _sorted_family_blow_ups(lattice):
             fam_set = frozenset(family)
             supersets = [b for b in building_sets if fam_set <= b]
-            blown = iterated_blow_up(lattice, family)
             bottom = lattice.bottom
             for r in range(1, len(family) + 1):
                 for c in itertools.combinations(family, r):

@@ -105,6 +105,7 @@ def test_criterion_6_join_criterion_soundness():
     with criterion(6, "blow-up join criterion soundness", 300) as out:
         rep = sl.verify_blowup_join_criterion(max_dim=3)
         assert rep["result"], rep["certificates"][:3]
+        assert rep["checked"] == 7982
         out["note"] = f"{rep['checked']} nested instances, 0 counterexamples"
 
 

@@ -86,6 +86,22 @@ def test_verify_delta_subfan_n3(capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize(
+    "args", [["verify", "delta-subfan", "-n", "3"], ["fan", "delta", "-n", "3"]]
+)
+def test_delta_rep_outside_delta_is_internal_failure(args, monkeypatch, capsys):
+    # every tree cone representative must lie in Delta; one that does not is
+    # an internal validation failure (exit 3), not a traceback
+    import gitfankit.grassmann as gr
+
+    gitfankit.clear_caches()
+    monkeypatch.setattr(gr, "delta_contains", lambda p, wd: False)
+    code, out, err = run(args, capsys)
+    assert code == 3
+    assert "internal validation failure" in err
+    assert "Traceback" not in err + out
+
+
 def test_verify_walls_n4(capsys):
     code, out, _ = run(["verify", "walls", "-n", "4"], capsys)
     assert code == 0

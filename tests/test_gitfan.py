@@ -350,9 +350,9 @@ def test_delta_witnesses_in_relint():
 # (trees, representatives tried, maximal cones) and the sorted witnesses: the
 # generic representatives that first reached each maximal cone's profile
 DELTA_PINS = {
-    3: ((3, 51, 5), [(-2, -4, -4), (-2, -2, 2), (-2, 2, -2), (2, -2, -2), (6, 2, 2)]),
+    3: ((3, 30, 5), [(-2, -4, -4), (-2, -2, 2), (-2, 2, -2), (2, -2, -2), (6, 2, 2)]),
     4: (
-        (15, 4365, 17),
+        (15, 990, 17),
         [
             (-6, -6, -2, -2, -6, -6), (-6, -2, -6, -6, -2, -6), (-4, -4, -2, 2, -4, -4),
             (-4, -4, 2, -2, -4, -4), (-4, -2, -4, -4, 2, -4), (-4, 2, -4, -4, -2, -4),
@@ -373,6 +373,82 @@ def test_delta_reduction_counts(n):
     assert sorted(data.witnesses.values()) == witnesses
     for c in data.fan.maximal:
         assert c.contains(data.witnesses[(c.facets, c.span_eqs)], "relative_interior")
+
+
+def _full_span_delta_reference(n):
+    """The sweep before it was restricted to the closed tree cone: the
+    coordinate hyperplanes t_i = 0 join the walls, no base cone is given, so
+    the whole span of each tree cone image is swept, and ``delta_contains``
+    filters the representatives.  Returns the first representative of each
+    profile, in the order found."""
+    wd = gr.weights(n)
+    dim = wd.p.rows
+    sign = gr.tropical_sign()
+    lin = gr.lineality_image(wd)
+    table = gf._gkz_table(n)
+    span_masks = sorted({m for m in table.span_masks if m})
+    first_rep = {}
+    for tree in gr.trivalent_trees(n):
+        basis = [tuple(sign * x for x in gr.split_image(wd, b)) for b in tree] + [lin]
+        k = len(basis)
+        twalls = set()
+        for a in gf._gkz_walls(n):
+            ta = tuple(sum(x * y for x, y in zip(a, b)) for b in basis)
+            if any(ta):
+                ta = primitive_vector(ta)
+                if next(x for x in ta if x) < 0:
+                    ta = tuple(-x for x in ta)
+                twalls.add(ta)
+        for i in range(len(tree)):
+            twalls.add(tuple(1 if j == i else 0 for j in range(k)))
+        leaves = polyhedral.arrangement_leaves(k, [], sorted(twalls), with_boundaries=True)
+        merged = {}
+        for e, bit in table.eqs:
+            te = tuple(sum(x * y for x, y in zip(e, b)) for b in basis)
+            merged[te] = merged.get(te, 0) | bit
+        for leaf in leaves:
+            t = gf._generic_rep(
+                list(leaf.rays) + list(leaf.lineality), list(merged.items()), span_masks, k
+            )
+            rep = tuple(sum(t[j] * basis[j][i] for j in range(k)) for i in range(dim))
+            if gr.delta_contains(rep, wd):
+                first_rep.setdefault(gf._gkz_profile(rep, n), rep)
+    return first_rep
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tree_cone_sweep_matches_full_span_reference(n, monkeypatch):
+    """Sweeping only the closed tree cones finds every profile the full-span
+    sweep finds, with the same first representative, hence the same fan and
+    witnesses; and every representative it tries lies in Delta."""
+    reference = _full_span_delta_reference(n)
+    by_key = {}
+    for profile, rep in reference.items():
+        sigma = gf._profile_cone(profile, rep, n)
+        by_key.setdefault((sigma.facets, sigma.span_eqs), (sigma, rep))
+    ref_fan = polyhedral.fan_from_maximal(c for c, _ in by_key.values())
+
+    tried = []
+    real_contains = gr.delta_contains
+
+    def recording_contains(p, wd):
+        hit = real_contains(p, wd)
+        tried.append((p, hit))
+        return hit
+
+    monkeypatch.setattr(gr, "delta_contains", recording_contains)
+    data = gf._delta_reduction_data.__wrapped__(n)
+    assert len(tried) == data.rep_count == DELTA_PINS[n][0][1]
+    assert all(hit for _, hit in tried)
+    first_rep = {}
+    for rep, _ in tried:
+        first_rep.setdefault(gf._gkz_profile(rep, n), rep)
+    assert first_rep == reference
+    assert list(first_rep) == list(reference)
+    assert data.fan == ref_fan
+    assert data.witnesses == {
+        (c.facets, c.span_eqs): by_key[(c.facets, c.span_eqs)][1] for c in ref_fan.maximal
+    }
 
 
 def _delta_test_points(n, rng):

@@ -312,6 +312,33 @@ def test_sorted_building_families_give_nested_complex():
         assert checked > 0
 
 
+def test_blow_up_stack_matches_iterated_blow_up(monkeypatch):
+    # thm44 builds each family's blow-up from its prefix's: along every sorted
+    # family of the orthant face posets it must equal the left fold from the
+    # lattice, element for element and mask for mask, with one blow-up each
+    import gitfankit.semilattice as sl
+
+    calls = []
+    real_blow_up = sl.blow_up
+
+    def counting_blow_up(lattice, xi):
+        calls.append(xi)
+        return real_blow_up(lattice, xi)
+
+    for dim in (2, 3):
+        lat = face_poset(sl._orthant_fan(dim))
+        families = sl._sorted_families(lat)
+        monkeypatch.setattr(sl, "blow_up", counting_blow_up)
+        built = list(sl._sorted_family_blow_ups(lat))
+        monkeypatch.setattr(sl, "blow_up", real_blow_up)
+        assert [f for f, _ in built] == families
+        for family, blown in built:
+            ref = iterated_blow_up(lat, family)
+            assert blown.labels == ref.labels, family
+            assert blown._up == ref._up, family
+    assert len(calls) == 670
+
+
 def test_harmonious_closure_all_pairs_harmonious():
     import itertools as it
 
