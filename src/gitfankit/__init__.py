@@ -2,7 +2,7 @@
 GIT fans of the Grassmannian cone Gr(2, n+1), semilattice blow-ups, stellar
 subdivisions and the tropical Delta-reduction, with machine verification."""
 
-from .exact_linalg import QMatrix, QVector, gale_dual, kernel_basis, rank, solve
+from .exact_linalg import gale_dual, kernel_basis, rank, solve
 from .grassmann import (
     TwoBlock,
     WeightData,
@@ -51,7 +51,6 @@ from .polyhedral import (
     Cone,
     Fan,
     FanAxiomViolation,
-    dual_description,
     fan_from_maximal,
     is_subfan,
     iterated_stellar,

@@ -162,11 +162,7 @@ def cmd_fan(args) -> int:
     n = args.n
     if not _guard_check(args.which, f"fan {args.which}", n, args.force):
         return EXIT_USAGE
-    try:
-        fan = _build_fan(args.which, n, args.force)
-    except (FanAxiomViolation, AssertionError) as err:
-        print(f"internal validation failure: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
+    fan = _build_fan(args.which, n, args.force)
     payload = fan_payload(fan, n)
     print(
         f"fan {args.which} n={n}: {len(fan.rays)} rays, "
@@ -267,11 +263,7 @@ def cmd_poset(args) -> int:
     n = args.n
     if not _guard_check(args.which, f"poset {args.which}", n, args.force):
         return EXIT_USAGE
-    try:
-        fan = _build_fan(args.which, n, args.force)
-    except (FanAxiomViolation, AssertionError) as err:
-        print(f"internal validation failure: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
+    fan = _build_fan(args.which, n, args.force)
     poset = sl.face_poset(fan)
     payload = poset.dump()
     payload["n"] = n
@@ -361,7 +353,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GuardExceeded as err:
         print(f"guard: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except FanAxiomViolation as err:
+    except (FanAxiomViolation, AssertionError) as err:
         print(f"internal validation failure: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1,150 +1,22 @@
-"""Exact rational vectors, matrices and the linear algebra used everywhere else.
+"""Exact linear algebra on integer rows, the one matrix type of the package.
 
-All arithmetic is over ``fractions.Fraction`` (arbitrary-precision, always
-reduced, positive denominator), so nothing here ever rounds.  Every routine
-first clears denominators row by row and then eliminates over the integers:
-fraction-free (Bareiss) elimination for rank, and integer Gauss-Jordan
-elimination, read off as the rational reduced row echelon form, for kernels
-and solving.  The integer cores also serve the cone conversions directly.
+A matrix is a sequence of rows.  Rows are integer tuples everywhere inside
+the package; rows with rational entries (``Fraction`` or strings such as
+"1/2") are accepted too, and each is scaled to integers by the lcm of its
+denominators before elimination, so nothing here ever rounds.  Rank uses
+fraction-free (Bareiss) elimination; kernels and solving use one integer
+Gauss-Jordan core, whose echelon form reads off as the rational reduced row
+echelon form.  The integer cores also serve the cone conversions directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
-
-Scalar = Union[int, str, Fraction]
+from typing import Iterable, Optional, Sequence
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclass(frozen=True)
-class QVector:
-    """Immutable vector of exact rationals."""
-
-    entries: tuple[Fraction, ...]
-
-    def __init__(self, entries: Iterable[Scalar]):
-        object.__setattr__(self, "entries", tuple(_frac(x) for x in entries))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
-
-    def __add__(self, other: "QVector") -> "QVector":
-        return QVector(a + b for a, b in zip(self.entries, other.entries, strict=True))
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        return QVector(a - b for a, b in zip(self.entries, other.entries, strict=True))
-
-    def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.entries)
-
-    def dot(self, other: "QVector") -> Fraction:
-        return sum(
-            (a * b for a, b in zip(self.entries, other.entries, strict=True)),
-            Fraction(0),
-        )
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    def as_ints(self) -> tuple[int, ...]:
-        """Entries as plain ints; raises if any entry is non-integral."""
-        out = []
-        for a in self.entries:
-            if a.denominator != 1:
-                raise ValueError(f"entry {a} is not an integer")
-            out.append(a.numerator)
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Immutable row-major matrix of exact rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
-        ent = tuple(_frac(x) for x in entries)
-        if len(ent) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(ent)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
-
-    @classmethod
-    def from_rows(cls, row_list: Sequence[Sequence[Scalar]]) -> "QMatrix":
-        row_list = [list(r) for r in row_list]
-        rows = len(row_list)
-        cols = len(row_list[0]) if row_list else 0
-        if any(len(r) != cols for r in row_list):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, [x for r in row_list for x in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    def row(self, i: int) -> QVector:
-        return QVector(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def col(self, j: int) -> QVector:
-        return QVector(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def matvec(self, v: QVector) -> QVector:
-        if v.dim != self.cols:
-            raise ValueError("dimension mismatch")
-        return QVector(self.row(i).dot(v) for i in range(self.rows))
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ent = []
-        ocols = [other.col(j) for j in range(other.cols)]
-        for i in range(self.rows):
-            r = self.row(i)
-            for c in ocols:
-                ent.append(r.dot(c))
-        return QMatrix(self.rows, other.cols, ent)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-
-def _cleared(v: Iterable[Scalar]) -> list[int]:
+def _cleared(v: Iterable) -> list[int]:
     """The vector times the lcm of its denominators: integers, same direction.
 
     Plain ints pass through unchanged (their denominator is one)."""
@@ -159,7 +31,7 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(v) if g <= 1 else tuple(x // g for x in v)
 
 
-def primitive_vector(v: Iterable[Scalar]) -> tuple[int, ...]:
+def primitive_vector(v: Iterable) -> tuple[int, ...]:
     """Scale a rational vector to primitive integer form (content 1).
 
     The direction is preserved: scaling is by a positive rational only.
@@ -191,9 +63,9 @@ def _bareiss_rank(vectors: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def rank(m: QMatrix) -> int:
+def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    return _bareiss_rank([_cleared(r) for r in m.row_list()])
+    return _bareiss_rank([_cleared(r) for r in rows])
 
 
 def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -226,49 +98,54 @@ def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[in
     return a[:r], pivots
 
 
-def kernel_basis(m: QMatrix) -> QMatrix:
-    """Basis of {x : Mx = 0} as rows, primitive integer, deterministic.
+def kernel_basis(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """Basis of {x : Mx = 0}, M given by its rows: primitive integer rows,
+    deterministic.
 
-    One basis row per free column, taken in ascending column order, with the
-    free variable set to one before integer scaling.  For the weight matrices
-    used downstream this reproduces the fixture Gale duals exactly.
+    One basis row per free column, taken in ascending column order: the
+    free variable set to the lcm of the pivots, the pivot variables read off
+    the integer echelon form, and the row divided by its content.  For the
+    weight matrices used downstream this reproduces the fixture Gale duals
+    exactly.  No rows give no columns, hence an empty basis.
     """
-    rows, pivots = _rref([_cleared(r) for r in m.row_list()])
-    pivset = set(pivots)
+    cols = len(rows[0]) if rows else 0
+    echelon, pivots = _rref([_cleared(r) for r in rows])
+    den = math.lcm(*(row[p] for row, p in zip(echelon, pivots)))
     basis = []
-    for free in range(m.cols):
-        if free in pivset:
+    for free in range(cols):
+        if free in pivots:
             continue
-        vec = [Fraction(0)] * m.cols
-        vec[free] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            vec[p] = Fraction(-row[free], row[p])
-        basis.append(primitive_vector(vec))
-    return QMatrix.from_rows(basis) if basis else QMatrix.zero(0, m.cols)
+        v = [0] * cols
+        v[free] = den
+        for row, p in zip(echelon, pivots):
+            v[p] = -(den // row[p]) * row[free]
+        basis.append(_primitive(v))
+    return tuple(basis)
 
 
-def solve(m: QMatrix, b: QVector) -> Optional[QVector]:
-    """One exact solution of Mx = b with free variables zeroed, or None."""
-    if b.dim != m.rows:
+def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[tuple[Fraction, ...]]:
+    """One exact solution of Mx = b, M given by its rows, with free variables
+    zeroed, or None."""
+    if len(b) != len(rows):
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    rows, pivots = _rref([_cleared(r + [b[i]]) for i, r in enumerate(m.row_list())])
-    if m.cols in pivots:
+    cols = len(rows[0]) if rows else 0
+    echelon, pivots = _rref([_cleared([*r, bi]) for r, bi in zip(rows, b)])
+    if cols in pivots:
         return None
-    x = [Fraction(0)] * m.cols
-    for row, p in zip(rows, pivots):
-        x[p] = Fraction(row[m.cols], row[p])
-    return QVector(x)
+    x = [Fraction(0)] * cols
+    for row, p in zip(echelon, pivots):
+        x[p] = Fraction(row[cols], row[p])
+    return tuple(x)
 
 
-def gale_dual(q: QMatrix) -> QMatrix:
+def gale_dual(q: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """A Gale dual P of Q, i.e. P with P Q^t = 0 spanning the kernel of Q.
 
     Requires Q to have full row rank; rows of P are primitive integer vectors.
     """
-    if rank(q) != q.rows:
+    if rank(q) != len(q):
         raise ValueError("weight matrix is rank deficient")
     p = kernel_basis(q)
-    prod = p.matmul(q.transpose())
-    if not prod.is_zero():
+    if any(sum(x * y for x, y in zip(a, b)) for a in p for b in q):
         raise AssertionError("Gale dual failed the P Q^t = 0 check")
     return p

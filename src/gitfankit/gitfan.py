@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import grassmann as gr
-from .exact_linalg import QMatrix, QVector, primitive_vector, rank, solve
+from .exact_linalg import primitive_vector, rank, solve
 from .grassmann import Pair, TwoBlock, check_guard
 from .polyhedral import (
     Cone,
@@ -304,7 +304,7 @@ def sigma_fan_cached(n: int, lam_key: int) -> Fan:
         j for j in witnesses if not any(k < j for k in witnesses if k != j)
     ]
     all_pairs = set(gr.pairs(n)[0])
-    dim = wd.p.rows
+    dim = len(wd.p)
     cones = []
     for j in minimal:
         complement = all_pairs - j
@@ -330,7 +330,7 @@ def nu_vector(a: Iterable[int], n: int) -> tuple[int, ...]:
     """sum of v_0i over the block plus twice the v_jk inside it."""
     a = sorted(set(a))
     wd = gr.weights(n)
-    dim = wd.p.rows
+    dim = len(wd.p)
     total = [0] * dim
     for i in a:
         for r in range(dim):
@@ -364,7 +364,7 @@ def sigma_r_carrier(tb: TwoBlock) -> Cone:
     wd = gr.weights(tb.n)
     block = set(tb.block) | {0}
     gens = [wd.v[p] for p in gr.pairs(tb.n)[0] if set(p) <= block]
-    return Cone.from_generators(gens, wd.p.rows)
+    return Cone.from_generators(gens, len(wd.p))
 
 
 def sigma_r(n: int, force: bool = False) -> Fan:
@@ -403,7 +403,7 @@ def _sigma_r_with_order(base: Fan, order: Sequence[TwoBlock]) -> Fan:
 def _gkz_pool(n: int) -> tuple[Cone, ...]:
     wd = gr.weights(n)
     all_pairs, _ = gr.pairs(n)
-    dim = wd.p.rows
+    dim = len(wd.p)
     seen = {}
     for r in range(len(all_pairs) + 1):
         for combo in itertools.combinations(all_pairs, r):
@@ -480,7 +480,7 @@ def _profile_cone(profile: Iterable[int], pt: Sequence[int], n: int) -> Cone:
     sigma = Cone.from_inequalities(
         [a for i in profile for a in pool[i].facets],
         [e for i in profile for e in pool[i].span_eqs],
-        ambient=gr.weights(n).p.rows,
+        ambient=len(gr.weights(n).p),
     )
     if not sigma.contains(pt, "relative_interior"):
         raise AssertionError("GKZ cone does not contain its point in relint")
@@ -501,7 +501,7 @@ def gkz_cone(v: Sequence, n: int, force: bool = False) -> Cone:
 @lru_cache(maxsize=None)
 def _gkz_walls(n: int) -> tuple[tuple[int, ...], ...]:
     """Hyperplanes spanned by columns: the span normals of codim-1 pool cones."""
-    dim = gr.weights(n).p.rows
+    dim = len(gr.weights(n).p)
     walls = set()
     for c in _gkz_pool(n):
         if c.dim == dim - 1:
@@ -564,7 +564,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     from .polyhedral import arrangement_leaves
 
     wd = gr.weights(n)
-    dim = wd.p.rows
+    dim = len(wd.p)
     sign = gr.tropical_sign()
     walls = _gkz_walls(n)
     lin = gr.lineality_image(wd)
@@ -578,7 +578,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
         basis = [
             tuple(sign * x for x in gr.split_image(wd, block)) for block in tree
         ] + [lin]
-        if rank(QMatrix.from_rows(basis)) != len(basis):
+        if rank(basis) != len(basis):
             raise AssertionError("tree cone image is degenerate")
         twalls: set[tuple[int, ...]] = set()
         for a in walls:
@@ -724,9 +724,8 @@ def verify_nu_equality(n: int, force: bool = False) -> dict:
         urow = [0] * len(all_pairs)
         for i in range(1, n + 1):
             s = 1 if i in tb.block else -1
-            row = wd.q.row(i - 1)
-            for k, x in enumerate(row.entries):
-                urow[k] += s * int(x)
+            for k, x in enumerate(wd.q[i - 1]):
+                urow[k] += s * x
         if diff != urow:
             result = False
             entry["error"] = "difference not the signed row sum of Q"
@@ -941,8 +940,8 @@ def center_ideal(sigma0: Fan, nu: Sequence[int], n: int) -> CenterIdeal:
         raise ValueError(
             "carrier is not simplicial; minimal decomposition not unique"
         )
-    mat = QMatrix.from_rows([wd.v[p] for p in carrier_pairs]).transpose()
-    coords = solve(mat, QVector(pt))
+    # the columns of the system are the carrier's v_p
+    coords = solve(list(zip(*(wd.v[p] for p in carrier_pairs))), pt)
     if coords is None:
         raise AssertionError("carrier does not span its ray")
     alphas = primitive_vector(coords)

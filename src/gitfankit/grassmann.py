@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact_linalg import QMatrix, QVector, gale_dual, solve
+from .exact_linalg import gale_dual, solve
 
 Pair = tuple[int, int]
 
@@ -89,11 +89,12 @@ def yset(n: int, members: Iterable[Sequence[int]]) -> YSet:
 
 @dataclass(frozen=True)
 class WeightData:
-    """Weight matrix Q = (E_n, D_n), a fixed Gale dual P, and the column maps."""
+    """Weight matrix Q = (E_n, D_n), a fixed Gale dual P, both as integer
+    rows, and the column maps."""
 
     n: int
-    q: QMatrix
-    p: QMatrix
+    q: tuple[tuple[int, ...], ...]
+    p: tuple[tuple[int, ...], ...]
     w: dict[Pair, tuple[int, ...]]
     v: dict[Pair, tuple[int, ...]]
 
@@ -112,14 +113,10 @@ def _weight_column(pair: Pair, n: int) -> tuple[int, ...]:
 def weights(n: int) -> WeightData:
     all_pairs, _ = pairs(n)
     cols = [_weight_column(p, n) for p in all_pairs]
-    q = QMatrix.from_rows([[c[r] for c in cols] for r in range(n)])
+    q = tuple(zip(*cols))
     p = gale_dual(q)
-    prows = [[x.numerator for x in p.row(i).entries] for i in range(p.rows)]
-    w = {pair: cols[k] for k, pair in enumerate(all_pairs)}
-    v = {
-        pair: tuple(prows[r][k] for r in range(p.rows))
-        for k, pair in enumerate(all_pairs)
-    }
+    w = dict(zip(all_pairs, cols))
+    v = dict(zip(all_pairs, zip(*p)))
     return WeightData(n, q, p, w, v)
 
 
@@ -227,7 +224,7 @@ def _components(vertices: Sequence[int], edges: set[Pair]) -> list[frozenset[int
     return [frozenset(c) for c in comps.values()]
 
 
-def _affine_witness(ys: YSet) -> tuple[QVector, QVector]:
+def _affine_witness(ys: YSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Witness (x, y) with support of (1,x) wedge (0,y) equal to the Y-set.
 
     Requires some pair {0,k} to be present; follows the two-graph
@@ -265,21 +262,21 @@ def _affine_witness(ys: YSet) -> tuple[QVector, QVector]:
     for i in singles12:
         x[i - 1] = 0
     y = [1 if (0, j) in members else 0 for j in range(1, n + 1)]
-    return QVector(x), QVector(y)
+    return tuple(x), tuple(y)
 
 
 def witness_vectors(
-    x: QVector, y: QVector, mode: str
-) -> tuple[QVector, QVector]:
+    x: Sequence[int], y: Sequence[int], mode: str
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The ambient vectors whose wedge realises the witness support."""
     if mode == "affine":
-        return QVector([1, *x.entries]), QVector([0, *y.entries])
+        return (1, *x), (0, *y)
     if mode == "star":
-        return QVector([0, *x.entries]), QVector([0, *y.entries])
+        return (0, *x), (0, *y)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def y_set_witness(ys: YSet) -> tuple[QVector, QVector, str]:
+def y_set_witness(ys: YSet) -> tuple[tuple[int, ...], tuple[int, ...], str]:
     """Constructive witness (x, y, mode) whose wedge support equals the Y-set.
 
     Mode "affine" realises (1,x) wedge (0,y); mode "star" (used when no pair
@@ -290,8 +287,7 @@ def y_set_witness(ys: YSet) -> tuple[QVector, QVector, str]:
         raise ValueError("witness requested for a set failing the exchange condition")
     n = ys.n
     if not ys.members:
-        x, y = QVector([0] * n), QVector([0] * n)
-        return x, y, "affine"
+        return (0,) * n, (0,) * n, "affine"
     if any(i == 0 for i, _ in ys.members):
         x, y = _affine_witness(ys)
         u, v = witness_vectors(x, y, "affine")
@@ -313,13 +309,13 @@ def y_set_witness(ys: YSet) -> tuple[QVector, QVector, str]:
         xr, yr = _affine_witness(relabeled)
         ur, vr = witness_vectors(xr, yr, "affine")
         # permute coordinate 0 <-> root back
-        u = list(ur.entries)
-        v = list(vr.entries)
+        u = list(ur)
+        v = list(vr)
         u[0], u[root] = u[root], u[0]
         v[0], v[root] = v[root], v[0]
         if u[0] != 0 or v[0] != 0:
             continue
-        x, y = QVector(u[1:]), QVector(v[1:])
+        x, y = tuple(u[1:]), tuple(v[1:])
         uu, vv = witness_vectors(x, y, "star")
         if wedge_support(uu, vv) == ys:
             return x, y, "star"
@@ -474,12 +470,12 @@ def split_vector(block: frozenset[int], n: int) -> tuple[int, ...]:
 def split_image(wd: WeightData, block: frozenset[int]) -> tuple[int, ...]:
     vec = split_vector(block, wd.n)
     cols = [wd.v[p] for k, p in enumerate(wd.pairs0) if vec[k]]
-    return tuple(sum(c[i] for c in cols) for i in range(wd.p.rows))
+    return tuple(sum(c[i] for c in cols) for i in range(len(wd.p)))
 
 
 def lineality_image(wd: WeightData) -> tuple[int, ...]:
     cols = [wd.v[(0, i)] for i in range(1, wd.n + 1)]
-    return tuple(sum(c[i] for c in cols) for i in range(wd.p.rows))
+    return tuple(sum(c[i] for c in cols) for i in range(len(wd.p)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +508,7 @@ def _tree_cones(n: int, sign: int):
 
     wd = weights(n)
     lin = lineality_image(wd)
-    dim = wd.p.rows
+    dim = len(wd.p)
     cones = []
     for tree in trivalent_trees(n):
         gens = [lin, tuple(-x for x in lin)]
@@ -557,7 +553,7 @@ def tropical_sign() -> int:
         ok = True
         for mask in range(1 << len(all_pairs)):
             subset = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
-            sigma = Cone.from_generators([wd.v[p] for p in subset], wd.p.rows)
+            sigma = Cone.from_generators([wd.v[p] for p in subset], len(wd.p))
             expected = is_y_set(
                 YSet(3, frozenset(p for p in all_pairs if p not in subset))
             )
@@ -580,15 +576,15 @@ def _p_right_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     denominators."""
     p = weights(n).p
     cols = []
-    for i in range(p.rows):
-        x = solve(p, QVector([1 if j == i else 0 for j in range(p.rows)]))
+    for i in range(len(p)):
+        x = solve(p, [1 if j == i else 0 for j in range(len(p))])
         if x is None:
             raise AssertionError("P is surjective; solve cannot fail")
-        cols.append(x.entries)
+        cols.append(x)
     d = math.lcm(*(x.denominator for col in cols for x in col))
-    r = tuple(tuple((col[k] * d).numerator for col in cols) for k in range(p.cols))
-    for i, row in enumerate(p.row_list()):
-        for j in range(p.rows):
+    r = tuple(tuple((x * d).numerator for x in row) for row in zip(*cols))
+    for i, row in enumerate(p):
+        for j in range(len(p)):
             if sum(a * r[k][j] for k, a in enumerate(row)) != (d if i == j else 0):
                 raise AssertionError("P R = D I failed for the right inverse of P")
     return r

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Container, Iterable, Optional, Sequence
 
-from .exact_linalg import _primitive, _rref
+from .exact_linalg import _primitive, _rref, kernel_basis
 
 IVec = tuple[int, ...]
 
@@ -159,7 +159,7 @@ def _dd(
 # ---------------------------------------------------------------------------
 
 
-def _canonical_subspace_basis(vectors: Sequence[IVec], ambient: int) -> tuple[IVec, ...]:
+def _canonical_subspace_basis(vectors: Sequence[IVec]) -> tuple[IVec, ...]:
     """Canonical primitive basis (RREF rows) of the span of the given vectors."""
     rows, _ = _rref([v for v in vectors if any(v)])
     return tuple(rows)
@@ -273,16 +273,8 @@ class Cone:
                 for row in inverse
             )
         )
-        echelon, ray_pivots = _rref(gens)
-        den = math.lcm(*(row[p] for row, p in zip(echelon, ray_pivots)))
-        kernel = []
-        for free in sorted(set(range(ambient)) - set(ray_pivots)):
-            v = [0] * ambient
-            v[free] = den
-            for row, p in zip(echelon, ray_pivots):
-                v[p] = -den // row[p] * row[free]
-            kernel.append(v)
-        span_eqs = _canonical_subspace_basis(kernel, ambient)
+        # a zero row stands in for no rays: its kernel is the whole space
+        span_eqs = _canonical_subspace_basis(kernel_basis(gens or [(0,) * ambient]))
         return Cone(ambient, gens, (), facets, span_eqs)
 
     # -- basic queries ------------------------------------------------------
@@ -403,7 +395,7 @@ class Cone:
             return self
         rays = tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
         tight = tuple(a for a, z in zip(self.facets, zeros) if mask & z == mask)
-        span_eqs = _canonical_subspace_basis(self.span_eqs + tight, self.ambient)
+        span_eqs = _canonical_subspace_basis(self.span_eqs + tight)
         cuts: dict[int, IVec] = {}
         for a, z in zip(self.facets, zeros):
             if mask & z != mask:
@@ -435,10 +427,10 @@ def _cone_from_gens(gens: tuple[IVec, ...], ambient: int) -> Cone:
         return Cone(ambient, (), (), (), eye)
     # dual cone {u : u.g >= 0} gives facets (its rays) and span eqs (its lineality)
     lin_d, rays_d = _dd(ambient, gens)
-    span_eqs = _canonical_subspace_basis(lin_d, ambient)
+    span_eqs = _canonical_subspace_basis(lin_d)
     facets = _canonical_rays(rays_d, span_eqs)
     lin_p, rays_p = _dd(ambient, facets, span_eqs)
-    lineality = _canonical_subspace_basis(lin_p, ambient)
+    lineality = _canonical_subspace_basis(lin_p)
     rays = _canonical_rays(rays_p, lineality)
     return Cone(ambient, rays, lineality, facets, span_eqs)
 
@@ -448,21 +440,13 @@ def _cone_from_ineqs(
     ineqs: tuple[IVec, ...], eqs: tuple[IVec, ...], ambient: int
 ) -> Cone:
     lin_p, rays_p = _dd(ambient, ineqs, eqs)
-    lineality = _canonical_subspace_basis(lin_p, ambient)
+    lineality = _canonical_subspace_basis(lin_p)
     rays = _canonical_rays(rays_p, lineality)
     gens = set(rays)
     for l in lineality:
         gens.add(l)
         gens.add(_neg(l))
     return _cone_from_gens(tuple(sorted(gens)), ambient)
-
-
-def dual_description(
-    generators: Iterable[Sequence[int]], ambient: int
-) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-    """Exact H-description (facets, span equations) of cone(generators)."""
-    c = Cone.from_generators(generators, ambient)
-    return c.facets, c.span_eqs
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 from operator import and_
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -566,13 +566,16 @@ def verify_blowup_join_criterion(max_dim: int = 3) -> dict:
             for s in itertools.combinations(elems, r)
             if is_building_set(lattice, s)
         ]
+        # a (building set, subset) verdict repeats across every family that
+        # holds the subset, so each one is decided once per lattice
+        nested = cache(partial(is_nested, lattice))
         for family, blown in _sorted_family_blow_ups(lattice):
             fam_set = frozenset(family)
             supersets = [b for b in building_sets if fam_set <= b]
             bottom = lattice.bottom
             for r in range(1, len(family) + 1):
                 for c in itertools.combinations(family, r):
-                    if not any(is_nested(lattice, b, c) for b in supersets):
+                    if not any(nested(b, frozenset(c)) for b in supersets):
                         continue
                     checked += 1
                     targets = [BlowPair(xi, bottom) for xi in c]

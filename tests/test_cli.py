@@ -102,6 +102,19 @@ def test_delta_rep_outside_delta_is_internal_failure(args, monkeypatch, capsys):
     assert "Traceback" not in err + out
 
 
+def test_centers_assertion_is_internal_failure(monkeypatch, capsys):
+    import gitfankit.gitfan as gf
+
+    def broken(*args):
+        raise AssertionError("carrier does not span its ray")
+
+    monkeypatch.setattr(gf, "center_ideal", broken)
+    code, out, err = run(["centers", "-n", "3", "-A", "2,3"], capsys)
+    assert code == 3
+    assert "internal validation failure" in err
+    assert "Traceback" not in err + out
+
+
 def test_verify_walls_n4(capsys):
     code, out, _ = run(["verify", "walls", "-n", "4"], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 """Exact linear algebra: ranks, kernels, solving, Gale duals."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitfankit.exact_linalg import (
-    QMatrix,
-    QVector,
     gale_dual,
     kernel_basis,
     primitive_vector,
@@ -16,89 +15,76 @@ from gitfankit.exact_linalg import (
     solve,
 )
 
+Q3 = ((1, 0, 0, 1, 1, 0), (0, 1, 0, 1, 0, 1), (0, 0, 1, 0, 1, 1))
+EYE2 = ((1, 0), (0, 1))
 
-def weight_matrix_q3() -> QMatrix:
-    return QMatrix.from_rows(
-        [
-            [1, 0, 0, 1, 1, 0],
-            [0, 1, 0, 1, 0, 1],
-            [0, 0, 1, 0, 1, 1],
-        ]
-    )
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def test_rank_identity():
-    assert rank(QMatrix.identity(3)) == 3
+    assert rank(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 3
 
 
 def test_rank_zero():
-    assert rank(QMatrix.zero(2, 4)) == 0
+    assert rank(((0, 0, 0, 0), (0, 0, 0, 0))) == 0
 
 
 def test_rank_q3():
-    assert rank(weight_matrix_q3()) == 3
+    assert rank(Q3) == 3
 
 
 def test_rank_with_fractions():
-    m = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
-    assert rank(m) == 1
-    m2 = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]])
-    assert rank(m2) == 2
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]]) == 2
 
 
 def test_kernel_identity_empty():
-    k = kernel_basis(QMatrix.identity(2))
-    assert k.rows == 0 and k.cols == 2
+    assert kernel_basis(EYE2) == ()
 
 
 def test_kernel_one_one():
     # free variable set to one, no sign flip
-    k = kernel_basis(QMatrix.from_rows([[1, 1]]))
-    assert k.row_list() == [[-1, 1]]
+    assert kernel_basis([[1, 1]]) == ((-1, 1),)
 
 
 def test_kernel_q3_fixture():
-    k = kernel_basis(weight_matrix_q3())
-    assert [[int(x) for x in row] for row in k.row_list()] == [
-        [-1, -1, 0, 1, 0, 0],
-        [-1, 0, -1, 0, 1, 0],
-        [0, -1, -1, 0, 0, 1],
-    ]
+    assert kernel_basis(Q3) == (
+        (-1, -1, 0, 1, 0, 0),
+        (-1, 0, -1, 0, 1, 0),
+        (0, -1, -1, 0, 0, 1),
+    )
 
 
 def test_solve_identity():
-    x = solve(QMatrix.identity(2), QVector([1, 2]))
-    assert x is not None and list(x.entries) == [1, 2]
+    assert solve(EYE2, [1, 2]) == (1, 2)
 
 
 def test_solve_free_variable_zeroed():
-    x = solve(QMatrix.from_rows([[1, 1]]), QVector([3]))
-    assert x is not None and list(x.entries) == [3, 0]
+    assert solve([[1, 1]], [3]) == (3, 0)
 
 
 def test_solve_inconsistent_absent():
-    m = QMatrix.from_rows([[1, 0], [1, 0]])
-    assert solve(m, QVector([0, 1])) is None
+    assert solve([[1, 0], [1, 0]], [0, 1]) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(QMatrix.identity(2), QVector([1, 2, 3]))
+        solve(EYE2, [1, 2, 3])
 
 
 def test_gale_identity_no_rows():
-    p = gale_dual(QMatrix.identity(2))
-    assert p.rows == 0
+    assert gale_dual(EYE2) == ()
 
 
 def test_gale_q3():
-    q = weight_matrix_q3()
-    p = gale_dual(q)
-    assert (p.rows, p.cols) == (3, 6)
-    assert p.matmul(q.transpose()).is_zero()
+    p = gale_dual(Q3)
+    assert (len(p), len(p[0])) == (3, 6)
+    assert all(dot(a, b) == 0 for a in p for b in Q3)
 
 
-def weight_matrix(n: int) -> QMatrix:
+def weight_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     cols = []
     for i, j in pairs:
@@ -106,19 +92,19 @@ def weight_matrix(n: int) -> QMatrix:
             cols.append([1 if r == j else 0 for r in range(1, n + 1)])
         else:
             cols.append([1 if r in (i, j) else 0 for r in range(1, n + 1)])
-    return QMatrix.from_rows([[c[r] for c in cols] for r in range(n)])
+    return tuple(tuple(c[r] for c in cols) for r in range(n))
 
 
 def test_gale_q4():
     q = weight_matrix(4)
     p = gale_dual(q)
-    assert (p.rows, p.cols) == (6, 10)
-    assert p.matmul(q.transpose()).is_zero()
+    assert (len(p), len(p[0])) == (6, 10)
+    assert all(dot(a, b) == 0 for a in p for b in q)
 
 
 def test_gale_rank_deficient_rejected():
     with pytest.raises(ValueError):
-        gale_dual(QMatrix.from_rows([[1, 1], [2, 2]]))
+        gale_dual([[1, 1], [2, 2]])
 
 
 def test_primitive_vector():
@@ -159,31 +145,22 @@ small_matrices = st.integers(1, 4).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_rank_nullity_and_kernel_exactness(rows):
-    m = QMatrix.from_rows(rows)
-    k = kernel_basis(m)
-    assert rank(m) + k.rows == m.cols
-    for i in range(k.rows):
-        row = k.row(i)
-        ints = row.as_ints()
-        from math import gcd
-
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        assert g == 1
-        assert all(m.row(j).dot(row) == 0 for j in range(m.rows))
+    k = kernel_basis(rows)
+    assert rank(rows) + len(k) == len(rows[0])
+    for row in k:
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1
+        assert all(dot(r, row) == 0 for r in rows)
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_matrices, st.lists(st.integers(-5, 5), min_size=1, max_size=4))
 def test_solve_exact_or_certified_absent(rows, b):
-    m = QMatrix.from_rows(rows)
-    b = (b * 4)[: m.rows]
-    x = solve(m, QVector(b))
+    b = (b * 4)[: len(rows)]
+    x = solve(rows, b)
     if x is not None:
-        assert list(m.matvec(x).entries) == [Fraction(v) for v in b]
+        assert all(type(v) is Fraction for v in x)
+        assert [dot(r, x) for r in rows] == b
     else:
-        aug = QMatrix.from_rows(
-            [list(r) + [bv] for r, bv in zip(m.row_list(), b)]
-        )
-        assert rank(aug) == rank(m) + 1
+        aug = [list(r) + [bv] for r, bv in zip(rows, b)]
+        assert rank(aug) == rank(rows) + 1

@@ -8,10 +8,10 @@ import pytest
 import gitfankit
 import gitfankit.gitfan as gf
 import gitfankit.grassmann as gr
-from gitfankit.exact_linalg import QMatrix, QVector, kernel_basis, primitive_vector, solve
+from gitfankit.exact_linalg import kernel_basis, primitive_vector, solve
 from gitfankit.grassmann import GuardExceeded, TwoBlock, YSet
 from gitfankit import polyhedral
-from gitfankit.polyhedral import Cone, is_subfan
+from gitfankit.polyhedral import Cone, _dot, is_subfan
 
 
 def test_omega_star_inside_omega():
@@ -199,7 +199,7 @@ def test_sigma0_contains_all_block_carriers():
             for a in itertools.combinations(range(2, n + 1), size):
                 block = set(a) | {0}
                 carrier = Cone.from_generators(
-                    [wd.v[p] for p in all_pairs if set(p) <= block], wd.p.rows
+                    [wd.v[p] for p in all_pairs if set(p) <= block], len(wd.p)
                 )
                 assert s0.has_cone(carrier), a
                 assert carrier.contains(gf.nu_vector(a, n), "relative_interior")
@@ -382,7 +382,7 @@ def _full_span_delta_reference(n):
     filters the representatives.  Returns the first representative of each
     profile, in the order found."""
     wd = gr.weights(n)
-    dim = wd.p.rows
+    dim = len(wd.p)
     sign = gr.tropical_sign()
     lin = gr.lineality_image(wd)
     table = gf._gkz_table(n)
@@ -458,7 +458,7 @@ def _delta_test_points(n, rng):
     sign = gr.tropical_sign()
     lin = gr.lineality_image(wd)
     trees = gr.trivalent_trees(n)
-    dim = wd.p.rows
+    dim = len(wd.p)
     points = [(0,) * dim]
     for _ in range(25):
         tree = rng.choice(trees)
@@ -479,8 +479,8 @@ def _delta_test_points(n, rng):
 
 def _delta_contains_reference(point, wd):
     """The four-point test on the preimage that ``solve`` picks."""
-    w = solve(wd.p, QVector(list(point)))
-    return gr.trop_contains([gr.tropical_sign() * x for x in w.entries], wd.n)
+    w = solve(wd.p, point)
+    return gr.trop_contains([gr.tropical_sign() * x for x in w], wd.n)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -650,28 +650,21 @@ def test_downstream_invariance_under_permuted_gale_dual():
     perm = list(range(m))
     rng = random.Random(6)
     rng.shuffle(perm)
-    qrows = [[int(wd.q.row(r)[perm[k]]) for k in range(m)] for r in range(n)]
-    kperm = kernel_basis(QMatrix.from_rows(qrows))
+    qrows = [[row[perm[k]] for k in range(m)] for row in wd.q]
+    kperm = kernel_basis(qrows)
     # undo the permutation on columns
-    prows = [
-        [int(kperm.row(i)[perm.index(k)]) for k in range(m)]
-        for i in range(kperm.rows)
-    ]
-    alt = QMatrix.from_rows(prows)
-    assert alt.matmul(wd.q.transpose()).is_zero()
-    vcols = {
-        p: tuple(int(alt.row(r)[k]) for r in range(alt.rows))
-        for k, p in enumerate(all_pairs)
-    }
+    alt = [tuple(row[perm.index(k)] for k in range(m)) for row in kperm]
+    assert all(_dot(a, b) == 0 for a in alt for b in wd.q)
+    vcols = dict(zip(all_pairs, zip(*alt)))
 
     def alt_nu(block):
         block = sorted(block)
-        total = [0] * alt.rows
+        total = [0] * len(alt)
         for i in block:
-            for r in range(alt.rows):
+            for r in range(len(alt)):
                 total[r] += vcols[(0, i)][r]
         for j, k in itertools.combinations(block, 2):
-            for r in range(alt.rows):
+            for r in range(len(alt)):
                 total[r] += 2 * vcols[(j, k)][r]
         return tuple(total)
 
@@ -680,7 +673,7 @@ def test_downstream_invariance_under_permuted_gale_dual():
         carrier_pairs = [
             p for p in all_pairs if set(p) <= set(tb.block) | {0}
         ]
-        carrier = Cone.from_generators([vcols[p] for p in carrier_pairs], alt.rows)
+        carrier = Cone.from_generators([vcols[p] for p in carrier_pairs], len(alt))
         assert carrier.contains(alt_nu(tb.block), "relative_interior")
 
 

@@ -1,5 +1,6 @@
 """Pair combinatorics, Y-sets, witnesses, Pluecker and tropical tests."""
 
+import hashlib
 import random
 import pytest
 
@@ -35,7 +36,7 @@ from gitfankit.grassmann import (
     y_set_witness,
     yset,
 )
-from gitfankit.polyhedral import Cone
+from gitfankit.polyhedral import Cone, _dot
 
 
 def test_pair_counts():
@@ -43,7 +44,7 @@ def test_pair_counts():
     assert (len(p0), len(pn)) == (6, 3)
     p0, pn = pairs(4)
     assert len(p0) == 10
-    assert weights(4).p.rows == 6
+    assert len(weights(4).p) == 6
 
 
 def test_pairs_guard():
@@ -58,7 +59,7 @@ def test_weight_fixture_n3():
     assert wd.v[(0, 2)] == (-1, 0, -1)
     assert wd.w[(0, 2)] == (0, 1, 0)
     assert wd.w[(1, 3)] == (1, 0, 1)
-    assert wd.p.matmul(wd.q.transpose()).is_zero()
+    assert all(_dot(a, b) == 0 for a in wd.p for b in wd.q)
 
 
 def test_columns_pairwise_independent():
@@ -75,8 +76,61 @@ def test_columns_pairwise_independent():
 def test_kernel_of_p_is_rowspace_of_q():
     for n in (3, 4):
         wd = weights(n)
-        assert wd.p.matmul(wd.q.transpose()).is_zero()
+        assert all(_dot(a, b) == 0 for a in wd.p for b in wd.q)
         assert rank(wd.p) + rank(wd.q) == len(pairs(n)[0])
+
+
+# Q, its Gale dual P and the right inverse R of P (P R = D I), as integer
+# rows; n=5 by the sha256 of repr() of the row tuple
+WEIGHT_PINS = {
+    3: (
+        ((1, 0, 0, 1, 1, 0), (0, 1, 0, 1, 0, 1), (0, 0, 1, 0, 1, 1)),
+        ((-1, -1, 0, 1, 0, 0), (-1, 0, -1, 0, 1, 0), (0, -1, -1, 0, 0, 1)),
+        ((-1, -1, 1), (-1, 1, -1), (1, -1, -1), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    ),
+    4: (
+        (
+            (1, 0, 0, 0, 1, 1, 1, 0, 0, 0),
+            (0, 1, 0, 0, 1, 0, 0, 1, 1, 0),
+            (0, 0, 1, 0, 0, 1, 0, 1, 0, 1),
+            (0, 0, 0, 1, 0, 0, 1, 0, 1, 1),
+        ),
+        (
+            (-1, -1, 0, 0, 1, 0, 0, 0, 0, 0),
+            (-1, 0, -1, 0, 0, 1, 0, 0, 0, 0),
+            (-1, 0, 0, -1, 0, 0, 1, 0, 0, 0),
+            (0, -1, -1, 0, 0, 0, 0, 1, 0, 0),
+            (0, -1, 0, -1, 0, 0, 0, 0, 1, 0),
+            (0, 0, -1, -1, 0, 0, 0, 0, 0, 1),
+        ),
+        (
+            (0, 0, -2, -1, 1, 1),
+            (0, 0, 0, -1, -1, 1),
+            (0, 0, 0, -1, 1, -1),
+            (0, 0, 0, 1, -1, -1),
+            (2, 0, -2, -2, 0, 2),
+            (0, 2, -2, -2, 2, 0),
+        ) + ((0,) * 6,) * 4,
+    ),
+    5: (
+        "746e9b4e78e0e9f2b97a5a3e9dbcb44b67a90262695120c638f2fc7dacf6e697",
+        "b2f822c618c9d056b645a0d68976fb560d6c59ea7a81599682b566f41bbe52c0",
+        "cf95f8fc1b6a873a22e3b0ca9ba528d4250fa569de3c23ef6f51a7973a93e02e",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(WEIGHT_PINS))
+def test_weight_data_pinned(n):
+    from gitfankit.grassmann import _p_right_inverse
+
+    got = (weights(n).q, weights(n).p, _p_right_inverse(n))
+    for rows in got:
+        assert type(rows) is tuple
+        assert all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
+    if n == 5:
+        got = tuple(hashlib.sha256(repr(rows).encode()).hexdigest() for rows in got)
+    assert got == WEIGHT_PINS[n]
 
 
 # -- the exchange condition ---------------------------------------------------
@@ -141,15 +195,15 @@ def test_oracle_equivalence_n4_forced():
 def test_witness_single_pair():
     x, y, mode = y_set_witness(yset(3, [(0, 1)]))
     assert mode == "affine"
-    assert list(y.entries) == [1, 0, 0]
-    assert all(v == 0 for v in x.entries)
+    assert y == (1, 0, 0)
+    assert x == (0, 0, 0)
 
 
 def test_witness_affine_example():
     ys = yset(3, [(0, 2), (0, 3), (2, 3)])
     x, y, mode = y_set_witness(ys)
     assert mode == "affine"
-    assert list(y.entries) == [0, 1, 1]
+    assert y == (0, 1, 1)
     u, v = witness_vectors(x, y, mode)
     assert wedge_support(u, v) == ys
 
@@ -295,7 +349,7 @@ def test_delta_preimage_invariance():
             w0 = [rng.randint(-3, 3) for _ in order]
             coeffs = [rng.randint(-3, 3) for _ in range(n)]
             shift = [
-                sum(coeffs[r] * int(wd.q.row(r)[k]) for r in range(n))
+                sum(coeffs[r] * wd.q[r][k] for r in range(n))
                 for k in range(len(order))
             ]
             w1 = [a + b for a, b in zip(w0, shift)]
@@ -322,7 +376,7 @@ def test_relint_criterion_n4():
     all_pairs = pairs(4)[0]
     for mask in range(1 << len(all_pairs)):
         members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
-        sigma = Cone.from_generators([wd.v[p] for p in members], wd.p.rows)
+        sigma = Cone.from_generators([wd.v[p] for p in members], len(wd.p))
         complement = YSet(4, frozenset(all_pairs) - frozenset(members))
         assert delta_meets_relint(sigma, wd) == is_y_set(complement), members
 
@@ -336,7 +390,7 @@ def test_opposite_tropical_sign_fails_at_n4():
     all_pairs = pairs(4)[0]
     for mask in range(1 << len(all_pairs)):
         members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
-        sigma = Cone.from_generators([wd.v[p] for p in members], wd.p.rows)
+        sigma = Cone.from_generators([wd.v[p] for p in members], len(wd.p))
         complement = YSet(4, frozenset(all_pairs) - frozenset(members))
         if _relint_meets_delta(sigma, 4, -tropical_sign()) != is_y_set(complement):
             return

@@ -12,7 +12,6 @@ from gitfankit.polyhedral import (
     Fan,
     FanAxiomViolation,
     arrangement_leaves,
-    dual_description,
     fan_from_maximal,
     is_subfan,
     iterated_stellar,
@@ -35,9 +34,9 @@ def orthant_fan(d):
 
 
 def test_dual_description_orthant2():
-    facets, span = dual_description([(1, 0), (0, 1)], 2)
-    assert facets == ((0, 1), (1, 0))
-    assert span == ()
+    c = cone((1, 0), (0, 1))
+    assert c.facets == ((0, 1), (1, 0))
+    assert c.span_eqs == ()
 
 
 def test_dual_description_halfplane():
@@ -51,22 +50,21 @@ def test_simplicial_facets_against_inverse_oracle():
     """For a full-dimensional simplicial cone the facet normals are the rows
     of the inverse of the generator matrix, up to positive scaling: an
     independent check of the conversion engine."""
-    from gitfankit.exact_linalg import QMatrix, QVector, primitive_vector, rank, solve
+    from gitfankit.exact_linalg import primitive_vector, rank, solve
 
     rng = random.Random(23)
     produced = 0
     while produced < 40:
         dim = rng.randint(2, 5)
         gens = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(dim)]
-        mat_t = QMatrix.from_rows(gens)  # generators as rows = M transposed
-        if rank(mat_t) != dim:
+        # generators as rows = M transposed
+        if rank(gens) != dim:
             continue
         inv_rows = []
         for i in range(dim):
-            e = QVector([1 if j == i else 0 for j in range(dim)])
-            y = solve(mat_t, e)
+            y = solve(gens, [1 if j == i else 0 for j in range(dim)])
             assert y is not None
-            inv_rows.append(primitive_vector(y.entries))
+            inv_rows.append(primitive_vector(y))
         c = Cone.from_generators(gens, dim)
         produced += 1
         assert set(c.facets) == set(inv_rows)
