@@ -201,6 +201,8 @@ def cmd_verify(args) -> int:
     for claim in claims:
         lo, hi = gr.GUARDS[claim]
         if args.claim == "all" and (n < lo or (n > hi and not args.force)):
+            lift = "; --force lifts the maximum" if n > hi else ""
+            print(f"{claim}: skipped (n={n} outside {lo}..{hi}{lift})")
             continue
         if not _guard_check(claim, f"verify {claim}", n, args.force):
             return EXIT_USAGE

@@ -13,13 +13,27 @@ Faces need no conversion: they are read from facet-ray incidence bitmasks.
 Neither does stellar subdivision: its pieces are simplicial cones built from
 the dual basis of their rays, and each subdivided star is certified locally
 instead of re-checking every pair of cones of the fan.
+
+A pair of cones in ``fan_from_maximal`` is decided from P = c1 ∩ c2, built
+by double description that starts from c1's own rays and lineality, with
+c1's facet-ray incidences as the tight sets, and inserts only c2's span
+equations and facets.  This is exact: the incidences of an irredundant
+H-description are the true tight sets, so the combinatorial adjacency test
+holds from the first insertion, and every insertion keeps them exact (a new
+ray's tight set is its two parents' common one plus the new constraint, and
+an old ray moved onto the new hyperplane along a lineality vector keeps its
+own plus the new one).  A facet of c_i
+vanishes on P iff it is in the tight set of every ray of P (P's lineality
+lies in both cones' lineality, where every facet vanishes), and the
+smallest face F_i of c_i holding P is cut by those facets.  P lies in F_i,
+so P = F_i, i.e. P is a face of c_i, iff F_i lies in the other cone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Container, Iterable, Optional, Sequence
 
 from .exact_linalg import _primitive, _rref, kernel_basis
@@ -65,6 +79,23 @@ class _DDState:
         self.rays: list[IVec] = []
         self.tights: list[frozenset[int]] = []
         self.ninserted = 0
+
+    @classmethod
+    def of_cone(cls, cone: "Cone") -> "_DDState":
+        """State of a cone read off its own V-description, facet j standing
+        as inserted constraint j: a ray's tight set is the facets vanishing
+        on it.  These incidences are exact and the facets cut out the cone,
+        so the combinatorial adjacency test holds for later insertions."""
+        st = cls.__new__(cls)
+        st.dim = cone.ambient
+        st.lin = list(cone.lineality)
+        st.rays = list(cone.rays)
+        st.tights = [
+            frozenset(j for j, z in enumerate(cone._zero_masks) if z >> i & 1)
+            for i in range(len(cone.rays))
+        ]
+        st.ninserted = len(cone.facets)
+        return st
 
     def copy(self) -> "_DDState":
         st = _DDState.__new__(_DDState)
@@ -357,33 +388,33 @@ class Cone:
     def faces(self, known: Container[tuple[IVec, ...]] = ()) -> list["Cone"]:
         """All faces, from the minimal face (zero when pointed) up to the cone,
         except those whose ray tuple is in ``known``."""
-        zeros = self._zero_masks()
         found = []
-        for m in _face_masks(len(self.rays), zeros):
+        for m in _face_masks(len(self.rays), self._zero_masks):
             if tuple(r for i, r in enumerate(self.rays) if m >> i & 1) not in known:
-                found.append(self._face(m, zeros))
+                found.append(self._face(m))
         return sorted(found, key=lambda c: (c.dim, c.rays, c.lineality))
 
-    def _zero_masks(self) -> list[int]:
+    @cached_property
+    def _zero_masks(self) -> tuple[int, ...]:
         """Per facet normal, the bitmask of the rays it vanishes on."""
-        return [
+        return tuple(
             sum(1 << i for i, r in enumerate(self.rays) if _dot(a, r) == 0)
             for a in self.facets
-        ]
+        )
 
-    def _carrier_mask(self, point: Sequence[int], zeros: Sequence[int]) -> int:
+    def _carrier_mask(self, point: Sequence[int]) -> int:
         """Ray mask of the smallest face holding a point of this cone: the
         AND of the zero masks of the facets tight at the point.  In a
         simplicial cone these are the rays on which the point has a positive
         coordinate, since the facet opposite ray r is the only one positive
         on r."""
         mask = (1 << len(self.rays)) - 1
-        for a, z in zip(self.facets, zeros):
+        for a, z in zip(self.facets, self._zero_masks):
             if _dot(a, point) == 0:
                 mask &= z
         return mask
 
-    def _face(self, mask: int, zeros: Sequence[int]) -> "Cone":
+    def _face(self, mask: int) -> "Cone":
         """The face whose rays are the rays in ``mask``, in canonical form.
 
         It keeps this cone's lineality; its span equations add the normals
@@ -393,6 +424,7 @@ class Cone:
         """
         if mask == (1 << len(self.rays)) - 1:
             return self
+        zeros = self._zero_masks
         rays = tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
         tight = tuple(a for a, z in zip(self.facets, zeros) if mask & z == mask)
         span_eqs = _canonical_subspace_basis(self.span_eqs + tight)
@@ -454,39 +486,51 @@ def _cone_from_ineqs(
 # ---------------------------------------------------------------------------
 
 
-def _common_face_via(c1: Cone, c2: Cone, u: IVec) -> bool:
-    """Check that u certifies c1 and c2 meeting in a common face."""
-    gens1 = c1.generators()
-    gens2 = c2.generators()
-    if any(_dot(u, g) < 0 for g in gens1):
-        return False
-    if any(_dot(u, g) > 0 for g in gens2):
-        return False
-    tight1 = [g for g in gens1 if _dot(u, g) == 0]
-    tight2 = [g for g in gens2 if _dot(u, g) == 0]
-    return all(c2.contains(g) for g in tight1) and all(c1.contains(g) for g in tight2)
-
-
 # verdicts of the pair check, oldest first; bounded like the cone caches
 _PAIR_CACHE: dict[tuple, bool] = {}
 _PAIR_CACHE_MAX = 200_000
 
 
 def _pair_has_common_face(c1: Cone, c2: Cone) -> bool:
-    """Whether c1 and c2 meet in a common face, decided by one certificate:
-    the relative interior of {u : u >= 0 on c1, u <= 0 on c2}."""
+    """Whether c1 and c2 meet in a common face, read off P = c1 ∩ c2.
+
+    P is built by double description from c1's own rays, lineality and
+    facet incidences, cutting only by c2's span equations and facets.  The
+    smallest face of c_i holding P is cut by the facets of c_i tight on all
+    of P; P is a face of c_i iff that face lies in the other cone.
+    """
     cache_key = tuple(sorted((c1._key(), c2._key())))
     hit = _PAIR_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    constraints = list(c1.generators()) + [_neg(g) for g in c2.generators()]
-    _, rays = _dd(c1.ambient, constraints)
-    u = tuple(sum(col) for col in zip(*rays)) if rays else tuple(0 for _ in range(c1.ambient))
-    result = _common_face_via(c1, c2, u)
+    st = _DDState.of_cone(c1)
+    for e in c2.span_eqs:
+        st.insert_equation(e)
+    first = st.ninserted
+    for a in c2.facets:
+        st.insert(a)
+    # P's lineality lies in both cones' lineality: every facet vanishes on it
+    tight = frozenset(range(st.ninserted)).intersection(*st.tights)
+    n1 = len(c1.facets)
+    result = _face_lies_in(c1, [j for j in tight if j < n1], c2) and _face_lies_in(
+        c2, [j - first for j in tight if j >= first], c1
+    )
     if len(_PAIR_CACHE) >= _PAIR_CACHE_MAX:
         del _PAIR_CACHE[next(iter(_PAIR_CACHE))]
     _PAIR_CACHE[cache_key] = result
     return result
+
+
+def _face_lies_in(cone: Cone, facets: Iterable[int], other: Cone) -> bool:
+    """Whether the face of ``cone`` cut by the facets with the given indices
+    (its rays in the AND of their zero masks, and its lineality) lies in
+    ``other``."""
+    mask = (1 << len(cone.rays)) - 1
+    for j in facets:
+        mask &= cone._zero_masks[j]
+    return all(
+        other.contains(r) for i, r in enumerate(cone.rays) if mask >> i & 1
+    ) and all(other.contains(l) and other.contains(_neg(l)) for l in cone.lineality)
 
 
 @dataclass(frozen=True)
@@ -537,8 +581,7 @@ class Fan:
         for c in self.maximal:
             if not c.contains(point):
                 continue
-            zeros = c._zero_masks()
-            face = c._face(c._carrier_mask(point, zeros), zeros)
+            face = c._face(c._carrier_mask(point))
             if best is None or face.dim < best.dim:
                 best = face
         if best is not None and not best.contains(point, "relative_interior"):
@@ -648,7 +691,7 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
     holder = next((c for c, h in zip(fan.maximal, holds) if h), None)
     if holder is None:
         raise ValueError("ray lies outside the support of the fan")
-    mask = holder._carrier_mask(nu, holder._zero_masks())
+    mask = holder._carrier_mask(nu)
     carrier_rays = [r for i, r in enumerate(holder.rays) if mask >> i & 1]
     in_star = [set(carrier_rays) <= set(c.rays) for c in fan.maximal]
     if holds != in_star:

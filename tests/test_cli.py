@@ -321,6 +321,30 @@ def test_verify_all_skips_claims_outside_domain(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_verify_all_names_skipped_claims(monkeypatch, capsys):
+    def fake_claim(claim, n, seed, force, jobs=1):
+        return {"claim": claim, "n": n, "result": True}
+
+    monkeypatch.setattr(cli, "_run_claim", fake_claim)
+    code, out, _ = run(["verify", "all", "-n", "2"], capsys)
+    assert code == 0
+    lines = [l for l in out.splitlines() if "skipped" in l]
+    assert lines == [
+        "star-subfan: skipped (n=2 outside 3..5)",
+        "delta-subfan: skipped (n=2 outside 3..4)",
+        "rays: skipped (n=2 outside 3..4)",
+        "nu-equality: skipped (n=2 outside 3..5)",
+    ]
+    code, out, _ = run(["verify", "all", "-n", "5"], capsys)
+    assert code == 0
+    lines = [l for l in out.splitlines() if "skipped" in l]
+    assert lines == [
+        "delta-subfan: skipped (n=5 outside 3..4; --force lifts the maximum)",
+        "rays: skipped (n=5 outside 3..4; --force lifts the maximum)",
+    ]
+    assert len(out.splitlines()) == 7
+
+
 def test_cli_import_leaves_numpy_out():
     src = str(Path(gitfankit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,11 +1,13 @@
 """Cones, fans, stellar subdivision, arrangement sweeps."""
 
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gitfankit import gitfan as gf
 from gitfankit import polyhedral
 from gitfankit.polyhedral import (
     Cone,
@@ -211,6 +213,21 @@ def test_fan_prunes_faces():
     assert f.maximal == (big,)
 
 
+def common_face_reference(c1, c2):
+    """The fan axiom by definition: the intersection is a face of both."""
+    m = c1.intersect(c2)
+    return m.is_face_of(c1) and m.is_face_of(c2)
+
+
+def pair_verdicts(c1, c2):
+    """The pair check in both argument orders, each computed afresh."""
+    verdicts = []
+    for a, b in ((c1, c2), (c2, c1)):
+        polyhedral._PAIR_CACHE.clear()
+        verdicts.append(polyhedral._pair_has_common_face(a, b))
+    return verdicts
+
+
 def test_pair_check_matches_intersection_reference(monkeypatch):
     """The pair certificate against the definition: c1 and c2 meet in a
     common face iff their intersection is a face of both."""
@@ -237,14 +254,99 @@ def test_pair_check_matches_intersection_reference(monkeypatch):
             c2 = Cone.from_generators(rng.sample(gens, rng.randint(1, len(gens))) + [vec(dim)], dim)
         else:
             c2 = random_cone(dim)
-        m = c1.intersect(c2)
         verdict = polyhedral._pair_has_common_face(c1, c2)
-        assert verdict == (m.is_face_of(c1) and m.is_face_of(c2)), (c1, c2)
+        assert verdict == common_face_reference(c1, c2), (c1, c2)
         verdicts.append(verdict)
         lineality += bool(c1.lineality or c2.lineality)
         lower += c1.dim < dim or c2.dim < dim
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
     assert lineality >= 50 and lower >= 50
+
+
+def test_pair_check_adversarial_cases(monkeypatch):
+    monkeypatch.setattr(polyhedral, "_PAIR_CACHE", {})
+    cases = []
+    for d in (2, 3, 4):
+        eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        # meet in {0}: no facet normal of either orthant alone separates them
+        cases.append((cone(*eye), cone(*[tuple(-x for x in e) for e in eye]), True))
+    orthant = cone((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    cases += [
+        # full-dimensional simplicial cones overlapping in a non-face
+        (cone((1, 0), (1, 2)), cone((1, 1), (0, 1)), False),
+        (orthant, cone((1, 1, 0), (0, 1, 1), (-1, 0, 1)), False),
+        # a face, and a subcone that is not a face
+        (orthant, cone((1, 0, 0), (0, 1, 0), dim=3), True),
+        (orthant, cone((1, 1, 0), (0, 0, 1)), False),
+        (orthant, orthant, True),
+        # {0} is a face of a pointed cone, not of one with lineality
+        (Cone.from_generators([], 3), orthant, True),
+        (Cone.from_generators([], 3), cone((1, 0, 0), (-1, 0, 0), (0, 1, 0)), False),
+        # half-spaces sharing their boundary hyperplane, and one holding the orthant
+        (
+            cone((1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+            cone((-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+            True,
+        ),
+        (cone((1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)), orthant, False),
+        # lower-dimensional cones in different spans crossing in their relints
+        (cone((1, 0, 0), (0, 1, 0)), cone((1, 1, 1), (1, 1, -1)), False),
+        (cone((1, 0, 0), (-1, 0, 0)), cone((0, 1, 0), (0, -1, 0)), False),
+        (cone((1, 0, 0), (0, 1, 0)), cone((0, 0, 1), (1, 1, 1)), True),
+    ]
+    for c1, c2, expected in cases:
+        assert common_face_reference(c1, c2) == expected, (c1, c2)
+        assert pair_verdicts(c1, c2) == [expected, expected], (c1, c2)
+
+
+def test_pair_check_matches_reference_on_fans(monkeypatch):
+    monkeypatch.setattr(polyhedral, "_PAIR_CACHE", {})
+    git_pairs = list(itertools.combinations(gf.git_fan(4).cones().values(), 2))
+    assert len(git_pairs) == 3655
+    for c1, c2 in git_pairs:
+        assert pair_verdicts(c1, c2) == [True, True], (c1, c2)
+    from gitfankit.semilattice import random_simplicial_fan
+
+    # faces of different fans subdividing one orthant overlap in all ways
+    pool = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        faces = list(random_simplicial_fan(rng, 3, 7).cones().values())
+        pool += rng.sample(faces, min(10, len(faces)))
+    verdicts = []
+    for c1, c2 in itertools.combinations(pool, 2):
+        expected = common_face_reference(c1, c2)
+        assert pair_verdicts(c1, c2) == [expected, expected], (c1, c2)
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_pair_check_runs_no_dd_conversion(monkeypatch):
+    fan = gf.git_fan(4)
+
+    def no_dd(*args, **kwargs):
+        raise AssertionError("double description conversion in the pair check")
+
+    monkeypatch.setattr(polyhedral, "_dd", no_dd)
+    monkeypatch.setattr(polyhedral, "_PAIR_CACHE", {})
+    assert fan_from_maximal(fan.maximal) == fan
+    assert len(polyhedral._PAIR_CACHE) == 66
+
+
+def test_fan_from_maximal_rejects_overlapping_chamber():
+    chambers = list(gf.git_fan(4).maximal)
+    c = chambers.pop(0)
+    # a neighbour across a common facet, and a point just past that facet
+    d = next(d for d in chambers if len(set(c.rays) & set(d.rays)) == 3)
+    shared = set(c.rays) & set(d.rays)
+    apex = next(r for r in d.rays if r not in shared)
+    x = tuple(3 * sum(v) + a for v, a in zip(zip(*shared), apex))
+    assert d.contains(x, "relative_interior")
+    grown = Cone.from_generators(c.rays + (x,), 4)
+    assert not any(grown.contains_cone(e) for e in chambers)
+    with pytest.raises(FanAxiomViolation, match="pairwise intersection") as exc:
+        fan_from_maximal([grown] + chambers)
+    assert exc.value.offending == (grown, d)
 
 
 # -- stellar subdivision ------------------------------------------------------
