@@ -10,6 +10,7 @@ timings are printed to the console only, never written into reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -75,7 +76,7 @@ def _emit(payload: dict, args) -> None:
         except OSError as err:
             raise UsageError(f"cannot write {args.output}: {err.strerror}") from None
     elif args.format == "json":
-        sys.stdout.write(text)
+        args.payload_stream.write(text)
 
 
 def fan_payload(fan: Fan, n: int) -> dict:
@@ -348,6 +349,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.jobs = _jobs_from_env(args.jobs)
         if args.output:
             _check_output_path(args.output)
+        args.payload_stream = sys.stdout
+        if args.format == "json" and not args.output:
+            # stdout carries the payload alone; summary lines go to stderr
+            with contextlib.redirect_stdout(sys.stderr):
+                return args.func(args)
         return args.func(args)
     except UsageError as err:
         print(err, file=sys.stderr)

@@ -10,9 +10,9 @@ The conversion engine is a double description method over plain Python
 integers with the combinatorial adjacency test, run in both directions
 (generators -> facets via the dual cone, facets -> generators directly).
 Faces need no conversion: they are read from facet-ray incidence bitmasks.
-Neither does stellar subdivision: its pieces are simplicial cones built from
-the dual basis of their rays, and each subdivided star is certified locally
-instead of re-checking every pair of cones of the fan.
+Neither does stellar subdivision: the facets of its simplicial pieces are
+combinations of the star cone's facets, and each subdivided star is certified
+locally instead of re-checking every pair of cones of the fan.
 
 A pair of cones in ``fan_from_maximal`` is decided from P = c1 ∩ c2, built
 by double description that starts from c1's own rays and lineality, with
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Container, Iterable, Optional, Sequence
 
-from .exact_linalg import _primitive, _rref, kernel_basis
+from .exact_linalg import _primitive, _rref
 
 IVec = tuple[int, ...]
 
@@ -275,39 +275,6 @@ class Cone:
         )
         return _cone_from_ineqs(cleaned_ineqs, cleaned_eqs, ambient)
 
-    @staticmethod
-    def simplicial(rays: Iterable[Sequence[int]], ambient: int) -> "Cone":
-        """The cone over linearly independent rays, equal to
-        ``from_generators`` but without double description.
-
-        Within the span the facet normals are the dual basis: one integer
-        RREF of the Gram matrix augmented by the identity gives row i as
-        d_i (e_i | row i of the inverse), d_i > 0, and the normal of the
-        facet opposite ray i is that inverse row applied to the rays.  The
-        span equations are the kernel of the rays.  Dependent (or zero or
-        repeated) rays raise ``ValueError``.
-        """
-        gens = tuple(sorted(_primitive([int(x) for x in r]) for r in rays))
-        if any(len(g) != ambient for g in gens):
-            raise ValueError("generator has wrong dimension")
-        k = len(gens)
-        gram = [
-            [_dot(a, b) for b in gens] + [int(i == j) for j in range(k)]
-            for i, a in enumerate(gens)
-        ]
-        inverse, pivots = _rref(gram)
-        if pivots != list(range(k)):
-            raise ValueError("rays are linearly dependent")
-        facets = tuple(
-            sorted(
-                _primitive([_dot(row[k:], col) for col in zip(*gens)])
-                for row in inverse
-            )
-        )
-        # a zero row stands in for no rays: its kernel is the whole space
-        span_eqs = _canonical_subspace_basis(kernel_basis(gens or [(0,) * ambient]))
-        return Cone(ambient, gens, (), facets, span_eqs)
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -366,24 +333,18 @@ class Cone:
         )
 
     def is_face_of(self, other: "Cone") -> bool:
-        """Exact test that self is a face of other."""
+        """Exact test that self is a face of other: self lies in other, and
+        so does the smallest face of other holding self, cut by the facets
+        of other tight on all of self."""
         if self.ambient != other.ambient:
             return False
         gens = self.generators()
         if not all(other.contains(g) for g in gens):
             return False
-        tight = [a for a in other.facets if all(_dot(a, g) == 0 for g in gens)]
-        # smallest face of other containing self, by generators
-        face_rays = [
-            r for r in other.rays if all(_dot(a, r) == 0 for a in tight)
+        tight = [
+            j for j, a in enumerate(other.facets) if all(_dot(a, g) == 0 for g in gens)
         ]
-        for v in face_rays:
-            if not self.contains(v):
-                return False
-        for l in other.lineality:
-            if not (self.contains(l) and self.contains(_neg(l))):
-                return False
-        return True
+        return _face_lies_in(other, tight, self)
 
     def faces(self, known: Container[tuple[IVec, ...]] = ()) -> list["Cone"]:
         """All faces, from the minimal face (zero when pointed) up to the cone,
@@ -669,7 +630,7 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
 
     - the cones holding nu are exactly the cones whose rays contain tau
       (else ``FanAxiomViolation``);
-    - every piece has independent rays (``Cone.simplicial``);
+    - every piece is simplicial, by construction (below);
     - the pieces of each star cone tile it (``_check_star_tiling``).
 
     That suffices for the result to be a fan.  Cones outside the star do not
@@ -681,6 +642,16 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
     H = c ∩ c', which contains tau; the pieces of c restricted to H are the
     pieces of H, and those are fixed by ray sets, so c' induces the same ones
     and the two pieces meet in a common piece face.
+
+    Each piece is built from its star cone c, with no conversion.  c is
+    simplicial and pointed, so each of its facets misses exactly one ray:
+    n_r, the facet opposite r.  The piece without t keeps n_t opposite nu;
+    its facet opposite s is the primitive (n_t.nu) n_s - (n_s.nu) n_t, which
+    vanishes on nu and on every other ray but s, and equals n_s for s
+    outside tau (n_s.nu = 0).  Its span equations are c's and it is pointed.
+    n_t.nu > 0 for every t in tau, since that is how tau is read off the
+    facets, so nu is off the span of the other rays and every piece is
+    simplicial.
     """
     if not fan.is_simplicial:
         raise ValueError("stellar subdivision requires a simplicial fan")
@@ -702,14 +673,28 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
             ),
         )
     new_max: list[Cone] = []
-    for c, s in zip(fan.maximal, in_star):
-        if not s:
+    for c, star in zip(fan.maximal, in_star):
+        if not star:
             new_max.append(c)
             continue
-        pieces = [
-            Cone.simplicial([r for r in c.rays if r != t] + [nu], fan.ambient)
-            for t in carrier_rays
-        ]
+        full = (1 << len(c.rays)) - 1
+        opposite = {
+            c.rays[(full ^ z).bit_length() - 1]: a
+            for a, z in zip(c.facets, c._zero_masks)
+        }
+        pieces = []
+        for t in carrier_rays:
+            n_t = opposite[t]
+            d = _dot(n_t, nu)
+            facets = [n_t] + [
+                _combine(d, n_s, -_dot(n_s, nu), n_t)
+                for s, n_s in opposite.items()
+                if s != t
+            ]
+            rays = tuple(sorted([r for r in c.rays if r != t] + [nu]))
+            pieces.append(
+                Cone(fan.ambient, rays, (), tuple(sorted(facets)), c.span_eqs)
+            )
         _check_star_tiling(c, pieces)
         new_max.extend(pieces)
     return Fan(fan.ambient, tuple(sorted(new_max, key=_fan_order)))

@@ -63,6 +63,17 @@ def test_fan_sigmar_n5_payload_pinned(tmp_path, capsys):
     )
 
 
+def test_poset_sigmar_n4_payload_pinned(tmp_path, capsys):
+    # element labels carry every face's facets and span equations, which the
+    # stellar pieces derive from their star cones' facets
+    out = tmp_path / "poset_sigmar4.json"
+    assert main(["poset", "sigmar", "-n", "4", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f1699a9c5b33f268b37053867355a4ce37bdbfc7a5bd1e73a9311985b90e3203"
+    )
+
+
 def test_fan_delta_guard(capsys):
     code, _, err = run(["fan", "delta", "-n", "5"], capsys)
     assert code == 2
@@ -343,6 +354,28 @@ def test_verify_all_names_skipped_claims(monkeypatch, capsys):
         "rays: skipped (n=5 outside 3..4; --force lifts the maximum)",
     ]
     assert len(out.splitlines()) == 7
+
+
+@pytest.mark.parametrize("args", [
+    ["ysets", "-n", "3", "--oracle"],
+    ["fan", "gitfan", "-n", "3"],
+    ["poset", "gitfan", "-n", "3"],
+    ["verify", "walls", "-n", "3"],
+    ["centers", "-n", "3", "-A", "2,3"],
+    ["verify", "all", "-n", "5"],
+])
+def test_json_format_stdout_is_the_payload(args, monkeypatch, capsys):
+    def fake_claim(claim, n, seed, force, jobs=1):
+        return {"claim": claim, "n": n, "result": True}
+
+    if args[:2] == ["verify", "all"]:
+        monkeypatch.setattr(cli, "_run_claim", fake_claim)
+    code, out, err = run(args + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == int(args[args.index("-n") + 1])
+    # the summary lines are still shown, on stderr
+    assert err.strip()
 
 
 def test_cli_import_leaves_numpy_out():

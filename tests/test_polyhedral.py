@@ -321,6 +321,33 @@ def test_pair_check_matches_reference_on_fans(monkeypatch):
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
 
 
+def test_is_face_of_matches_face_enumeration():
+    git_cones = list(gf.git_fan(4).cones().values())
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    m1, m2, m3 = (-1, 0, 0), (0, -1, 0), (0, 0, -1)
+    extras = [
+        cone(e1, m1),  # a line
+        cone(e1, m1, e2),  # a half-plane
+        cone(e1, m1, e2, e3),  # a half-plane times a ray
+        cone(e1, m1, e2, m2, e3, m3),  # the whole space
+        Cone.from_generators([], 3),  # the zero cone
+        cone(e1, e2, e3),
+        cone(e1, e2),
+        cone(e1),
+        cone(e2),
+        cone((1, 0), (0, 1)),  # another ambient dimension
+        Cone.from_generators([], 2),
+    ]
+    verdicts = []
+    for pool in (git_cones, extras):
+        keys = {d._key(): {f._key() for f in d.faces()} for d in pool}
+        for c, d in itertools.product(pool, repeat=2):
+            expected = c._key() in keys[d._key()]
+            assert c.is_face_of(d) == expected, (c, d)
+            verdicts.append(expected)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
 def test_pair_check_runs_no_dd_conversion(monkeypatch):
     fan = gf.git_fan(4)
 
@@ -710,7 +737,7 @@ def keep_random_faces(rng, fan):
 
 
 def star_pieces(c, tau, nu):
-    return [Cone.simplicial([r for r in c.rays if r != t] + [nu], c.ambient) for t in tau]
+    return [Cone.from_generators([r for r in c.rays if r != t] + [nu], c.ambient) for t in tau]
 
 
 def test_stellar_matches_pairwise_reference():
@@ -745,35 +772,11 @@ def test_sigma_r_steps_match_pairwise_reference():
         for tb in gf.nu_order(n):
             fan = stellar_subdivide(fan, gf.nu_ray(tb))
             assert fan_from_maximal(list(fan.maximal)).maximal == fan.maximal
+            for c in fan.maximal:
+                # pieces carry facets derived from the star cone's: each field
+                # must equal the double-description canonical form
+                assert c == Cone.from_generators(c.rays, fan.ambient)
         assert fan == gf.sigma_r(n)
-
-
-def test_simplicial_constructor_matches_dd():
-    from gitfankit.exact_linalg import _bareiss_rank
-
-    rng = random.Random(53)
-    lower = full = 0
-    while lower < 40 or full < 20:
-        ambient = rng.randint(1, 5)
-        k = rng.randint(0, ambient)
-        rays = [tuple(rng.randint(-3, 3) for _ in range(ambient)) for _ in range(k)]
-        if _bareiss_rank(rays) < k:
-            continue
-        lower += k < ambient
-        full += k == ambient
-        rays = [tuple(rng.randint(1, 3) * x for x in r) for r in rays]
-        assert Cone.simplicial(rays, ambient) == Cone.from_generators(rays, ambient)
-
-
-@pytest.mark.parametrize("rays", [
-    [(1, 0, 0), (2, 0, 0)],
-    [(1, 0, 0), (1, 0, 0)],
-    [(1, 0, 0), (0, 0, 0)],
-    [(1, 1, 0), (1, 0, 0), (0, 1, 0)],
-])
-def test_simplicial_constructor_rejects_dependent_rays(rays):
-    with pytest.raises(ValueError):
-        Cone.simplicial(rays, 3)
 
 
 @pytest.mark.parametrize("nu", [(1, 1, 1), (1, 2, 0), (3, 0, 0)])
