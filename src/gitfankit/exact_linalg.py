@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -23,6 +24,11 @@ def _cleared(v: Iterable) -> list[int]:
     fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     den = math.lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    """Dot product of two integer vectors."""
+    return sum(map(mul, a, b))
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -146,6 +152,6 @@ def gale_dual(q: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     if rank(q) != len(q):
         raise ValueError("weight matrix is rank deficient")
     p = kernel_basis(q)
-    if any(sum(x * y for x, y in zip(a, b)) for a in p for b in q):
+    if any(_dot(a, b) for a in p for b in q):
         raise AssertionError("Gale dual failed the P Q^t = 0 check")
     return p

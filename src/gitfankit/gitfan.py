@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import grassmann as gr
-from .exact_linalg import primitive_vector, rank, solve
+from .exact_linalg import _dot, kernel_basis, primitive_vector, rank, solve
 from .grassmann import Pair, TwoBlock, check_guard
 from .polyhedral import (
     Cone,
     Fan,
-    _dot,
+    _canonical_subspace_basis,
     fan_from_maximal,
     is_subfan,
     stellar_subdivide,
@@ -401,28 +400,53 @@ def _sigma_r_with_order(base: Fan, order: Sequence[TwoBlock]) -> Fan:
 
 @lru_cache(maxsize=None)
 def _gkz_pool(n: int) -> tuple[Cone, ...]:
+    """The distinct column cones cone(v_p; p in J) whose complement J^c is a
+    Y-set.
+
+    These are the column cones whose relative interior meets Delta (the
+    relint criterion: calibrated at n = 3 by ``tropical_sign``, tested for
+    every column subset at n = 3, 4), so for a point of Delta they are all
+    the column cones holding it in their relative interior.
+    """
     wd = gr.weights(n)
     all_pairs, _ = gr.pairs(n)
     dim = len(wd.p)
     seen = {}
-    for r in range(len(all_pairs) + 1):
-        for combo in itertools.combinations(all_pairs, r):
-            c = Cone.from_generators([wd.v[p] for p in combo], dim)
-            seen.setdefault((c.facets, c.span_eqs), c)
+    for ymask in gr.y_set_masks(n):
+        cols = [wd.v[p] for k, p in enumerate(all_pairs) if not ymask >> k & 1]
+        c = Cone.from_generators(cols, dim)
+        seen.setdefault((c.facets, c.span_eqs), c)
     return tuple(seen.values())
+
+
+@lru_cache(maxsize=None)
+def _column_spans(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The canonical span equations of every column subset, each distinct
+    span once, sorted: the kernel of the columns in canonical RREF form,
+    as ``Cone.span_eqs`` gives it (a zero row stands in for no columns)."""
+    wd = gr.weights(n)
+    cols = [wd.v[p] for p in gr.pairs(n)[0]]
+    zero = (0,) * len(wd.p)
+    spans = set()
+    for mask in range(1 << len(cols)):
+        rows = [c for k, c in enumerate(cols) if mask >> k & 1] or [zero]
+        spans.add(_canonical_subspace_basis(kernel_basis(rows)))
+    return tuple(sorted(spans))
 
 
 @dataclass(frozen=True)
 class _GkzTable:
-    """The pool's span equations and facet normals, each listed once.
+    """The column spans and the pool's facet normals, each listed once.
 
-    ``eqs`` pairs the i-th distinct span equation with the bit 1 << i, so a
-    pool cone's span is the bitmask ``span_masks[k]`` over them; its facets
-    are the indices ``facet_ids[k]`` into ``normals``.
+    ``eqs`` pairs the i-th distinct span equation of ``_column_spans`` with
+    the bit 1 << i, so a span is a bitmask over them: ``span_masks`` lists
+    every column span's, and pool cone k has the span mask ``pool_spans[k]``
+    and the facets ``facet_ids[k]``, indices into ``normals``.
     """
 
     eqs: tuple[tuple[tuple[int, ...], int], ...]
     span_masks: tuple[int, ...]
+    pool_spans: tuple[int, ...]
     normals: tuple[tuple[int, ...], ...]
     facet_ids: tuple[tuple[int, ...], ...]
 
@@ -430,11 +454,13 @@ class _GkzTable:
 @lru_cache(maxsize=None)
 def _gkz_table(n: int) -> _GkzTable:
     pool = _gkz_pool(n)
-    eq_bit = {e: 1 << i for i, e in enumerate(sorted({e for c in pool for e in c.span_eqs}))}
+    spans = _column_spans(n)
+    eq_bit = {e: 1 << i for i, e in enumerate(sorted({e for span in spans for e in span}))}
     normals = sorted({a for c in pool for a in c.facets})
     normal_id = {a: i for i, a in enumerate(normals)}
     return _GkzTable(
         tuple(eq_bit.items()),
+        tuple(sum(eq_bit[e] for e in span) for span in spans),
         tuple(sum(eq_bit[e] for e in c.span_eqs) for c in pool),
         tuple(normals),
         tuple(tuple(normal_id[a] for a in c.facets) for c in pool),
@@ -445,7 +471,7 @@ def _zero_mask(eqs: Iterable[tuple[Sequence[int], int]], x: Sequence[int]) -> in
     """OR of the masks of the equations that vanish at x."""
     zero = 0
     for e, mask in eqs:
-        if not sum(map(operator.mul, e, x)):
+        if not _dot(e, x):
             zero |= mask
     return zero
 
@@ -460,7 +486,7 @@ def _gkz_profile(pt: Sequence[int], n: int) -> frozenset[int]:
     zero = _zero_mask(table.eqs, pt)
     positive: dict[int, bool] = {}
     profile = []
-    for i, (mask, fids) in enumerate(zip(table.span_masks, table.facet_ids)):
+    for i, (mask, fids) in enumerate(zip(table.pool_spans, table.facet_ids)):
         if mask & ~zero:
             continue
         for f in fids:
@@ -488,10 +514,16 @@ def _profile_cone(profile: Iterable[int], pt: Sequence[int], n: int) -> Cone:
 
 
 def gkz_cone(v: Sequence, n: int, force: bool = False) -> Cone:
-    """GKZ cone of a point: intersection of all column-spanned cones whose
-    relative interior contains it."""
+    """GKZ cone of a point of Delta: intersection of all column-spanned cones
+    whose relative interior contains it.
+
+    The pool holds only the column cones that meet Delta, which is exact for
+    points of Delta alone; a point outside Delta raises ``ValueError``.
+    """
     check_guard("delta", n, force)
     pt = tuple(int(x) for x in v)
+    if not gr.delta_contains(pt, gr.weights(n)):
+        raise ValueError(f"point {pt} lies outside Delta")
     profile = _gkz_profile(pt, n)
     if not profile:
         raise ValueError(f"point {pt} lies in no column cone's relative interior")
@@ -500,12 +532,11 @@ def gkz_cone(v: Sequence, n: int, force: bool = False) -> Cone:
 
 @lru_cache(maxsize=None)
 def _gkz_walls(n: int) -> tuple[tuple[int, ...], ...]:
-    """Hyperplanes spanned by columns: the span normals of codim-1 pool cones."""
-    dim = len(gr.weights(n).p)
+    """Hyperplanes spanned by columns: the column spans with one equation."""
     walls = set()
-    for c in _gkz_pool(n):
-        if c.dim == dim - 1:
-            normal = c.span_eqs[0]
+    for span in _column_spans(n):
+        if len(span) == 1:
+            normal = span[0]
             if next(x for x in normal if x) < 0:
                 normal = tuple(-x for x in normal)
             walls.add(normal)
@@ -569,7 +600,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     walls = _gkz_walls(n)
     lin = gr.lineality_image(wd)
     table = _gkz_table(n)
-    span_masks = sorted({m for m in table.span_masks if m})
+    span_masks = [m for m in table.span_masks if m]
 
     profiles: dict[frozenset[int], tuple[Cone, tuple[int, ...]]] = {}
     rep_count = 0
@@ -582,7 +613,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
             raise AssertionError("tree cone image is degenerate")
         twalls: set[tuple[int, ...]] = set()
         for a in walls:
-            ta = tuple(sum(x * y for x, y in zip(a, b)) for b in basis)
+            ta = tuple(_dot(a, b) for b in basis)
             if any(ta):
                 ta = primitive_vector(ta)
                 if next(x for x in ta if x) < 0:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact_linalg import gale_dual, solve
+from .exact_linalg import _dot, gale_dual, solve
 
 Pair = tuple[int, int]
 
@@ -530,7 +530,7 @@ def _relint_meets_delta(cone, n: int, sign: int) -> bool:
         gens = c.generators()
         ok = True
         for facet in cone.facets:
-            if not any(sum(f * g for f, g in zip(facet, gen)) > 0 for gen in gens):
+            if not any(_dot(facet, gen) > 0 for gen in gens):
                 ok = False
                 break
         if ok:
@@ -601,7 +601,7 @@ def delta_contains(p: Sequence, wd: WeightData) -> bool:
     """
     s = tropical_sign()
     return trop_contains(
-        [s * sum(a * x for a, x in zip(row, p)) for row in _p_right_inverse(wd.n)],
+        [s * _dot(row, p) for row in _p_right_inverse(wd.n)],
         wd.n,
     )
 

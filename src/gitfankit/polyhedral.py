@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Container, Iterable, Optional, Sequence
 
-from .exact_linalg import _primitive, _rref
+from .exact_linalg import _dot, _primitive, _rref
 
 IVec = tuple[int, ...]
 
@@ -47,10 +47,6 @@ class FanAxiomViolation(Exception):
     def __init__(self, message: str, offending: tuple = ()):  # noqa: D401
         super().__init__(message)
         self.offending = offending
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _neg(a: IVec) -> IVec:
@@ -382,6 +378,14 @@ class Cone:
         tight on the mask; its facets come from the normals whose cut of the
         mask is maximal among the proper cuts (normals with equal cuts reduce
         to the same vector modulo the face's span).
+
+        A face of a pointed simplicial cone is simplicial, and its facets are
+        its dual basis: the u_s in its span with u_s.r_t = delta_st, a
+        positive multiple of the ridge normal reduced modulo that span.  One
+        integer RREF of [Gram(rays) | rays] gives them as the right halves of
+        its rows, since the Gram matrix is invertible.  A row is primitive
+        and reads [d e_s | d u_s], so its right half w is too: the content of
+        w divides w.r_s = d.
         """
         if mask == (1 << len(self.rays)) - 1:
             return self
@@ -389,6 +393,11 @@ class Cone:
         rays = tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
         tight = tuple(a for a, z in zip(self.facets, zeros) if mask & z == mask)
         span_eqs = _canonical_subspace_basis(self.span_eqs + tight)
+        if self.is_simplicial:
+            k = len(rays)
+            rows, _ = _rref([[_dot(r, t) for t in rays] + list(r) for r in rays])
+            facets = tuple(sorted(row[k:] for row in rows))
+            return Cone(self.ambient, rays, (), facets, span_eqs)
         cuts: dict[int, IVec] = {}
         for a, z in zip(self.facets, zeros):
             if mask & z != mask:

@@ -295,13 +295,27 @@ def test_sigma_r_n5_pinned():
 
 
 def test_gkz_cone_relint_and_region_stability():
-    # two points in the relative interior of the same chamber give one cone
-    c1 = gf.gkz_cone((1, 2, 3), 3)
-    c2 = gf.gkz_cone((2, 3, 7), 3)
-    assert c1.contains((1, 2, 3), "relative_interior")
+    # two points of Delta in the relative interior of one GKZ cone give one cone
+    wd = gr.weights(3)
+    assert gr.delta_contains((-2, -2, 2), wd) and gr.delta_contains((-5, -5, 4), wd)
+    c1 = gf.gkz_cone((-2, -2, 2), 3)
+    c2 = gf.gkz_cone((-5, -5, 4), 3)
+    assert c1.contains((-2, -2, 2), "relative_interior")
     assert c1 == c2
-    c3 = gf.gkz_cone((-1, -1, -1), 3)
+    # a point of Delta in another GKZ cone
+    assert gr.delta_contains((6, 2, 2), wd)
+    c3 = gf.gkz_cone((6, 2, 2), 3)
+    assert c3.contains((6, 2, 2), "relative_interior")
     assert c3 != c1
+
+
+def test_gkz_cone_rejects_points_outside_delta():
+    """The pool is exact only on Delta, so other points are refused."""
+    wd = gr.weights(3)
+    for pt in ((1, 2, 3), (2, 3, 7)):
+        assert not gr.delta_contains(pt, wd)
+        with pytest.raises(ValueError, match="outside Delta"):
+            gf.gkz_cone(pt, 3)
 
 
 def test_gkz_cones_along_delta():
@@ -507,6 +521,54 @@ def test_gkz_profile_matches_pool_scan(n):
         assert gf._gkz_profile(point, n) == expected, point
 
 
+def _full_gkz_pool(n):
+    """The pool over every column subset, one double description each: the
+    distinct cones cone(v_p; p in J) for all J, in first-found order."""
+    wd = gr.weights(n)
+    all_pairs = gr.pairs(n)[0]
+    seen = {}
+    for r in range(len(all_pairs) + 1):
+        for combo in itertools.combinations(all_pairs, r):
+            c = Cone.from_generators([wd.v[p] for p in combo], len(wd.p))
+            seen.setdefault((c.facets, c.span_eqs), c)
+    return tuple(seen.values())
+
+
+@pytest.mark.parametrize("n, cones, spans, walls", [(3, 25, 17, 9), (4, 140, 356, 57)])
+def test_y_set_pool_matches_full_pool(n, cones, spans, walls, monkeypatch):
+    """On every representative the sweep tries and on every witness, the
+    column cones holding the point in their relative interior are the same
+    whether read from the Y-set pool or from the pool over all column
+    subsets; the span table lists exactly the full pool's spans, and the
+    walls are the normals of its codim-one cones."""
+    full = _full_gkz_pool(n)
+    pool = gf._gkz_pool(n)
+    assert len(pool) == cones
+    assert set(c._key() for c in pool) < set(c._key() for c in full)
+    assert gf._column_spans(n) == tuple(sorted({c.span_eqs for c in full}))
+    assert len(gf._column_spans(n)) == spans
+    normals = {c.span_eqs[0] for c in full if len(c.span_eqs) == 1}
+    expected = {a if next(x for x in a if x) > 0 else tuple(-x for x in a) for a in normals}
+    assert gf._gkz_walls(n) == tuple(sorted(expected)) and len(expected) == walls
+
+    tried = []
+    real_contains = gr.delta_contains
+
+    def recording_contains(p, wd):
+        tried.append(p)
+        return real_contains(p, wd)
+
+    monkeypatch.setattr(gr, "delta_contains", recording_contains)
+    data = gf._delta_reduction_data.__wrapped__(n)
+    monkeypatch.undo()
+    points = set(tried) | set(data.witnesses.values())
+    assert len(tried) == DELTA_PINS[n][0][1]
+    for point in points:
+        from_pool = {pool[i]._key() for i in gf._gkz_profile(point, n)}
+        from_full = {c._key() for c in full if c.contains(point, "relative_interior")}
+        assert from_pool == from_full, point
+
+
 def _generic_rep_reference(vecs, spans, dim):
     """The vector-by-vector genericity search over explicit span equations."""
 
@@ -686,6 +748,7 @@ def test_clear_caches_keeps_results():
         polyhedral._cone_from_ineqs,
         gf._delta_reduction_data,
         gf._gkz_pool,
+        gf._column_spans,
         gr.weights,
         gr._p_right_inverse,
     ):

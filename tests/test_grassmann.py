@@ -369,15 +369,16 @@ def test_relint_criterion_n3_smoke():
     assert not delta_meets_relint(sigma, wd)  # complement {01},{23} is not
 
 
-def test_relint_criterion_n4():
+@pytest.mark.parametrize("n", [3, 4])
+def test_relint_criterion(n):
     """relint(cone(v_p; p in J)) meets Delta iff the complement of J is a
-    Y-set, for every column subset J at n=4."""
-    wd = weights(4)
-    all_pairs = pairs(4)[0]
+    Y-set, for every column subset J at n = 3 (64) and n = 4 (1,024)."""
+    wd = weights(n)
+    all_pairs = pairs(n)[0]
     for mask in range(1 << len(all_pairs)):
         members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
         sigma = Cone.from_generators([wd.v[p] for p in members], len(wd.p))
-        complement = YSet(4, frozenset(all_pairs) - frozenset(members))
+        complement = YSet(n, frozenset(all_pairs) - frozenset(members))
         assert delta_meets_relint(sigma, wd) == is_y_set(complement), members
 
 

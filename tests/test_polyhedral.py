@@ -624,6 +624,45 @@ def test_fan_cones_match_dd_reference():
             assert fan.carrier(point) == reference_carrier(fan, point)
 
 
+def assert_faces_match_generators(c):
+    """Every face of c equals the cone built from its rays, field by field."""
+    faces = c.faces()
+    for f in faces:
+        ref = Cone.from_generators(f.rays, c.ambient)
+        for field in ("ambient", "rays", "lineality", "facets", "span_eqs"):
+            assert getattr(f, field) == getattr(ref, field), (c, f, field)
+    return faces
+
+
+def test_simplicial_faces_match_from_generators():
+    """Faces of pointed simplicial cones come from the dual basis; faces of
+    other cones from the ridge normals.  Both give the canonical cone."""
+    from gitfankit.semilattice import random_simplicial_fan
+
+    rng = random.Random(41)
+    fans = [gf.sigma_r(3), gf.sigma_r(4)]
+    fans += [random_simplicial_fan(rng, rng.randint(2, 5), 9) for _ in range(20)]
+    for fan in fans:
+        assert fan.is_simplicial
+        for c in fan.maximal:
+            assert_faces_match_generators(c)
+    # lower-dimensional simplicial cones, with span equations, down to the zero face
+    for gens, ambient in (
+        ([(1, 1, 0, 0), (0, 1, 1, 0)], 4),
+        ([(1, 2, 3)], 3),
+        ([(1, 0, 1, 2), (0, 2, -1, 1), (3, -1, 0, 1)], 4),
+    ):
+        c = Cone.from_generators(gens, ambient)
+        assert c.is_simplicial and c.span_eqs
+        faces = assert_faces_match_generators(c)
+        assert faces[0].is_zero() and len(faces) == 2 ** len(gens)
+    # not simplicial: the chambers of git_fan(5) take the general path
+    chambers = [c for c in gf.git_fan(5).maximal if not c.is_simplicial]
+    assert chambers
+    for c in chambers:
+        assert_faces_match_generators(c)
+
+
 # -- arrangement sweep against the unpruned recursion ------------------------
 
 
