@@ -68,6 +68,7 @@ from .semilattice import (
     iterated_blow_up,
     join_exists_in_blowup,
     poset_isomorphic,
+    ray_face_poset,
     verify_blowup_join_criterion,
     verify_fk_bridge,
 )

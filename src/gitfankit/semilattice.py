@@ -11,8 +11,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from operator import and_
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from operator import and_, itemgetter
+from typing import Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .polyhedral import Cone, Fan, fan_from_maximal, stellar_subdivide
 
@@ -38,29 +38,39 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _compress(masks: Iterable[int], keep: Sequence[int]) -> list[int]:
+    """Each mask restricted to the indices in keep (at least one), renumbered
+    by their positions in keep: bit keep[p] becomes bit p."""
+    pick, width = itemgetter(*keep), max(keep) + 1
+    return [
+        int("".join(pick(format(mask, f"0{width}b")[::-1]))[::-1], 2)
+        for mask in masks
+    ]
+
+
 class FiniteSemilattice:
-    """Finite meet-semilattice given by labelled elements and a <= relation.
+    """Finite meet-semilattice given by labelled elements and their up-sets.
 
     The order is stored once, as bitmasks over element indices: bit k of
     ``_up[i]`` is set when i <= k, and bit k of ``_down[i]`` when k <= i.
-    Construction validates that the relation is a partial order, that a
-    unique bottom exists and that every pair has a greatest lower bound.
-    Meets and joins are lookups: the meet of a set is the element whose
-    down-set is the intersection of theirs, the join the element whose up-set
-    is the intersection of theirs, and the join is absent when no element has
-    that up-set.
+    Construction takes the up-set masks and validates that they describe a
+    partial order, that a unique bottom exists and that every pair has a
+    greatest lower bound; :meth:`from_relation` reads a relation matrix
+    instead.  Meets and joins are lookups: the meet of a set is the element
+    whose down-set is the intersection of theirs, the join the element whose
+    up-set is the intersection of theirs, and the join is absent when no
+    element has that up-set.
     """
 
-    def __init__(self, labels: Sequence[Hashable], leq: Sequence[Sequence[bool]]):
+    def __init__(self, labels: Sequence[Hashable], up: Sequence[int]):
         self.labels = tuple(labels)
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError("duplicate labels")
-        rows = [tuple(row) for row in leq]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("relation matrix has wrong shape")
+        up = list(up)
+        if len(up) != n or any(mask >> n for mask in up):
+            raise ValueError("relation has wrong shape")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        up = [sum(1 << k for k, x in enumerate(row) if x) for row in rows]
         down = [0] * n
         for i, mask in enumerate(up):
             for k in _bits(mask):
@@ -86,6 +96,17 @@ class FiniteSemilattice:
         self._by_up = {mask: i for i, mask in enumerate(up)}
         self._by_down = by_down
         self._bottom = bottoms[0]
+
+    @classmethod
+    def from_relation(
+        cls, labels: Sequence[Hashable], leq: Sequence[Sequence[bool]]
+    ) -> "FiniteSemilattice":
+        """The semilattice whose order is the matrix leq: leq[i][k] when the
+        i-th label lies below the k-th."""
+        rows = [tuple(row) for row in leq]
+        if any(len(row) != len(labels) for row in rows):
+            raise ValueError("relation has wrong shape")
+        return cls(labels, [sum(1 << k for k, x in enumerate(row) if x) for row in rows])
 
     # -- basic queries --------------------------------------------------------
 
@@ -168,11 +189,12 @@ def blow_up(lattice: FiniteSemilattice, xi: Hashable) -> FiniteSemilattice:
     # in a finite meet-semilattice, x and xi have a join iff they have a
     # common upper bound
     pairs = [i for i in survivors if up[i] & above_xi]
-    leq = [[up[i] >> k & 1 for k in survivors + pairs] for i in survivors]
-    leq += [[0] * len(survivors) + [up[i] >> k & 1 for k in pairs] for i in pairs]
+    # the bottom survives and pairs with xi, so neither index list is empty
+    masks = _compress((up[i] for i in survivors), survivors + pairs)
+    masks += [m << len(survivors) for m in _compress((up[i] for i in pairs), pairs)]
     labels = [lattice.labels[i] for i in survivors]
     labels += [BlowPair(xi, lattice.labels[i]) for i in pairs]
-    return FiniteSemilattice(labels, leq)
+    return FiniteSemilattice(labels, masks)
 
 
 def is_sorted_family(lattice: FiniteSemilattice, family) -> bool:
@@ -319,8 +341,7 @@ def nested_complex_poset(
         for combo in itertools.combinations(s, r):
             if is_nested(lattice, frozenset(s), combo):
                 faces.append(frozenset(combo))
-    leq = [[f1 <= f2 for f2 in faces] for f1 in faces]
-    return FiniteSemilattice(faces, leq)
+    return _inclusion_poset(faces, faces)
 
 
 def is_nested(
@@ -373,68 +394,147 @@ def harmonious_closure(
 # ---------------------------------------------------------------------------
 
 
+def _inclusion_poset(
+    labels: Sequence[Hashable], sets: Sequence[Collection[Hashable]]
+) -> FiniteSemilattice:
+    """The labels ordered by inclusion of their sets, given in label order.
+
+    The up-set of a set is the AND, over its members, of the masks of the
+    sets holding that member (everything for the empty set)."""
+    holders: dict[Hashable, int] = {}
+    for k, members in enumerate(sets):
+        for x in members:
+            holders[x] = holders.get(x, 0) | 1 << k
+    everything = (1 << len(sets)) - 1
+    up = [reduce(and_, map(holders.__getitem__, members), everything) for members in sets]
+    return FiniteSemilattice(labels, up)
+
+
 def face_poset(fan: Fan) -> FiniteSemilattice:
     """All cones of the fan ordered by the face relation; labels are the cones."""
     cones = sorted(fan.cones().values(), key=lambda c: (c.dim, c.rays, c.lineality))
     # cones of a fan share its lineality and carry canonical rays modulo it,
     # so one cone lies in another exactly when its rays are among the other's
-    ray_sets = [frozenset(c.rays) for c in cones]
-    leq = [[r1 <= r2 for r2 in ray_sets] for r1 in ray_sets]
-    return FiniteSemilattice(cones, leq)
+    return _inclusion_poset(cones, [c.rays for c in cones])
+
+
+def ray_face_poset(fan: Fan) -> FiniteSemilattice:
+    """Face poset of a simplicial fan with ray tuples as labels.
+
+    Every subset of a maximal cone's rays spans a face, so the faces are
+    those subsets, built with no :class:`Cone`; they come in ``(len, rays)``
+    order, the order :func:`face_poset` gives the cones of a simplicial fan,
+    and the face order is inclusion."""
+    if not fan.is_simplicial:
+        raise ValueError("ray-set face posets need a simplicial fan")
+    faces = {
+        face
+        for c in fan.maximal
+        for k in range(len(c.rays) + 1)
+        for face in itertools.combinations(c.rays, k)
+    }
+    faces = sorted(faces, key=lambda f: (len(f), f))
+    return _inclusion_poset(faces, faces)
 
 
 def poset_isomorphic(l1: FiniteSemilattice, l2: FiniteSemilattice) -> bool:
-    """Isomorphism of finite posets by colour refinement plus backtracking."""
-    n1, n2 = len(l1), len(l2)
-    if n1 != n2:
-        return False
+    """Isomorphism of finite posets by colour refinement plus backtracking.
 
-    def refine(lat: FiniteSemilattice) -> list:
-        n = len(lat)
-        colors = [(lat._down[i].bit_count(), lat._up[i].bit_count()) for i in range(n)]
-        for _ in range(n):
-            new = []
-            for i in range(n):
-                down = sorted(colors[k] for k in _bits(lat._down[i] & ~(1 << i)))
-                up = sorted(colors[k] for k in _bits(lat._up[i] & ~(1 << i)))
-                new.append((colors[i], tuple(down), tuple(up)))
-            canon = {c: idx for idx, c in enumerate(sorted(set(new)))}
-            new_ids = [canon[c] for c in new]
-            if new_ids == colors:
+    Both posets are refined against one colour table, starting from the
+    sizes of each element's down- and up-set, until the joint partition
+    stops splitting; an isomorphism preserves colours, so the backtracking
+    that proves one only tries colour-matched images."""
+    n = len(l1)
+    if n != len(l2):
+        return False
+    lats = (l1, l2)
+    below = [[list(_bits(m & ~(1 << i))) for i, m in enumerate(lat._down)] for lat in lats]
+    above = [[list(_bits(m & ~(1 << i))) for i, m in enumerate(lat._up)] for lat in lats]
+    table: dict = {}
+    colors = [
+        [
+            table.setdefault((d.bit_count(), u.bit_count()), len(table))
+            for d, u in zip(lat._down, lat._up)
+        ]
+        for lat in lats
+    ]
+    classes = 0
+    while True:
+        if sorted(colors[0]) != sorted(colors[1]):
+            return False
+        if len(table) == classes:
+            break
+        classes, table = len(table), {}
+        colors = [
+            [
+                table.setdefault(
+                    (
+                        c[i],
+                        tuple(sorted(map(c.__getitem__, dn))),
+                        tuple(sorted(map(c.__getitem__, up))),
+                    ),
+                    len(table),
+                )
+                for i, (dn, up) in enumerate(zip(below[side], above[side]))
+            ]
+            for side, c in enumerate(colors)
+        ]
+    c1, c2 = colors
+
+    by_color: dict[int, list[int]] = {}
+    for j, c in enumerate(c2):
+        by_color.setdefault(c, []).append(j)
+    # place l1's elements depth first through comparabilities, starting in a
+    # smallest colour class, so that each is comparable to an element placed
+    # before it and its candidates are cut down by that element's image
+    first = min(range(n), key=lambda i: (len(by_color[c1[i]]), i))
+    order, placed = [first], 1 << first
+    walk = [itertools.chain(below[0][first], above[0][first])]
+    while walk:
+        for k in walk[-1]:
+            if not placed >> k & 1:
+                order.append(k)
+                placed |= 1 << k
+                walk.append(itertools.chain(below[0][k], above[0][k]))
                 break
-            colors = new_ids
-        return colors
+        else:
+            walk.pop()
 
-    c1, c2 = refine(l1), refine(l2)
-    if sorted(c1) != sorted(c2):
-        return False
-    order = sorted(range(n1), key=lambda i: (c1[i], i))
-    candidates = {i: [j for j in range(n2) if c2[j] == c1[i]] for i in order}
-
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(pos: int) -> bool:
-        if pos == n1:
-            return True
+    # depth-first search for a colour-preserving bijection that preserves
+    # the order in both directions; the stack holds one candidate iterator
+    # per assigned position
+    up1, down1, up2, down2 = l1._up, l1._down, l2._up, l2._down
+    image = [-1] * n
+    done1 = done2 = 0
+    stack = [iter(by_color[c1[order[0]]])]
+    while stack:
+        pos = len(stack) - 1
         i = order[pos]
-        for j in candidates[i]:
-            if j in used:
+        ups, downs = up1[i] & done1, down1[i] & done1
+        for j in stack[pos]:
+            if done2 >> j & 1:
                 continue
-            if all(
-                (l1._up[i] >> i2 & 1) == (l2._up[j] >> j2 & 1)
-                and (l1._down[i] >> i2 & 1) == (l2._down[j] >> j2 & 1)
-                for i2, j2 in assignment.items()
+            if (
+                ups.bit_count() == (up2[j] & done2).bit_count()
+                and downs.bit_count() == (down2[j] & done2).bit_count()
+                and all(up2[j] >> image[k] & 1 for k in _bits(ups))
+                and all(down2[j] >> image[k] & 1 for k in _bits(downs))
             ):
-                assignment[i] = j
-                used.add(j)
-                if backtrack(pos + 1):
-                    return True
-                del assignment[i]
-                used.discard(j)
-        return False
-
-    return backtrack(0)
+                break
+        else:
+            stack.pop()
+            if pos:
+                k = order[pos - 1]
+                done1 ^= 1 << k
+                done2 ^= 1 << image[k]
+            continue
+        image[i] = j
+        done1 |= 1 << i
+        done2 |= 1 << j
+        if pos + 1 == n:
+            return True
+        stack.append(iter(by_color[c1[order[pos + 1]]]))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +571,12 @@ def _fk_bridge_trial(args: tuple[int, int, int, int]) -> Optional[dict]:
     fan = random_simplicial_fan(rng, ambient, max_rays)
     nu = random_interior_ray(rng, fan)
     subdivided = stellar_subdivide(fan, nu)
-    poset = face_poset(fan)
+    poset = ray_face_poset(fan)
     carrier = fan.carrier(nu)
     if carrier.is_zero():
         return None
-    blown = blow_up(poset, carrier)
-    if not poset_isomorphic(face_poset(subdivided), blown):
+    blown = blow_up(poset, carrier.rays)
+    if not poset_isomorphic(ray_face_poset(subdivided), blown):
         return {"trial": trial, "ambient": ambient, "ray": nu}
     return None
 
@@ -488,11 +588,14 @@ def verify_fk_bridge(
     max_rays: int = 7,
     jobs: int = 1,
 ) -> dict:
-    """Random sweep: face_poset(stellar(f, nu)) iso blow_up(face_poset(f), carrier).
+    """Random sweep: face poset of stellar(f, nu) iso blow_up(face poset of f,
+    carrier), on random simplicial fans.
 
-    Each trial draws from its own (seed, trial)-derived generator, so the
-    outcome is identical for every worker count; at most one worker process
-    is started per trial.
+    The face posets are :func:`ray_face_poset`s, labelled by ray tuples, and
+    the carrier is labelled by its rays.  A failing trial is certified by
+    its index, ambient dimension and ray.  Each trial draws from its own
+    (seed, trial)-derived generator, so the outcome is identical for every
+    worker count; at most one worker process is started per trial.
     """
     trials = [(seed, t, max_ambient, max_rays) for t in range(samples)]
     workers = min(jobs, samples)
@@ -554,11 +657,14 @@ def _sorted_family_blow_ups(
 
 def verify_blowup_join_criterion(max_dim: int = 3) -> dict:
     """Exhaustive sweep on orthant face posets: nested in a building superset
-    implies the (xi, 0)-join exists in the iterated blow-up."""
+    implies the (xi, 0)-join exists in the iterated blow-up.
+
+    The face posets are :func:`ray_face_poset`s, so a failure certificate
+    names its family and subset by ray tuples."""
     checked = 0
     failures = []
     for dim in range(2, max_dim + 1):
-        lattice = face_poset(_orthant_fan(dim))
+        lattice = ray_face_poset(_orthant_fan(dim))
         elems = [x for x in lattice.labels if x != lattice.bottom]
         building_sets = [
             frozenset(s)

@@ -1,5 +1,8 @@
 """Semilattices, blow-ups, building and nested sets, the fan bridge."""
 
+import contextlib
+import copy
+import itertools
 import random
 
 import pytest
@@ -20,6 +23,8 @@ from gitfankit.semilattice import (
     poset_isomorphic,
     random_interior_ray,
     random_simplicial_fan,
+    ray_face_poset,
+    verify_blowup_join_criterion,
     verify_fk_bridge,
 )
 
@@ -38,7 +43,7 @@ NU1, NU2, NU0 = (1, 1, 0), (0, 1, 1), (1, 1, 1)
 
 
 def boolean_two():
-    return FiniteSemilattice(
+    return FiniteSemilattice.from_relation(
         ["0", "a", "b", "ab"],
         [
             [True, True, True, True],
@@ -65,16 +70,16 @@ def test_meet_join_on_face_poset():
 
 
 def test_join_absent_without_top():
-    lat = FiniteSemilattice(
+    lat = FiniteSemilattice.from_relation(
         ["0", "a", "b"],
         [[True, True, True], [False, True, False], [False, False, True]],
     )
     assert lat.join(["a", "b"]) is None
 
 
-def test_meet_validation_rejects_meetless():
-    # two atoms with two incomparable upper bounds: pairwise meet of the
-    # upper bounds does not exist
+def meetless_relation():
+    """Two atoms with two incomparable upper bounds: the pairwise meet of the
+    upper bounds does not exist."""
     labels = ["0", "a", "b", "x", "y"]
     leq = [[lab1 == lab2 for lab2 in labels] for lab1 in labels]
 
@@ -86,25 +91,51 @@ def test_meet_validation_rejects_meetless():
     for z in "xy":
         set_le("a", z)
         set_le("b", z)
+    return labels, leq
+
+
+def test_meet_validation_rejects_meetless():
     with pytest.raises(ValueError):
-        FiniteSemilattice(labels, leq)
+        FiniteSemilattice.from_relation(*meetless_relation())
+
+
+INVALID_RELATIONS = [
+    (["0", "0"], [[1, 1], [0, 1]], "duplicate labels"),
+    (["0", "a"], [[1, 1]], "wrong shape"),
+    (["0", "a"], [[1, 1], [0, 0]], "not reflexive"),
+    (["0", "a"], [[1, 1], [1, 1]], "not antisymmetric"),
+    (["0", "a", "b"], [[1, 1, 0], [0, 1, 1], [0, 0, 1]], "not transitive"),
+    (["a", "b"], [[1, 0], [0, 1]], "no unique bottom"),
+    ([], [], "no unique bottom"),
+]
+
+
+@pytest.mark.parametrize("labels, leq, message", INVALID_RELATIONS)
+def test_constructor_rejections(labels, leq, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteSemilattice.from_relation(labels, leq)
 
 
 @pytest.mark.parametrize(
-    "labels, leq, message",
-    [
-        (["0", "0"], [[1, 1], [0, 1]], "duplicate labels"),
-        (["0", "a"], [[1, 1]], "wrong shape"),
-        (["0", "a"], [[1, 1], [0, 0]], "not reflexive"),
-        (["0", "a"], [[1, 1], [1, 1]], "not antisymmetric"),
-        (["0", "a", "b"], [[1, 1, 0], [0, 1, 1], [0, 0, 1]], "not transitive"),
-        (["a", "b"], [[1, 0], [0, 1]], "no unique bottom"),
-        ([], [], "no unique bottom"),
-    ],
+    "labels, leq",
+    [(labels, leq) for labels, leq, _ in INVALID_RELATIONS] + [meetless_relation()],
 )
-def test_constructor_rejections(labels, leq, message):
-    with pytest.raises(ValueError, match=message):
-        FiniteSemilattice(labels, leq)
+def test_mask_path_rejects_like_matrix_path(labels, leq):
+    with pytest.raises(ValueError) as by_matrix:
+        FiniteSemilattice.from_relation(labels, leq)
+    masks = [sum(1 << k for k, x in enumerate(row) if x) for row in leq]
+    with pytest.raises(ValueError) as by_masks:
+        FiniteSemilattice(labels, masks)
+    assert str(by_masks.value) == str(by_matrix.value)
+
+
+def test_wrong_shape_on_both_paths():
+    # a row longer than the label list, and a mask with a bit past it
+    with pytest.raises(ValueError) as by_matrix:
+        FiniteSemilattice.from_relation(["0", "a"], [[1, 1], [0, 1, 1]])
+    with pytest.raises(ValueError) as by_masks:
+        FiniteSemilattice(["0", "a"], [3, 6])
+    assert str(by_masks.value) == str(by_matrix.value) == "relation has wrong shape"
 
 
 def test_blow_up_two_cone():
@@ -496,3 +527,232 @@ def test_dump_shape():
     d = orthant_poset(2).dump()
     assert set(d) == {"elements", "hasse"}
     assert len(d["elements"]) == 4 and len(d["hasse"]) == 4
+
+
+# -- ray-set face posets, isomorphism and negative controls -----------------
+
+
+def relabelled(lat, rng):
+    """lat with its elements moved to random indices."""
+    import gitfankit.semilattice as sl
+
+    n = len(lat)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    labels, up = [None] * n, [0] * n
+    for i, mask in enumerate(lat._up):
+        labels[perm[i]] = lat.labels[i]
+        up[perm[i]] = sum(1 << perm[k] for k in sl._bits(mask))
+    return FiniteSemilattice(labels, up)
+
+
+def brute_isomorphic(a, b):
+    """Reference: some permutation of a's indices carries its order onto b's."""
+    n = len(a)
+    rel_a = [(i, k) for i in range(n) for k in range(n) if a._up[i] >> k & 1]
+    rel_b = {(i, k) for i in range(n) for k in range(n) if b._up[i] >> k & 1}
+    return n == len(b) and len(rel_a) == len(rel_b) and any(
+        all((p[i], p[k]) in rel_b for i, k in rel_a)
+        for p in itertools.permutations(range(n))
+    )
+
+
+def poset_from_covers(labels, covers):
+    """The poset on labels generated by the (lower, upper) cover pairs."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    up = [1 << i for i in range(len(labels))]
+    for _ in labels:
+        for a, b in covers:
+            up[index[a]] |= up[index[b]]
+    return FiniteSemilattice(labels, up)
+
+
+def test_poset_isomorphic_long_chain():
+    # the backtracking goes one level per element, past the recursion limit
+    n = 1200
+    chain = FiniteSemilattice(range(n), [(1 << n) - (1 << i) for i in range(n)])
+    assert poset_isomorphic(chain, chain)
+
+
+def test_poset_isomorphic_matches_brute_force_on_small_posets(monkeypatch):
+    # every semilattice of at most 7 elements built by the two sweeps or by a
+    # seeded draw of random relations, against every other of its size and
+    # against a random relabelling of itself
+    met = {}
+    real_init = FiniteSemilattice.__init__
+
+    def recording_init(self, labels, up):
+        real_init(self, labels, up)
+        if len(self) <= 7:
+            met.setdefault(tuple(self._up), self)
+
+    monkeypatch.setattr(FiniteSemilattice, "__init__", recording_init)
+    verify_fk_bridge(seed=5, samples=25)
+    verify_blowup_join_criterion()
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        # element 0 is the bottom; i < j only for i < j, and each up-set
+        # takes the (already closed) up-sets of the elements put above it
+        up = [(1 << n) - 1] + [1 << i for i in range(1, n)]
+        for i in reversed(range(1, n)):
+            for j in range(i + 1, n):
+                if rng.random() < 0.35:
+                    up[i] |= up[j]
+        with contextlib.suppress(ValueError):
+            FiniteSemilattice(range(n), up)
+    monkeypatch.undo()
+    posets = list(met.values())
+    assert len(posets) > 100
+    verdicts = []
+    for a, b in itertools.combinations(posets, 2):
+        if len(a) == len(b):
+            verdicts.append(brute_isomorphic(a, b))
+            assert poset_isomorphic(a, b) == verdicts[-1], (a._up, b._up)
+    assert True in verdicts and False in verdicts
+    for a in posets:
+        b = relabelled(a, rng)
+        assert brute_isomorphic(a, b) and poset_isomorphic(a, b)
+
+
+def test_poset_isomorphic_accepts_relabelled_fk_posets(monkeypatch):
+    import gitfankit.semilattice as sl
+
+    compared = []
+    real = sl.poset_isomorphic
+
+    def recording(l1, l2):
+        compared.extend((l1, l2))
+        return real(l1, l2)
+
+    monkeypatch.setattr(sl, "poset_isomorphic", recording)
+    assert verify_fk_bridge(seed=2024)["result"]
+    monkeypatch.undo()
+    assert len(compared) == 400
+    rng = random.Random(2024)
+    for lat in compared:
+        assert poset_isomorphic(lat, relabelled(lat, rng))
+
+
+def test_poset_isomorphic_rejects_equal_count_multisets():
+    # p has two upper covers and one element sits over two atoms in both;
+    # in the first that element covers q and r, in the second p and q
+    labels = ["0", "p", "q", "r", "s", "t", "u"]
+    atoms = [("0", "p"), ("0", "q"), ("0", "r")]
+    first = poset_from_covers(labels, atoms + [("p", "s"), ("p", "t"), ("q", "u"), ("r", "u")])
+    second = poset_from_covers(labels, atoms + [("p", "s"), ("p", "u"), ("q", "u"), ("r", "t")])
+
+    def counts(lat):
+        return sorted((d.bit_count(), u.bit_count()) for d, u in zip(lat._down, lat._up))
+
+    assert counts(first) == counts(second)
+    assert not brute_isomorphic(first, second)
+    assert not poset_isomorphic(first, second)
+
+
+def test_poset_isomorphic_backtracks_past_colour_refinement():
+    # a bottom under the 12-cycle and under two 6-cycles, each cycle read as
+    # atoms covered by tops: every atom has two upper covers and every top
+    # two atoms in both, so colour refinement splits nothing, and only the
+    # search can tell the connected cycle from the two halves
+    def cycles(*lengths):
+        labels, covers, start = ["0"], [], 0
+        for length in lengths:
+            for i in range(length):
+                atom, top = f"a{start + i}", f"t{start + i}"
+                labels += [atom, top]
+                covers += [("0", atom), (atom, top), (atom, f"t{start + (i - 1) % length}")]
+            start += length
+        return poset_from_covers(labels, covers)
+
+    one, two = cycles(12), cycles(6, 6)
+    assert not poset_isomorphic(one, two)
+    rng = random.Random(5)
+    for lat in (one, two):
+        assert poset_isomorphic(lat, relabelled(lat, rng))
+
+
+def test_ray_face_poset_matches_face_poset():
+    from gitfankit import gitfan as gf
+
+    rng = random.Random(2)
+    fans = [orthant_fan(d) for d in (2, 3, 4)] + [gf.sigma_fan_cached(4, 1), gf.sigma_r(4)]
+    fans += [random_simplicial_fan(rng, rng.randint(2, 4), 7) for _ in range(20)]
+    for fan in fans:
+        by_cones, by_rays = face_poset(fan), ray_face_poset(fan)
+        assert by_rays.labels == tuple(c.rays for c in by_cones.labels)
+        assert by_rays._up == by_cones._up
+
+
+def test_ray_face_poset_rejects_non_simplicial_fans():
+    square = Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    half_plane = Cone.from_generators([(1, 0), (0, 1), (0, -1)], 2)
+    for c in (square, half_plane):
+        with pytest.raises(ValueError, match="simplicial"):
+            ray_face_poset(fan_from_maximal([c]))
+
+
+def test_sweeps_build_no_face_cones(monkeypatch):
+    def refuse(self, known=()):
+        raise AssertionError("a sweep built face cones")
+
+    monkeypatch.setattr(Cone, "faces", refuse)
+    assert verify_fk_bridge(seed=5, samples=25)["result"]
+    assert verify_blowup_join_criterion()["result"]
+
+
+def without_last(lat):
+    """lat without its last element, which must be maximal; the order of
+    the rest is kept as it is."""
+    n = len(lat) - 1
+    keep = (1 << n) - 1
+    out = copy.copy(lat)
+    out.labels = lat.labels[:n]
+    out._index = {lab: i for i, lab in enumerate(out.labels)}
+    out._up = [mask & keep for mask in lat._up[:n]]
+    out._down = [mask & keep for mask in lat._down[:n]]
+    out._by_up = {mask: i for i, mask in enumerate(out._up)}
+    out._by_down = {mask: i for i, mask in enumerate(out._down)}
+    return out
+
+
+def test_fk_bridge_reports_a_dropped_pair(monkeypatch):
+    # negative control: a blow-up missing one element cannot match the
+    # subdivided fan's face poset, and every trial must say so
+    import gitfankit.semilattice as sl
+
+    real = sl.blow_up
+
+    def dropping(lattice, xi):
+        blown = real(lattice, xi)
+        # pairs come last, in the order of their survivors, and no element
+        # lies above the pair of the last survivor
+        assert isinstance(blown.labels[-1], BlowPair)
+        return without_last(blown)
+
+    monkeypatch.setattr(sl, "blow_up", dropping)
+    rep = verify_fk_bridge(seed=5, samples=10)
+    assert rep["result"] is False
+    assert [c["trial"] for c in rep["certificates"]] == list(range(10))
+    assert all(set(c) == {"trial", "ambient", "ray"} for c in rep["certificates"])
+
+
+def test_thm44_reports_pairs_without_up_sets(monkeypatch):
+    # negative control: when no blow-up pair lies below any other element,
+    # two distinct (xi, 0) pairs never have a join
+    import gitfankit.semilattice as sl
+
+    real = sl.blow_up
+
+    def stripped(lattice, xi):
+        blown = real(lattice, xi)
+        for k, lab in enumerate(blown.labels):
+            if isinstance(lab, BlowPair):
+                blown._up[k] = 1 << k
+        blown._by_up = {mask: k for k, mask in enumerate(blown._up)}
+        return blown
+
+    monkeypatch.setattr(sl, "blow_up", stripped)
+    rep = verify_blowup_join_criterion()
+    assert rep["result"] is False and rep["certificates"]
+    assert all(set(c) == {"dim", "family", "subset"} for c in rep["certificates"])
