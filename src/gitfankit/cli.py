@@ -1,10 +1,11 @@
 """Command line front end.
 
-Subcommands run the enumerations and fan constructions, export fans and
-posets as JSON, and execute the verification suite.  Guards keep runtimes at
-desk scale; ``--force`` overrides them with a warning.  Identical
-configurations (including the seed) produce byte-identical output files, so
-timings are printed to the console only, never written into reports.
+Subcommands run the enumerations and fan constructions (``FANS``), export
+fans and posets as JSON, and execute the verification suite (``CLAIMS``).
+The library computes any n it is asked for; only the size guards in
+``GUARDS`` keep runs at desk scale, and ``--force`` lifts them with a
+warning.  Identical configurations (including the seed) produce
+byte-identical output files, so timings are printed to the console only.
 """
 
 from __future__ import annotations
@@ -13,18 +14,62 @@ import argparse
 import contextlib
 import errno
 import json
+import math
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from . import gitfan as gfan
 from . import grassmann as gr
 from . import semilattice as sl
-from .grassmann import GuardExceeded
 from .polyhedral import Fan, FanAxiomViolation
 
 DEFAULT_SEED = 2024
+
+# (minimum n, maximum n) of every command, fan and claim.  Below the minimum
+# n is outside the domain; the maximum keeps runs at desk scale, and --force
+# lifts only the maximum.
+GUARDS: dict[str, tuple[int, float]] = {
+    "ysets": (2, 6),
+    "oracle": (2, 3),  # ysets --oracle
+    "centers": (3, 5),
+    "gitfan": (2, 5),
+    "gitfan-star": (3, 5),
+    "sigma0": (3, 5),
+    "sigma1": (3, 5),
+    "sigmar": (3, 5),
+    "delta": (3, 4),
+    "walls": (2, 5),
+    "star-subfan": (3, 5),
+    "fk-bridge": (2, math.inf),
+    "thm44": (2, math.inf),
+    "delta-subfan": (3, 4),
+    "rays": (3, 4),
+    "nu-equality": (3, 5),
+}
+
+# The library functions are looked up when called, so that a function
+# wrapped or patched in its module is the one that runs.
+FANS: dict[str, Callable[[int], Fan]] = {
+    "gitfan": lambda n: gfan.git_fan(n),
+    "gitfan-star": lambda n: gfan.git_fan_star(n),
+    "sigma0": lambda n: gfan.sigma_fan_cached(n, 0),
+    "sigma1": lambda n: gfan.sigma_fan_cached(n, 1),
+    "sigmar": lambda n: gfan.sigma_r(n),
+    "delta": lambda n: gfan.delta_reduction(n),
+}
+
+# claim -> runner of (n, seed, jobs), in the order of ``verify all``
+CLAIMS: dict[str, Callable[[int, int, int], dict]] = {
+    "walls": lambda n, seed, jobs: gfan.verify_walls(n),
+    "star-subfan": lambda n, seed, jobs: gfan.verify_star_subfan(n),
+    "fk-bridge": lambda n, seed, jobs: sl.verify_fk_bridge(seed=seed, jobs=jobs),
+    "thm44": lambda n, seed, jobs: sl.verify_blowup_join_criterion(),
+    "delta-subfan": lambda n, seed, jobs: gfan.verify_delta_subfan(n),
+    "rays": lambda n, seed, jobs: gfan.verify_ray_classification(n),
+    "nu-equality": lambda n, seed, jobs: gfan.verify_nu_equality(n),
+}
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -96,24 +141,27 @@ def fan_payload(fan: Fan, n: int) -> dict:
     }
 
 
-
-def _guard_check(key: str, what: str, n: int, force: bool) -> bool:
-    """True when n lies in the domain and size guard of ``key`` in the guard
-    table; warns when forcing past a guard."""
-    lo, hi = gr.GUARDS[key]
-    if n < lo:
-        print(f"{what} needs n >= {lo} (got {n})", file=sys.stderr)
-        return False
-    if n <= hi:
+def _guard_check(key: str, what: str, n: int, force: bool, skip: bool = False) -> bool:
+    """True when n lies in the domain and size guard of ``key`` in
+    ``GUARDS``; warns when forcing past a guard.  A refusal prints one line:
+    an error on stderr, or with ``skip`` a "skipped" line on stdout."""
+    lo, hi = GUARDS[key]
+    if lo <= n <= hi:
         return True
-    if force:
+    if n > hi and force:
         print(
             f"warning: forcing {what} past its guard (n={n} > {hi}); "
             "expect a long run",
             file=sys.stderr,
         )
         return True
-    print(f"guard: {what} needs n <= {hi} (got {n}); use --force", file=sys.stderr)
+    if skip:
+        lift = "; --force lifts the maximum" if n > hi else ""
+        print(f"{key}: skipped (n={n} outside {lo}..{hi}{lift})")
+    elif n < lo:
+        print(f"{what} needs n >= {lo} (got {n})", file=sys.stderr)
+    else:
+        print(f"guard: {what} needs n <= {hi} (got {n}); use --force", file=sys.stderr)
     return False
 
 
@@ -123,7 +171,7 @@ def cmd_ysets(args) -> int:
         args.oracle and not _guard_check("oracle", "ysets --oracle", n, args.force)
     ):
         return EXIT_USAGE
-    ysets = gr.enumerate_y_sets(n, args.force)
+    ysets = gr.enumerate_y_sets(n)
     payload = {
         "n": n,
         "count": len(ysets),
@@ -131,7 +179,7 @@ def cmd_ysets(args) -> int:
     }
     print(f"n={n}: {len(ysets)} Y-sets")
     if args.oracle:
-        brute = {frozenset(y.members) for y in gr.brute_force_supports(n, args.force)}
+        brute = {frozenset(y.members) for y in gr.brute_force_supports(n)}
         enum = {frozenset(y.members) for y in ysets}
         equal = brute == enum
         payload["oracle"] = {"count": len(brute), "equal": equal}
@@ -143,27 +191,15 @@ def cmd_ysets(args) -> int:
     return EXIT_OK
 
 
-def _build_fan(which: str, n: int, force: bool) -> Fan:
-    if which == "gitfan":
-        return gfan.git_fan(n, force)
-    if which == "gitfan-star":
-        return gfan.git_fan_star(n, force)
-    if which == "sigma0":
-        return gfan.sigma_fan_cached(n, 0)
-    if which == "sigma1":
-        return gfan.sigma_fan_cached(n, 1)
-    if which == "sigmar":
-        return gfan.sigma_r(n, force)
-    if which == "delta":
-        return gfan.delta_reduction(n, force)
-    raise ValueError(which)
+def _build_fan(which: str, n: int) -> Fan:
+    return FANS[which](n)
 
 
 def cmd_fan(args) -> int:
     n = args.n
     if not _guard_check(args.which, f"fan {args.which}", n, args.force):
         return EXIT_USAGE
-    fan = _build_fan(args.which, n, args.force)
+    fan = _build_fan(args.which, n)
     payload = fan_payload(fan, n)
     print(
         f"fan {args.which} n={n}: {len(fan.rays)} rays, "
@@ -173,43 +209,22 @@ def cmd_fan(args) -> int:
     return EXIT_OK
 
 
-def _run_claim(claim: str, n: int, seed: int, force: bool, jobs: int = 1) -> dict:
-    if claim == "walls":
-        return gfan.verify_walls(n, force)
-    if claim == "star-subfan":
-        return gfan.verify_star_subfan(n, force)
-    if claim == "fk-bridge":
-        return sl.verify_fk_bridge(seed=seed, jobs=jobs)
-    if claim == "thm44":
-        return sl.verify_blowup_join_criterion()
-    if claim == "delta-subfan":
-        return gfan.verify_delta_subfan(n, force)
-    if claim == "rays":
-        return gfan.verify_ray_classification(n, force)
-    if claim == "nu-equality":
-        return gfan.verify_nu_equality(n, force)
-    raise ValueError(claim)
+def _run_claim(claim: str, n: int, seed: int, jobs: int) -> dict:
+    return CLAIMS[claim](n, seed, jobs)
 
 
 def cmd_verify(args) -> int:
     n = args.n
-    claims = (
-        ["walls", "star-subfan", "fk-bridge", "thm44", "delta-subfan", "rays", "nu-equality"]
-        if args.claim == "all"
-        else [args.claim]
-    )
+    every = args.claim == "all"
     reports = []
-    for claim in claims:
-        lo, hi = gr.GUARDS[claim]
-        if args.claim == "all" and (n < lo or (n > hi and not args.force)):
-            lift = "; --force lifts the maximum" if n > hi else ""
-            print(f"{claim}: skipped (n={n} outside {lo}..{hi}{lift})")
-            continue
-        if not _guard_check(claim, f"verify {claim}", n, args.force):
+    for claim in CLAIMS if every else [args.claim]:
+        if not _guard_check(claim, f"verify {claim}", n, args.force, skip=every):
+            if every:
+                continue
             return EXIT_USAGE
         t0 = time.perf_counter()
         try:
-            rep = _run_claim(claim, n, args.seed, args.force, args.jobs)
+            rep = _run_claim(claim, n, args.seed, args.jobs)
         except (FanAxiomViolation, AssertionError) as err:
             print(f"internal validation failure in {claim}: {err}", file=sys.stderr)
             return EXIT_INTERNAL
@@ -266,7 +281,7 @@ def cmd_poset(args) -> int:
     n = args.n
     if not _guard_check(args.which, f"poset {args.which}", n, args.force):
         return EXIT_USAGE
-    fan = _build_fan(args.which, n, args.force)
+    fan = _build_fan(args.which, n)
     poset = sl.face_poset(fan)
     payload = poset.dump()
     payload["n"] = n
@@ -300,27 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ysets)
 
     p = sub.add_parser("fan", help="compute and export a fan")
-    p.add_argument(
-        "which",
-        choices=["gitfan", "gitfan-star", "sigma0", "sigma1", "sigmar", "delta"],
-    )
+    p.add_argument("which", choices=list(FANS))
     common(p)
     p.set_defaults(func=cmd_fan)
 
     p = sub.add_parser("verify", help="run verification claims")
-    p.add_argument(
-        "claim",
-        choices=[
-            "walls",
-            "star-subfan",
-            "fk-bridge",
-            "thm44",
-            "delta-subfan",
-            "rays",
-            "nu-equality",
-            "all",
-        ],
-    )
+    p.add_argument("claim", choices=[*CLAIMS, "all"])
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -330,10 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_centers)
 
     p = sub.add_parser("poset", help="dump the face poset of a fan")
-    p.add_argument(
-        "which",
-        choices=["gitfan", "gitfan-star", "sigma0", "sigma1", "sigmar", "delta"],
-    )
+    p.add_argument("which", choices=list(FANS))
     common(p)
     p.set_defaults(func=cmd_poset)
 
@@ -357,9 +354,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except UsageError as err:
         print(err, file=sys.stderr)
-        return EXIT_USAGE
-    except GuardExceeded as err:
-        print(f"guard: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (FanAxiomViolation, AssertionError) as err:
         print(f"internal validation failure: {err}", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import grassmann as gr
 from .exact_linalg import _dot, kernel_basis, primitive_vector, rank, solve
-from .grassmann import Pair, TwoBlock, check_guard
+from .grassmann import Pair, TwoBlock
 from .polyhedral import (
     Cone,
     Fan,
@@ -162,6 +162,8 @@ def wall_normals(n: int) -> list[tuple[TwoBlock, tuple[int, ...]]]:
 def _wall_regions(n: int, star: bool) -> tuple:
     from .polyhedral import arrangement_leaves
 
+    if n < 2 + star:
+        raise ValueError(f"need n >= {2 + star} (got {n})")
     support = omega_star(n) if star else omega(n)
     walls = [normal for _, normal in wall_normals(n)]
     leaves = arrangement_leaves(
@@ -173,30 +175,19 @@ def _wall_regions(n: int, star: bool) -> tuple:
     )
 
 
-# Each guarded fan checks its guard and then calls a cache keyed by n alone,
-# so every spelling of the force flag shares one cached result.
-
-
-def wall_fan(n: int, force: bool = False) -> Fan:
-    """The fan cut out of the orthant directly by the two-block walls."""
-    check_guard("gitfan", n, force)
-    return _wall_fan(n)
-
-
 @lru_cache(maxsize=None)
-def _wall_fan(n: int) -> Fan:
+def wall_fan(n: int) -> Fan:
+    """The fan cut out of the orthant directly by the two-block walls."""
     return fan_from_maximal([cone for cone, _ in _wall_regions(n, False)])
 
 
-def git_fan(n: int, force: bool = False) -> Fan:
+def git_fan(n: int) -> Fan:
     """GIT fan by sign-region enumeration, every region certified against the
     defining intersection formula; disagreement raises."""
-    check_guard("gitfan", n, force)
     return _certified_fan(n, False)
 
 
-def git_fan_star(n: int, force: bool = False) -> Fan:
-    check_guard("gitfan-star", n, force)
+def git_fan_star(n: int) -> Fan:
     return _certified_fan(n, True)
 
 
@@ -274,14 +265,13 @@ def _lam_key(lam: GitChamber, n: int) -> int:
     raise ValueError("expected one of the two distinguished chambers")
 
 
-def envelope_sets(lam: GitChamber, n: int, force: bool = False) -> EnvelopeSets:
+def envelope_sets(lam: GitChamber, n: int) -> EnvelopeSets:
     """All enveloping sets of the chamber (explicit sweep; small n only).
 
     A set I qualifies iff it contains a witness J with
     relint(lam) in relint(omega_J); relint(omega_J) in relint(omega_I) is
     then automatic because omega_J is full dimensional.
     """
-    check_guard("envelope-sets", n, force)
     witnesses = _enveloping_witnesses(n, _lam_key(lam, n))
     all_pairs, _ = gr.pairs(n)
     idx = {p: k for k, p in enumerate(all_pairs)}
@@ -297,8 +287,8 @@ def envelope_sets(lam: GitChamber, n: int, force: bool = False) -> EnvelopeSets:
 
 @lru_cache(maxsize=None)
 def sigma_fan_cached(n: int, lam_key: int) -> Fan:
-    wd = gr.weights(n)
     witnesses = _enveloping_witnesses(n, lam_key)
+    wd = gr.weights(n)
     minimal = [
         j for j in witnesses if not any(k < j for k in witnesses if k != j)
     ]
@@ -366,15 +356,10 @@ def sigma_r_carrier(tb: TwoBlock) -> Cone:
     return Cone.from_generators(gens, len(wd.p))
 
 
-def sigma_r(n: int, force: bool = False) -> Fan:
+@lru_cache(maxsize=None)
+def sigma_r(n: int) -> Fan:
     """Iterated stellar subdivision of the lambda1 ambient fan in the nu rays,
     in descending order; each carrier is verified before subdividing."""
-    check_guard("sigmar", n, force)
-    return _sigma_r(n)
-
-
-@lru_cache(maxsize=None)
-def _sigma_r(n: int) -> Fan:
     return _sigma_r_with_order(sigma_fan_cached(n, 1), nu_order(n))
 
 
@@ -513,14 +498,17 @@ def _profile_cone(profile: Iterable[int], pt: Sequence[int], n: int) -> Cone:
     return sigma
 
 
-def gkz_cone(v: Sequence, n: int, force: bool = False) -> Cone:
+def gkz_cone(v: Sequence, n: int) -> Cone:
     """GKZ cone of a point of Delta: intersection of all column-spanned cones
     whose relative interior contains it.
 
     The pool holds only the column cones that meet Delta, which is exact for
-    points of Delta alone; a point outside Delta raises ``ValueError``.
+    points of Delta alone; a point outside Delta raises ``ValueError``.  At
+    n >= 5 that the pool is complete rests on the relint criterion, verified
+    for n <= 4 only.
     """
-    check_guard("delta", n, force)
+    if n < 3:
+        raise ValueError(f"need n >= 3 (got {n})")
     pt = tuple(int(x) for x in v)
     if not gr.delta_contains(pt, gr.weights(n)):
         raise ValueError(f"point {pt} lies outside Delta")
@@ -589,11 +577,11 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     tree cone images cover Delta and each lies inside it, so every
     representative is asserted to lie in Delta, and the GKZ profiles of the
     representatives give the cones.
-
-    Cached by n alone: callers check the "delta" guard first.
     """
     from .polyhedral import arrangement_leaves
 
+    if n < 3:
+        raise ValueError(f"need n >= 3 (got {n})")
     wd = gr.weights(n)
     dim = len(wd.p)
     sign = gr.tropical_sign()
@@ -654,10 +642,11 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     return DeltaReduction(fan, witnesses, len(trees), rep_count)
 
 
-def delta_reduction(n: int, force: bool = False) -> Fan:
+def delta_reduction(n: int) -> Fan:
     """The Delta-reduction of the GKZ fan: maximal GKZ cones whose relative
-    interiors meet the projected tropical variety, closed under faces."""
-    check_guard("delta", n, force)
+    interiors meet the projected tropical variety, closed under faces.  At
+    n >= 5 it rests on the relint criterion (``_gkz_pool``), verified for
+    n <= 4 only."""
     return _delta_reduction_data(n).fan
 
 
@@ -666,13 +655,13 @@ def delta_reduction(n: int, force: bool = False) -> Fan:
 # ---------------------------------------------------------------------------
 
 
-def verify_walls(n: int, force: bool = False) -> dict:
+def verify_walls(n: int) -> dict:
     """Two-path GIT fan check plus the counted facts at n = 3, 4."""
     certificates = []
     result = True
     try:
-        gf = git_fan(n, force)
-        wf = wall_fan(n, force)
+        gf = git_fan(n)
+        wf = wall_fan(n)
         if gf != wf:
             result = False
             certificates.append({"kind": "fan-mismatch"})
@@ -717,21 +706,20 @@ def verify_walls(n: int, force: bool = False) -> dict:
     }
 
 
-def verify_star_subfan(n: int, force: bool = False) -> dict:
-    ok = is_subfan(git_fan_star(n, force), git_fan(n, force))
+def verify_star_subfan(n: int) -> dict:
+    ok = is_subfan(git_fan_star(n), git_fan(n))
     return {"claim": "star-subfan", "n": n, "result": ok, "certificates": []}
 
 
-def verify_nu_equality(n: int, force: bool = False) -> dict:
+def verify_nu_equality(n: int) -> dict:
     """nu well-definedness: identical block expressions, difference of the
     coefficient vectors in the row space of Q with unit coefficients, and the
     carrier membership in both ambient fans."""
-    check_guard("nu-equality", n, force)
+    sigma1 = sigma_fan_cached(n, 1)
     wd = gr.weights(n)
     all_pairs, _ = gr.pairs(n)
     certificates = []
     result = True
-    sigma1 = sigma_fan_cached(n, 1)
     for tb in gr.true_two_blocks(n):
         entry = {"block": sorted(tb.block)}
         try:
@@ -793,16 +781,22 @@ def verify_nu_equality(n: int, force: bool = False) -> dict:
     }
 
 
-def verify_delta_subfan(n: int, force: bool = False) -> dict:
+def verify_delta_subfan(n: int) -> dict:
     """The pipeline theorem at desk scale: the Delta-reduction is a subfan of
-    the iterated stellar subdivision, with cone-by-cone certificates."""
-    check_guard("delta-subfan", n, force)
+    the iterated stellar subdivision, with cone-by-cone certificates.  As
+    Sigma_r is simplicial, a Delta cone is a face of a maximal cone m iff it
+    is pointed with its rays among m's; ``is_subfan`` must agree with this
+    scan.  At n >= 5 the Delta side rests on the relint criterion
+    (``_gkz_pool``), verified for n <= 4 only."""
     data = _delta_reduction_data(n)
-    sr = sigma_r(n, force)
+    sr = sigma_r(n)
+    if not sr.is_simplicial:
+        raise AssertionError("Sigma_r is not simplicial")
     certificates = []
     ok = True
     for c in data.fan.maximal:
-        match = next((m for m in sr.maximal if c.is_face_of(m)), None)
+        rays = set(c.rays)
+        match = next((m for m in sr.maximal if c.is_pointed and rays <= set(m.rays)), None)
         witness = data.witnesses[(c.facets, c.span_eqs)]
         entry = {
             "delta_cone_rays": [list(r) for r in c.rays],
@@ -827,12 +821,13 @@ def verify_delta_subfan(n: int, force: bool = False) -> dict:
     }
 
 
-def verify_ray_classification(n: int, force: bool = False) -> dict:
+def verify_ray_classification(n: int) -> dict:
     """Rays of the Delta-reduction against the predicted candidates, plus the
-    contraction check on the lambda0 ambient fan."""
-    check_guard("rays", n, force)
-    wd = gr.weights(n)
+    contraction check on the lambda0 ambient fan.  At n >= 5 the Delta side
+    rests on the relint criterion (``_gkz_pool``), verified for n <= 4 only.
+    """
     data = _delta_reduction_data(n)
+    wd = gr.weights(n)
     candidates: dict[tuple[int, ...], str] = {}
     for p in gr.pairs(n)[1]:
         candidates[primitive_vector(wd.v[p])] = f"v_{p[0]}{p[1]}"
@@ -846,7 +841,7 @@ def verify_ray_classification(n: int, force: bool = False) -> dict:
     sigma0 = sigma_fan_cached(n, 0)
     sigma1 = sigma_fan_cached(n, 1)
     v01 = primitive_vector(wd.v[(0, 1)])
-    sr_rays = set(sigma_r(n, force).rays)
+    sr_rays = set(sigma_r(n).rays)
     nu_rays_present = all(nu_ray(tb) in sr_rays for tb in gr.true_two_blocks(n))
     result = not unexpected and v01 not in set(sigma0.rays) and nu_rays_present
     return {
@@ -870,7 +865,7 @@ def verify_ray_classification(n: int, force: bool = False) -> dict:
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # T exponents, S exponents
 
 
-def _poly_mul(a: dict[Monomial, int], b: dict[Monomial, int], nvars: int) -> dict:
+def _poly_mul(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict:
     out: dict[Monomial, int] = {}
     for (ta, sa), ca in a.items():
         for (tb, sb), cb in b.items():
@@ -916,8 +911,7 @@ def _poly_str(poly: dict[Monomial, int], n: int) -> str:
 def _pullback_monomial(exponent: dict[Pair, int], n: int) -> dict[Monomial, int]:
     """Substitute homogeneous coordinates: the pair {0,i} maps to T_i, the
     pair {1,j} to S_j, and an inner pair {j,k} to T_j S_k - T_k S_j."""
-    nv = n - 1
-    zero = tuple(0 for _ in range(nv))
+    zero = tuple(0 for _ in range(n - 1))
     poly: dict[Monomial, int] = {(zero, zero): 1}
     for (i, j), e in sorted(exponent.items()):
         if e == 0:
@@ -941,7 +935,7 @@ def _pullback_monomial(exponent: dict[Pair, int], n: int) -> dict[Monomial, int]
             s2[i - 2] = 1
             factor = {(tuple(t1), tuple(s1)): 1, (tuple(t2), tuple(s2)): -1}
         for _ in range(e):
-            poly = _poly_mul(poly, factor, nv)
+            poly = _poly_mul(poly, factor)
     return poly
 
 

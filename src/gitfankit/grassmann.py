@@ -22,44 +22,6 @@ from .exact_linalg import _dot, gale_dual, solve
 Pair = tuple[int, int]
 
 
-class GuardExceeded(ValueError):
-    """A size guard was exceeded; rerun with force where supported."""
-
-
-# (minimum n, maximum n) of every command, claim and guarded library function.
-# Below the minimum n is outside the domain; the maximum keeps runs at desk
-# scale, and force lifts only the maximum.
-GUARDS: dict[str, tuple[int, float]] = {
-    "ysets": (2, 6),
-    "oracle": (2, 3),
-    "gitfan": (2, 5),
-    "gitfan-star": (3, 5),
-    "sigma0": (3, 5),
-    "sigma1": (3, 5),
-    "sigmar": (3, 5),
-    "delta": (3, 4),
-    "envelope-sets": (3, 4),
-    "walls": (2, 5),
-    "star-subfan": (3, 5),
-    "fk-bridge": (2, math.inf),
-    "thm44": (2, math.inf),
-    "delta-subfan": (3, 4),
-    "rays": (3, 4),
-    "nu-equality": (3, 5),
-    "centers": (3, 5),
-}
-
-
-def check_guard(what: str, n: int, force: bool = False) -> None:
-    """Raise ValueError below the domain of ``what`` and GuardExceeded above
-    its size guard unless forced."""
-    lo, hi = GUARDS[what]
-    if n < lo:
-        raise ValueError(f"{what} needs n >= {lo}, got {n}")
-    if n > hi and not force:
-        raise GuardExceeded(f"{what} guarded at n <= {hi}, got {n}")
-
-
 def pairs(n: int) -> tuple[list[Pair], list[Pair]]:
     """Canonical enumerations of all pairs over {0..n} and those over {1..n}."""
     if n < 2:
@@ -181,9 +143,8 @@ def mask_to_yset(mask: int, n: int) -> YSet:
     return YSet(n, frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1))
 
 
-def enumerate_y_sets(n: int, force: bool = False) -> list[YSet]:
+def enumerate_y_sets(n: int) -> list[YSet]:
     """All Y-sets over {0..n}, in deterministic (mask-ascending) order."""
-    check_guard("ysets", n, force)
     return [mask_to_yset(m, n) for m in y_set_masks(n)]
 
 
@@ -322,9 +283,10 @@ def y_set_witness(ys: YSet) -> tuple[tuple[int, ...], tuple[int, ...], str]:
     raise AssertionError(f"no verified witness found for {ys}")
 
 
-def brute_force_supports(n: int, force: bool = False) -> set[YSet]:
-    """All wedge supports within the witness value ranges; oracle for n <= 3."""
-    check_guard("oracle", n, force)
+def brute_force_supports(n: int) -> set[YSet]:
+    """All wedge supports within the witness value ranges: the Y-set oracle."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     out: set[YSet] = set()
     xs = list(itertools.product(range(n + 1), repeat=n))
     ys_ = list(itertools.product((0, 1), repeat=n))

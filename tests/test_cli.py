@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -305,7 +306,7 @@ def test_good_output_path_is_not_touched_before_writing(tmp_path, monkeypatch, c
     target = tmp_path / "x.json"
     seen = []
 
-    def fake_claim(claim, n, seed, force, jobs=1):
+    def fake_claim(claim, n, seed, jobs):
         seen.append(target.exists())
         return {"claim": claim, "n": n, "result": True}
 
@@ -319,7 +320,7 @@ def test_good_output_path_is_not_touched_before_writing(tmp_path, monkeypatch, c
 def test_verify_all_skips_claims_outside_domain(monkeypatch, capsys):
     ran = []
 
-    def fake_claim(claim, n, seed, force, jobs=1):
+    def fake_claim(claim, n, seed, jobs):
         ran.append(claim)
         return {"claim": claim, "n": n, "result": True}
 
@@ -333,7 +334,7 @@ def test_verify_all_skips_claims_outside_domain(monkeypatch, capsys):
 
 
 def test_verify_all_names_skipped_claims(monkeypatch, capsys):
-    def fake_claim(claim, n, seed, force, jobs=1):
+    def fake_claim(claim, n, seed, jobs):
         return {"claim": claim, "n": n, "result": True}
 
     monkeypatch.setattr(cli, "_run_claim", fake_claim)
@@ -365,7 +366,7 @@ def test_verify_all_names_skipped_claims(monkeypatch, capsys):
     ["verify", "all", "-n", "5"],
 ])
 def test_json_format_stdout_is_the_payload(args, monkeypatch, capsys):
-    def fake_claim(claim, n, seed, force, jobs=1):
+    def fake_claim(claim, n, seed, jobs):
         return {"claim": claim, "n": n, "result": True}
 
     if args[:2] == ["verify", "all"]:
@@ -383,3 +384,90 @@ def test_cli_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, gitfankit.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class Built(Exception):
+    """Raised by a patched builder or runner: the guard let the run through."""
+
+
+def guard_rows():
+    """(row, command line without -n) for every guarded run of the CLI."""
+    for key in cli.GUARDS:
+        if key in cli.FANS:
+            yield key, ["fan", key]
+            yield key, ["poset", key]
+        elif key in cli.CLAIMS:
+            yield key, ["verify", key]
+        elif key == "oracle":
+            yield key, ["ysets", "--oracle"]
+        elif key == "centers":
+            yield key, ["centers", "-A", "2,3"]
+        else:
+            yield key, [key]
+
+
+@pytest.mark.parametrize("key, args", [pytest.param(k, a, id=" ".join(a)) for k, a in guard_rows()])
+def test_guard_row(key, args, monkeypatch, capsys):
+    def builder(name):
+        def build(*a, **k):
+            raise Built(name, a)
+
+        return build
+
+    # every library entry point the CLI calls after its guards
+    monkeypatch.setattr(cli, "_build_fan", builder("fan"))
+    monkeypatch.setattr(cli, "_run_claim", builder("claim"))
+    for name in ("enumerate_y_sets", "brute_force_supports"):
+        monkeypatch.setattr(cli.gr, name, builder(name))
+    monkeypatch.setattr(cli.gfan, "nu_vector", builder("nu_vector"))
+    lo, hi = cli.GUARDS[key]
+
+    code, _, err = run([*args, "-n", str(lo - 1)], capsys)
+    assert code == 2 and len(err.strip().splitlines()) == 1
+    if hi == math.inf:
+        return
+    n = str(hi + 1)
+    code, _, err = run([*args, "-n", n], capsys)
+    assert code == 2
+    assert err.startswith("guard: ") and len(err.strip().splitlines()) == 1
+    with pytest.raises(Built) as exc:
+        main([*args, "-n", n, "--force"])
+    err = capsys.readouterr().err
+    assert err.startswith("warning: forcing ") and len(err.strip().splitlines()) == 1
+    name, called_with = exc.value.args
+    assert hi + 1 in called_with
+    if name in ("fan", "claim"):
+        assert called_with[0] == key
+
+
+def test_dispatch_tables_match_guard_rows():
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert not set(cli.FANS) & set(cli.CLAIMS)
+    assert set(cli.GUARDS) == set(cli.FANS) | set(cli.CLAIMS) | {"ysets", "oracle", "centers"}
+    assert {"ysets", "centers"} <= set(subcommands)
+    choices = {
+        name: [a.choices for a in sub._actions if a.dest in ("which", "claim")]
+        for name, sub in subcommands.items()
+    }
+    assert choices["fan"] == choices["poset"] == [list(cli.FANS)]
+    assert choices["verify"] == [[*cli.CLAIMS, "all"]]
+
+
+def test_no_force_parameter_outside_cli():
+    import inspect
+
+    from gitfankit import exact_linalg, gitfan, grassmann, polyhedral, semilattice
+
+    found = []
+    for mod in (gitfan, grassmann, polyhedral, semilattice, exact_linalg):
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            fns = [(name, obj)]
+            if inspect.isclass(obj):
+                fns = [(f"{name}.{m}", f) for m, f in vars(obj).items()]
+            for label, fn in fns:
+                fn = getattr(fn, "__func__", fn)
+                if callable(fn) and "force" in inspect.signature(fn).parameters:
+                    found.append(f"{mod.__name__}.{label}")
+    assert found == []

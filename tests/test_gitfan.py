@@ -9,7 +9,7 @@ import gitfankit
 import gitfankit.gitfan as gf
 import gitfankit.grassmann as gr
 from gitfankit.exact_linalg import kernel_basis, primitive_vector, solve
-from gitfankit.grassmann import GuardExceeded, TwoBlock, YSet
+from gitfankit.grassmann import TwoBlock, YSet
 from gitfankit import polyhedral
 from gitfankit.polyhedral import Cone, _dot, is_subfan
 
@@ -71,18 +71,48 @@ def test_git_fan_n4_inside_star():
     assert sum(1 for c in fan.maximal if star.contains_cone(c)) == 8
 
 
-def test_git_fan_guard():
-    with pytest.raises(GuardExceeded):
-        gf.git_fan(6)
+# each library entry point and the least n of its domain; the chamber passed
+# to envelope_sets is never read below the domain
+LIBRARY_DOMAINS = {
+    "wall_fan": (lambda n: gf.wall_fan(n), 2),
+    "git_fan": (lambda n: gf.git_fan(n), 2),
+    "git_fan_star": (lambda n: gf.git_fan_star(n), 3),
+    "envelope_sets": (lambda n: gf.envelope_sets(None, n), 3),
+    "sigma_r": (lambda n: gf.sigma_r(n), 3),
+    "gkz_cone": (lambda n: gf.gkz_cone((), n), 3),
+    "delta_reduction": (lambda n: gf.delta_reduction(n), 3),
+    "verify_walls": (lambda n: gf.verify_walls(n), 2),
+    "verify_star_subfan": (lambda n: gf.verify_star_subfan(n), 3),
+    "verify_nu_equality": (lambda n: gf.verify_nu_equality(n), 3),
+    "verify_delta_subfan": (lambda n: gf.verify_delta_subfan(n), 3),
+    "verify_ray_classification": (lambda n: gf.verify_ray_classification(n), 3),
+    "enumerate_y_sets": (lambda n: gr.enumerate_y_sets(n), 2),
+    "brute_force_supports": (lambda n: gr.brute_force_supports(n), 2),
+}
 
 
-def test_cache_keys_ignore_force():
-    assert gf.git_fan(4) is gf.git_fan(4, False) is gf.git_fan(4, force=False)
-    gf._delta_reduction_data.cache_clear()
-    gf.delta_reduction(3)
-    gf.delta_reduction(3, False)
-    gf.verify_delta_subfan(3)
-    assert gf._delta_reduction_data.cache_info().misses == 1
+@pytest.mark.parametrize("name", LIBRARY_DOMAINS)
+def test_library_rejects_n_below_domain_before_building(name, monkeypatch):
+    call, lo = LIBRARY_DOMAINS[name]
+    built = []
+
+    def spy(mod, attr):
+        fn = getattr(mod, attr)
+
+        def wrapper(*args, **kwargs):
+            built.append(attr)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, wrapper)
+
+    for attr in ("_cone_from_gens", "_cone_from_ineqs", "arrangement_leaves"):
+        spy(polyhedral, attr)
+    for attr in ("fan_from_maximal", "_gkz_table", "_gkz_pool"):
+        spy(gf, attr)
+    spy(gr, "weights")
+    with pytest.raises(ValueError):
+        call(lo - 1)
+    assert built == []
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -341,15 +371,58 @@ def test_delta_reduction_n3_is_sigma1():
     assert gf.delta_reduction(3) == gf.sigma_fan_cached(3, 1)
 
 
-def test_delta_reduction_guard():
-    with pytest.raises(GuardExceeded):
-        gf.delta_reduction(5)
-
-
 def test_verify_delta_subfan_n3():
     rep = gf.verify_delta_subfan(3)
     assert rep["result"]
     assert all(c["matched"] for c in rep["certificates"])
+
+
+def sigma_r_without_a_delta_cone(n):
+    """Sigma_r(n) less every maximal cone holding the rays of the first Delta
+    cone, and that cone's rays."""
+    rays = set(gf.delta_reduction(n).maximal[0].rays)
+    sr = gf.sigma_r(n)
+    kept = tuple(m for m in sr.maximal if not rays <= set(m.rays))
+    assert 0 < len(kept) < len(sr.maximal)
+    return polyhedral.Fan(sr.ambient, kept), rays
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_delta_subfan_reports_an_unmatched_cone(n, monkeypatch, capsys):
+    from gitfankit.cli import main
+
+    crippled, rays = sigma_r_without_a_delta_cone(n)
+    monkeypatch.setattr(gf, "sigma_r", lambda n: crippled)
+    rep = gf.verify_delta_subfan(n)
+    assert rep["result"] is False
+    unmatched = [c for c in rep["certificates"] if not c["matched"]]
+    assert [set(map(tuple, c["delta_cone_rays"])) for c in unmatched] == [rays]
+    assert main(["verify", "delta-subfan", "-n", str(n)]) == 1
+    capsys.readouterr()
+
+
+def test_delta_subfan_requires_simplicial_sigma_r(monkeypatch):
+    # the ray subset scan is exact only on a simplicial fan
+    pyramid = Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    monkeypatch.setattr(gf, "sigma_r", lambda n: polyhedral.Fan(3, (pyramid,)))
+    with pytest.raises(AssertionError, match="not simplicial"):
+        gf.verify_delta_subfan(3)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_delta_subfan_scan_is_independent_of_is_face_of(n, monkeypatch, capsys):
+    # a face test that accepts everything fools is_subfan but not the ray
+    # subset scan, so the two paths disagree and the run is an internal
+    # failure
+    from gitfankit.cli import main
+
+    crippled, _ = sigma_r_without_a_delta_cone(n)
+    monkeypatch.setattr(gf, "sigma_r", lambda n: crippled)
+    monkeypatch.setattr(Cone, "is_face_of", lambda self, other: True)
+    with pytest.raises(AssertionError, match="disagrees with the certificate scan"):
+        gf.verify_delta_subfan(n)
+    assert main(["verify", "delta-subfan", "-n", str(n)]) == 3
+    assert "disagrees with the certificate scan" in capsys.readouterr().err
 
 
 def test_delta_witnesses_in_relint():

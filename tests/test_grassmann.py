@@ -6,7 +6,6 @@ import pytest
 
 from gitfankit.exact_linalg import rank
 from gitfankit.grassmann import (
-    GuardExceeded,
     TwoBlock,
     YSet,
     all_splits,
@@ -152,11 +151,6 @@ def test_enumerate_n2_all_subsets():
     assert len(enumerate_y_sets(2)) == 8
 
 
-def test_enumerate_guard():
-    with pytest.raises(GuardExceeded):
-        enumerate_y_sets(7)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_oracle_equivalence(n):
     enum = {y.members for y in enumerate_y_sets(n)}
@@ -185,7 +179,7 @@ def test_y_set_counts():
 def test_oracle_equivalence_n4_forced():
     # the witness value ranges still exhaust all supports one size up
     enum = {y.members for y in enumerate_y_sets(4)}
-    brute = {y.members for y in brute_force_supports(4, force=True)}
+    brute = {y.members for y in brute_force_supports(4)}
     assert enum == brute
 
 
