@@ -13,7 +13,6 @@ from .grassmann import (
     enumerate_y_sets,
     is_y_set,
     pairs,
-    plucker_quadruples,
     trop_contains,
     two_block_hyperplane,
     wedge_support,
@@ -22,13 +21,11 @@ from .grassmann import (
 )
 from .gitfan import (
     CenterIdeal,
-    EnvelopeSets,
     GitChamber,
     center_ideal,
     center_pullback,
     chamber,
     delta_reduction,
-    envelope_sets,
     git_fan,
     git_fan_star,
     gkz_cone,
@@ -66,7 +63,6 @@ from .semilattice import (
     is_harmonious,
     is_nested,
     iterated_blow_up,
-    join_exists_in_blowup,
     poset_isomorphic,
     ray_face_poset,
     verify_blowup_join_criterion,

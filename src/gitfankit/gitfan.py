@@ -43,12 +43,6 @@ class GitChamber:
     defining_ysets: tuple[frozenset[Pair], ...]
 
 
-@dataclass(frozen=True)
-class EnvelopeSets:
-    chamber: GitChamber
-    sets: tuple[frozenset[Pair], ...]
-
-
 # ---------------------------------------------------------------------------
 # cones of weight columns
 # ---------------------------------------------------------------------------
@@ -263,26 +257,6 @@ def _lam_key(lam: GitChamber, n: int) -> int:
     if lam == lambda1(n):
         return 1
     raise ValueError("expected one of the two distinguished chambers")
-
-
-def envelope_sets(lam: GitChamber, n: int) -> EnvelopeSets:
-    """All enveloping sets of the chamber (explicit sweep; small n only).
-
-    A set I qualifies iff it contains a witness J with
-    relint(lam) in relint(omega_J); relint(omega_J) in relint(omega_I) is
-    then automatic because omega_J is full dimensional.
-    """
-    witnesses = _enveloping_witnesses(n, _lam_key(lam, n))
-    all_pairs, _ = gr.pairs(n)
-    idx = {p: k for k, p in enumerate(all_pairs)}
-    wit_masks = [sum(1 << idx[p] for p in j) for j in witnesses]
-    sets = []
-    for mask in range(1 << len(all_pairs)):
-        if any(mask & wm == wm for wm in wit_masks):
-            sets.append(
-                frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1)
-            )
-    return EnvelopeSets(lam, tuple(sorted(sets, key=sorted)))
 
 
 @lru_cache(maxsize=None)

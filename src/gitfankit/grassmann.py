@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
@@ -295,44 +294,6 @@ def brute_force_supports(n: int) -> set[YSet]:
             out.add(wedge_support((1, *x), (0, *y)))
             out.add(wedge_support((0, *x), (0, *y)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Pluecker quadruples
-# ---------------------------------------------------------------------------
-
-
-def plucker_quadruples(n: int) -> list[tuple[tuple[Pair, Pair], ...]]:
-    """For each i<j<k<l the three monomials of T_ij T_kl - T_ik T_jl + T_il T_jk.
-
-    Each entry lists the three index-pair products in sign order (+, -, +).
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    out = []
-    for i, j, k, l in itertools.combinations(range(n + 1), 4):
-        out.append(
-            (
-                ((i, j), (k, l)),
-                ((i, k), (j, l)),
-                ((i, l), (j, k)),
-            )
-        )
-    return out
-
-
-def plucker_value(coords: dict[Pair, Fraction], quad) -> Fraction:
-    (a1, a2), (b1, b2), (c1, c2) = quad
-    return coords[a1] * coords[a2] - coords[b1] * coords[b2] + coords[c1] * coords[c2]
-
-
-def wedge_coordinates(u: Sequence, v: Sequence) -> dict[Pair, Fraction]:
-    n = len(u) - 1
-    return {
-        (i, j): Fraction(u[i] * v[j] - u[j] * v[i])
-        for i in range(n + 1)
-        for j in range(i + 1, n + 1)
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ integers with the combinatorial adjacency test, run in both directions
 (generators -> facets via the dual cone, facets -> generators directly).
 Faces need no conversion: they are read from facet-ray incidence bitmasks.
 Neither does stellar subdivision: the facets of its simplicial pieces are
-combinations of the star cone's facets, and each subdivided star is certified
-locally instead of re-checking every pair of cones of the fan.
+combinations of the star cone's facets, and each star cone is certified by
+the signs those facets take on its rays and on the new ray (they must be its
+dual basis, positive at the new ray exactly on the carrier) instead of
+re-checking every pair of cones of the fan.
 
 A pair of cones in ``fan_from_maximal`` is decided from P = c1 ∩ c2, built
 by double description that starts from c1's own rays and lineality, with
@@ -635,12 +637,28 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
     ``Fan.carrier``.  Only the star of tau changes: each
     maximal cone c whose rays contain tau is replaced by its |tau| pieces
     cone(rays(c) - {t} + {nu}), t in tau.  Nothing is re-validated pairwise;
-    the checks are local:
+    each star cone c is certified by the facet signs its pieces are built
+    from, and a failed check raises ``FanAxiomViolation``:
 
-    - the cones holding nu are exactly the cones whose rays contain tau
-      (else ``FanAxiomViolation``);
-    - every piece is simplicial, by construction (below);
-    - the pieces of each star cone tile it (``_check_star_tiling``).
+    - the cones holding nu are exactly the cones whose rays contain tau;
+    - (a) each facet of c misses exactly one ray of c, one facet per ray, so
+      the facets are the dual basis of the rays: n_r, the facet opposite r,
+      is zero on the other rays and positive on r (facets of a cone are
+      nonnegative on its rays);
+    - (b) n_s.nu > 0 for s in tau and n_s.nu = 0 for the other rays of c.
+
+    The piece without t keeps n_t opposite nu; its facet opposite s is the
+    primitive (n_t.nu) n_s - (n_s.nu) n_t, which vanishes on nu and on every
+    other ray but s, is positive on s, and equals n_s for s outside tau.  So
+    by (a) and (b) each piece is the pointed simplicial cone its facets
+    describe, with c's span equations, and needs no conversion.  The pieces
+    tile c: nu lies in c, so nu = sum lambda_t t over the rays of c, where
+    lambda_t = n_t.nu / n_t.t by (a) is positive exactly on tau by (b).  A
+    point x = sum mu_r r of c equals (mu_t/lambda_t) nu +
+    sum_(r != t) (mu_r - mu_t lambda_r/lambda_t) r, so it lies in the piece
+    without t iff t minimises mu_t/lambda_t over tau.  Every point of c has
+    a minimiser, and the pieces without t and t' share only the points where
+    both minimise, their common face without t and t'.
 
     That suffices for the result to be a fan.  Cones outside the star do not
     change, so their pairs still meet in common faces.  A piece p of c meets
@@ -651,16 +669,6 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
     H = c ∩ c', which contains tau; the pieces of c restricted to H are the
     pieces of H, and those are fixed by ray sets, so c' induces the same ones
     and the two pieces meet in a common piece face.
-
-    Each piece is built from its star cone c, with no conversion.  c is
-    simplicial and pointed, so each of its facets misses exactly one ray:
-    n_r, the facet opposite r.  The piece without t keeps n_t opposite nu;
-    its facet opposite s is the primitive (n_t.nu) n_s - (n_s.nu) n_t, which
-    vanishes on nu and on every other ray but s, and equals n_s for s
-    outside tau (n_s.nu = 0).  Its span equations are c's and it is pointed.
-    n_t.nu > 0 for every t in tau, since that is how tau is read off the
-    facets, so nu is off the span of the other rays and every piece is
-    simplicial.
     """
     if not fan.is_simplicial:
         raise ValueError("stellar subdivision requires a simplicial fan")
@@ -673,7 +681,8 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
         raise ValueError("ray lies outside the support of the fan")
     mask = holder._carrier_mask(nu)
     carrier_rays = [r for i, r in enumerate(holder.rays) if mask >> i & 1]
-    in_star = [set(carrier_rays) <= set(c.rays) for c in fan.maximal]
+    tau = set(carrier_rays)
+    in_star = [tau <= set(c.rays) for c in fan.maximal]
     if holds != in_star:
         raise FanAxiomViolation(
             "the cones holding the ray are not the star of its carrier",
@@ -687,101 +696,37 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
             new_max.append(c)
             continue
         full = (1 << len(c.rays)) - 1
-        opposite = {
-            c.rays[(full ^ z).bit_length() - 1]: a
-            for a, z in zip(c.facets, c._zero_masks)
-        }
-        pieces = []
+        missed = [full ^ z for z in c._zero_masks]
+        if sorted(missed) != [1 << i for i in range(len(c.rays))]:
+            raise FanAxiomViolation(
+                "the facets of a star cone are not the dual basis of its rays",
+                offending=(c,),
+            )
+        opposite = {c.rays[m.bit_length() - 1]: a for a, m in zip(c.facets, missed)}
+        at_nu = {s: _dot(n_s, nu) for s, n_s in opposite.items()}
+        if any(v <= 0 if s in tau else v != 0 for s, v in at_nu.items()):
+            raise FanAxiomViolation(
+                "the facet signs of a star cone at the ray disagree with its carrier",
+                offending=(c,),
+            )
         for t in carrier_rays:
             n_t = opposite[t]
-            d = _dot(n_t, nu)
             facets = [n_t] + [
-                _combine(d, n_s, -_dot(n_s, nu), n_t)
+                _combine(at_nu[t], n_s, -at_nu[s], n_t)
                 for s, n_s in opposite.items()
                 if s != t
             ]
             rays = tuple(sorted([r for r in c.rays if r != t] + [nu]))
-            pieces.append(
+            new_max.append(
                 Cone(fan.ambient, rays, (), tuple(sorted(facets)), c.span_eqs)
             )
-        _check_star_tiling(c, pieces)
-        new_max.extend(pieces)
     return Fan(fan.ambient, tuple(sorted(new_max, key=_fan_order)))
-
-
-def _check_star_tiling(cone: Cone, pieces: Sequence[Cone]) -> None:
-    """Certify that simplicial pieces tile a simplicial cone, or raise
-    ``FanAxiomViolation``.
-
-    This is the triangulation criterion of De Loera-Rambau-Santos,
-    *Triangulations* (2010), in the span of the cone: every piece lies in the
-    cone with its dimension; a piece facet on the cone's boundary belongs to
-    exactly one piece, and any other facet to exactly two, whose apexes lie
-    on opposite sides of it; and a relative interior point of one piece lies
-    in no other piece.  Crossing an interior facet leaves the number of
-    pieces covering a generic point unchanged, so it is constant over the
-    cone, and the point makes it one.  The boundary count follows from the
-    other checks; it is kept because it names the fault (a duplicated piece,
-    or the cone kept beside its pieces) where it occurs.
-    """
-    if not pieces:
-        raise FanAxiomViolation("no pieces", offending=(cone,))
-    pool = {r for p in pieces for r in p.rays}
-    inside = {r for r in pool if cone.contains(r)}
-    for p in pieces:
-        if p.dim != cone.dim or not inside.issuperset(p.rays):
-            raise FanAxiomViolation("piece outside the cone", offending=(cone, p))
-    # per facet of the cone, the piece rays on it
-    boundary = [frozenset(r for r in pool if _dot(a, r) == 0) for a in cone.facets]
-    sharers: dict[frozenset, list[tuple[Cone, IVec]]] = {}
-    for p in pieces:
-        for apex in p.rays:
-            facet = frozenset(p.rays) - {apex}
-            sharers.setdefault(facet, []).append((p, apex))
-    for facet, holders in sharers.items():
-        if any(facet <= z for z in boundary):
-            if len(holders) != 1:
-                raise FanAxiomViolation(
-                    "boundary facet in several pieces",
-                    offending=tuple(p for p, _ in holders),
-                )
-            continue
-        if len(holders) != 2:
-            raise FanAxiomViolation(
-                "interior facet not shared by exactly two pieces",
-                offending=tuple(p for p, _ in holders),
-            )
-        (p1, a1), (p2, a2) = holders
-        normal = next(a for a in p1.facets if _dot(a, a1) > 0)
-        if _dot(normal, a2) >= 0:
-            raise FanAxiomViolation(
-                "pieces on the same side of a shared facet", offending=(p1, p2)
-            )
-    point = pieces[0].relint_point()
-    for p in pieces[1:]:
-        if p.contains(point):
-            raise FanAxiomViolation(
-                "a point covered by two pieces", offending=(pieces[0], p)
-            )
 
 
 def iterated_stellar(fan: Fan, rays: Iterable[Sequence[int]]) -> Fan:
     for r in rays:
         fan = stellar_subdivide(fan, r)
     return fan
-
-
-def refinement_preserves_support(original: Fan, refined: Fan) -> bool:
-    """Support equality for a refinement, by exact containment one way and
-    relint representatives of all refined pieces the other way."""
-    for c in refined.maximal:
-        if not any(d.contains_cone(c) for d in original.maximal):
-            return False
-    for c in original.maximal:
-        for f in c.faces():
-            if not f.is_zero() and not refined.contains_point(f.relint_point()):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -222,24 +222,6 @@ def iterated_blow_up(lattice: FiniteSemilattice, family) -> FiniteSemilattice:
     return current
 
 
-def join_exists_in_blowup(
-    lattice: FiniteSemilattice,
-    family: Sequence[Hashable],
-    subset: Iterable[Hashable],
-) -> bool:
-    """Directly test existence of the join of the (xi, bottom) elements."""
-    subset = list(subset)
-    if not set(subset) <= set(family):
-        raise ValueError("subset must consist of family members")
-    blown = iterated_blow_up(lattice, family)
-    bottom = lattice.bottom
-    targets = [BlowPair(xi, bottom) for xi in subset]
-    for t in targets:
-        if t not in blown:
-            raise AssertionError(f"expected element {t!r} missing from blow-up")
-    return blown.join(targets) is not None
-
-
 # ---------------------------------------------------------------------------
 # building sets, nested sets, harmonious pairs
 # ---------------------------------------------------------------------------
@@ -325,23 +307,6 @@ def is_building_set(lattice: FiniteSemilattice, s: Iterable[Hashable]) -> bool:
             f"interval product says {a}, two-condition says {b} for {sorted(map(repr, s))}"
         )
     return a
-
-
-def nested_complex_poset(
-    lattice: FiniteSemilattice, s: Iterable[Hashable]
-) -> FiniteSemilattice:
-    """The nested-set complex of s ordered by inclusion, as a semilattice.
-
-    Vertices are the elements of s; faces are the nested subsets (singletons
-    and the empty set included).  Meets are intersections.
-    """
-    s = sorted(frozenset(s), key=repr)
-    faces = [frozenset()]
-    for r in range(1, len(s) + 1):
-        for combo in itertools.combinations(s, r):
-            if is_nested(lattice, frozenset(s), combo):
-                faces.append(frozenset(combo))
-    return _inclusion_poset(faces, faces)
 
 
 def is_nested(

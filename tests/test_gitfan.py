@@ -71,13 +71,11 @@ def test_git_fan_n4_inside_star():
     assert sum(1 for c in fan.maximal if star.contains_cone(c)) == 8
 
 
-# each library entry point and the least n of its domain; the chamber passed
-# to envelope_sets is never read below the domain
+# each library entry point and the least n of its domain
 LIBRARY_DOMAINS = {
     "wall_fan": (lambda n: gf.wall_fan(n), 2),
     "git_fan": (lambda n: gf.git_fan(n), 2),
     "git_fan_star": (lambda n: gf.git_fan_star(n), 3),
-    "envelope_sets": (lambda n: gf.envelope_sets(None, n), 3),
     "sigma_r": (lambda n: gf.sigma_r(n), 3),
     "gkz_cone": (lambda n: gf.gkz_cone((), n), 3),
     "delta_reduction": (lambda n: gf.delta_reduction(n), 3),
@@ -154,21 +152,34 @@ def test_lambda_chambers_in_git_fan(n):
     assert fan.has_cone(gf.lambda1(n).cone)
 
 
+def envelope_sets(lam_key, n):
+    """The enveloping sets of lambda0 (key 0) or lambda1 (key 1): the index
+    sets holding one of the chamber's enveloping witnesses."""
+    witnesses = gf._enveloping_witnesses(n, lam_key)
+    all_pairs = gr.pairs(n)[0]
+    sets = set()
+    for mask in range(1 << len(all_pairs)):
+        members = frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1)
+        if any(j <= members for j in witnesses):
+            sets.add(members)
+    return sets
+
+
 def test_envelope_sets_n3():
     lam0 = gf.lambda0(3)
-    envs = gf.envelope_sets(lam0, 3)
+    envs = envelope_sets(0, 3)
     all_pairs = frozenset(gr.pairs(3)[0])
     # the full index set always qualifies (complement gives the zero cone)
-    assert all_pairs in set(envs.sets)
+    assert all_pairs in envs
     # the complement of the A={2,3} carrier set qualifies
     carrier_pairs = frozenset({(0, 2), (0, 3), (2, 3)})
-    assert frozenset(all_pairs - carrier_pairs) in set(envs.sets)
+    assert frozenset(all_pairs - carrier_pairs) in envs
     # every enveloping set contains a Y-set witness covering the chamber
     wd = gr.weights(3)
     rep = lam0.cone.relint_point()
-    for i in set(envs.sets):
+    for i in envs:
         found = False
-        for members in envs.sets:
+        for members in envs:
             if members <= i and gr.is_y_set(YSet(3, members)):
                 c = Cone.from_generators([wd.w[p] for p in members], 3)
                 if c.contains(rep, "relative_interior") and all(
@@ -196,8 +207,8 @@ def test_envelope_sets_match_literal_definition():
         )
 
     ysets = [frozenset(y.members) for y in gr.enumerate_y_sets(n)]
-    for lam in (gf.lambda0(n), gf.lambda1(n)):
-        computed = set(gf.envelope_sets(lam, n).sets)
+    for key, lam in enumerate((gf.lambda0(n), gf.lambda1(n))):
+        computed = envelope_sets(key, n)
         literal = set()
         for mask in range(1 << len(all_pairs)):
             members = frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1)

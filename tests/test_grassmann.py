@@ -1,6 +1,7 @@
 """Pair combinatorics, Y-sets, witnesses, Pluecker and tropical tests."""
 
 import hashlib
+import itertools
 import random
 import pytest
 
@@ -18,8 +19,6 @@ from gitfankit.grassmann import (
     lineality_image,
     mask_to_yset,
     pairs,
-    plucker_quadruples,
-    plucker_value,
     split_image,
     split_vector,
     trivalent_trees,
@@ -27,7 +26,6 @@ from gitfankit.grassmann import (
     tropical_sign,
     true_two_blocks,
     two_block_hyperplane,
-    wedge_coordinates,
     wedge_support,
     weights,
     witness_vectors,
@@ -244,6 +242,30 @@ def test_wedge_support_mixed():
 # -- Pluecker -----------------------------------------------------------------
 
 
+def plucker_quadruples(n):
+    """For each i<j<k<l the three monomials of T_ij T_kl - T_ik T_jl + T_il T_jk,
+    as index-pair products in sign order (+, -, +)."""
+    return [
+        (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
+        for i, j, k, l in itertools.combinations(range(n + 1), 4)
+    ]
+
+
+def plucker_value(coords, quad):
+    (a1, a2), (b1, b2), (c1, c2) = quad
+    return coords[a1] * coords[a2] - coords[b1] * coords[b2] + coords[c1] * coords[c2]
+
+
+def wedge_coordinates(u, v):
+    """The Pluecker coordinates u_i v_j - u_j v_i of u wedge v, i < j."""
+    n = len(u) - 1
+    return {
+        (i, j): u[i] * v[j] - u[j] * v[i]
+        for i in range(n + 1)
+        for j in range(i + 1, n + 1)
+    }
+
+
 def test_plucker_counts():
     assert len(plucker_quadruples(3)) == 1
     assert len(plucker_quadruples(4)) == 5
@@ -258,6 +280,8 @@ def test_wedge_points_satisfy_plucker():
             v = tuple(rng.randint(-4, 4) for _ in range(n + 1))
             coords = wedge_coordinates(u, v)
             assert all(plucker_value(coords, q) == 0 for q in quads)
+            # the library's support of u wedge v is where these coordinates live
+            assert wedge_support(u, v).members == {p for p, x in coords.items() if x}
 
 
 # -- two-block partitions -----------------------------------------------------

@@ -17,7 +17,6 @@ from gitfankit.polyhedral import (
     fan_from_maximal,
     is_subfan,
     iterated_stellar,
-    refinement_preserves_support,
     stellar_subdivide,
 )
 
@@ -411,6 +410,19 @@ def test_stellar_interior_count():
         assert len(f.maximal) == d
 
 
+def refinement_preserves_support(original, refined):
+    """Support equality for a refinement, by exact containment one way and
+    relint representatives of all refined pieces the other way."""
+    for c in refined.maximal:
+        if not any(d.contains_cone(c) for d in original.maximal):
+            return False
+    for c in original.maximal:
+        for f in c.faces():
+            if not f.is_zero() and not refined.contains_point(f.relint_point()):
+                return False
+    return True
+
+
 def test_stellar_preserves_support():
     f0 = orthant_fan(3)
     f1 = iterated_stellar(f0, [(1, 1, 0), (0, 1, 1), (1, 2, 1)])
@@ -775,10 +787,6 @@ def keep_random_faces(rng, fan):
     return fan_from_maximal(kept)
 
 
-def star_pieces(c, tau, nu):
-    return [Cone.from_generators([r for r in c.rays if r != t] + [nu], c.ambient) for t in tau]
-
-
 def test_stellar_matches_pairwise_reference():
     from collections import Counter
 
@@ -806,11 +814,13 @@ def test_stellar_matches_pairwise_reference():
 def test_sigma_r_steps_match_pairwise_reference():
     from gitfankit import gitfan as gf
 
-    for n in (3, 4):
+    for n in (3, 4, 5):
         fan = gf.sigma_fan_cached(n, 1)
         for tb in gf.nu_order(n):
             fan = stellar_subdivide(fan, gf.nu_ray(tb))
-            assert fan_from_maximal(list(fan.maximal)).maximal == fan.maximal
+            if n < 5:
+                # the pairwise check takes seconds at n = 5
+                assert fan_from_maximal(list(fan.maximal)).maximal == fan.maximal
             for c in fan.maximal:
                 # pieces carry facets derived from the star cone's: each field
                 # must equal the double-description canonical form
@@ -818,55 +828,26 @@ def test_sigma_r_steps_match_pairwise_reference():
         assert fan == gf.sigma_r(n)
 
 
-@pytest.mark.parametrize("nu", [(1, 1, 1), (1, 2, 0), (3, 0, 0)])
-def test_tiling_certificate_accepts_star_pieces(nu):
-    c = cone((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    tau = [r for r in c.rays if any(x and y for x, y in zip(r, nu))]
-    polyhedral._check_star_tiling(c, star_pieces(c, tau, nu))
-
-
-@pytest.mark.parametrize("nu", [(1, 1, 1), (1, 2, 0), (1, 0, 0)])
-@pytest.mark.parametrize("corruption", ["dropped", "duplicated", "kept"])
-def test_tiling_certificate_rejects_corrupted_stars(nu, corruption):
-    c = cone((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    tau = [r for r in c.rays if any(x and y for x, y in zip(r, nu))]
-    pieces = star_pieces(c, tau, nu)
-    pieces, reason = {
-        "dropped": (pieces[1:], "interior facet|no pieces"),
-        "duplicated": (pieces + pieces[:1], "interior facet|boundary facet"),
-        "kept": (pieces + [c], "boundary facet"),
-    }[corruption]
-    with pytest.raises(FanAxiomViolation, match=reason):
-        polyhedral._check_star_tiling(c, pieces)
-
-
-def test_tiling_certificate_rejects_folded_pieces():
-    # the facet counts hold, but two pieces lie on one side of a shared facet
-    c = cone((1, 0), (0, 1))
-    pieces = [cone((1, 0), (1, 3)), cone((1, 2), (1, 3)), cone((1, 2), (0, 1))]
-    with pytest.raises(FanAxiomViolation, match="same side"):
-        polyhedral._check_star_tiling(c, pieces)
-
-
-def test_tiling_certificate_rejects_double_cover():
-    # the triangle over the cone and a subdivision of it with new points on
-    # every edge: no facet is shared wrongly, but every point is covered twice
-    a, b, d = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    ab, bd, da = (1, 1, 0), (0, 1, 1), (1, 0, 1)
-    c = cone(a, b, d)
-    pieces = [c, cone(a, ab, da), cone(ab, b, bd), cone(da, bd, d), cone(ab, bd, da)]
-    with pytest.raises(FanAxiomViolation, match="covered by two"):
-        polyhedral._check_star_tiling(c, pieces)
-
-
-@pytest.mark.parametrize("piece", [cone((-1, 0), (0, 1)), cone((1, 0))])
-def test_tiling_certificate_rejects_piece_outside_or_thin(piece):
-    with pytest.raises(FanAxiomViolation, match="outside"):
-        polyhedral._check_star_tiling(cone((1, 0), (0, 1)), [piece])
-
-
 def test_stellar_rejects_holders_outside_the_star():
     # not a fan: the second cone holds (1, 1) without having the carrier's rays
     bad = Fan(2, (cone((0, 1), (1, 0)), cone((1, 0), (1, 2))))
     with pytest.raises(FanAxiomViolation, match="star"):
         stellar_subdivide(bad, (1, 1))
+
+
+def test_stellar_rejects_star_facets_off_the_dual_basis():
+    # the facet (0, 1, 1) misses two rays of the orthant, so no facet is
+    # opposite (0, 1, 0) alone
+    bad = Cone(3, ((0, 0, 1), (0, 1, 0), (1, 0, 0)), (), ((0, 0, 1), (0, 1, 1), (1, 0, 0)), ())
+    with pytest.raises(FanAxiomViolation, match="dual basis"):
+        stellar_subdivide(Fan(3, (bad,)), (1, 1, 1))
+
+
+def test_stellar_rejects_star_facet_signs_off_the_carrier():
+    # the span equation of the ray cone misses its ray, so the carrier of
+    # (1, 1) reads as {(1, 0)}; the quadrant's facets are positive at (1, 1)
+    # on both of its rays
+    ray = Cone(2, ((1, 0),), (), ((1, 0),), ((1, -1),))
+    quadrant = cone((1, 0), (0, 1))
+    with pytest.raises(FanAxiomViolation, match="disagree with its carrier"):
+        stellar_subdivide(Fan(2, (ray, quadrant)), (1, 1))

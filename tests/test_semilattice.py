@@ -19,7 +19,6 @@ from gitfankit.semilattice import (
     is_nested,
     is_sorted_family,
     iterated_blow_up,
-    join_exists_in_blowup,
     poset_isomorphic,
     random_interior_ray,
     random_simplicial_fan,
@@ -265,6 +264,14 @@ def test_harmonious_closure_adds_orthant():
     assert harmonious_closure(lat, clo) == clo
 
 
+def join_exists_in_blowup(lattice, family, subset):
+    """Directly test existence of the join of the (xi, bottom) elements."""
+    blown = iterated_blow_up(lattice, family)
+    targets = [BlowPair(xi, lattice.bottom) for xi in subset]
+    assert all(t in blown for t in targets)
+    return blown.join(targets) is not None
+
+
 def test_join_exists_single():
     lat = orthant_poset()
     full = cone(E1, E2, E3)
@@ -322,7 +329,19 @@ def test_sorted_building_families_give_nested_complex():
     # exhaustive on the orthant face posets: whenever the underlying set of a
     # sorted family is a building set, the iterated blow-up is isomorphic to
     # the nested-set complex of that set
-    from gitfankit.semilattice import _orthant_fan, _sorted_families, nested_complex_poset
+    from gitfankit.semilattice import _inclusion_poset, _orthant_fan, _sorted_families
+
+    def nested_complex_poset(lat, s):
+        # the nested subsets of s (the empty set and singletons included),
+        # ordered by inclusion
+        s = sorted(s, key=repr)
+        faces = [
+            frozenset(combo)
+            for r in range(len(s) + 1)
+            for combo in itertools.combinations(s, r)
+            if not combo or is_nested(lat, frozenset(s), combo)
+        ]
+        return _inclusion_poset(faces, faces)
 
     for dim in (2, 3):
         lat = face_poset(_orthant_fan(dim))
