@@ -21,7 +21,6 @@ from .grassmann import (
 )
 from .gitfan import (
     CenterIdeal,
-    GitChamber,
     center_ideal,
     center_pullback,
     chamber,
@@ -35,7 +34,6 @@ from .gitfan import (
     nu_ray,
     omega,
     omega_star,
-    sigma_fan,
     sigma_r,
     verify_delta_subfan,
     verify_nu_equality,

@@ -1,9 +1,10 @@
 """GIT fans of the Grassmannian cone and the blow-up pipeline.
 
 Chambers are enumerated twice, by wall-sign regions and by the defining
-intersection of Y-set cones, and the two paths are compared; the ambient
-fans of the two distinguished chambers feed the iterated stellar subdivision
-toward the reduced tropical fan, which is checked cone by cone against it.
+intersection of Y-set cones, and the two paths are compared region by
+region; the ambient fans of the two distinguished chambers feed the iterated
+stellar subdivision toward the reduced tropical fan, which is checked cone by
+cone against it.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ class ChamberCertificationError(AssertionError):
         self.rep = rep
         self.region_cone = region_cone
         self.chamber_cone = chamber_cone
-
-
-@dataclass(frozen=True)
-class GitChamber:
-    cone: Cone
-    defining_ysets: tuple[frozenset[Pair], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +109,7 @@ def _y_star_pool(n: int) -> _WeightCones:
     return _weight_cone_pool(n, members)
 
 
-def _chamber_from_pool(w: Sequence, n: int, pool: _WeightCones, support: Cone) -> GitChamber:
+def _chamber_from_pool(w: Sequence, n: int, pool: _WeightCones, support: Cone) -> Cone:
     pt = primitive_vector(w)
     if len(pt) != n:
         raise ValueError("point has wrong dimension")
@@ -122,23 +117,30 @@ def _chamber_from_pool(w: Sequence, n: int, pool: _WeightCones, support: Cone) -
         raise ValueError(f"point {tuple(w)} lies outside the support")
     ineqs: list = []
     eqs: list = []
-    defining: list[frozenset[Pair]] = []
-    for cone, group in zip(pool.cones, pool.groups):
+    for cone in pool.cones:
         if cone.contains(pt):
             ineqs.extend(cone.facets)
             eqs.extend(cone.span_eqs)
-            defining.extend(group)
-    cone = Cone.from_inequalities(ineqs, eqs, ambient=n)
-    return GitChamber(cone, tuple(sorted(defining, key=sorted)))
+    return Cone.from_inequalities(ineqs, eqs, ambient=n)
 
 
-def chamber(w: Sequence, n: int) -> GitChamber:
+def chamber(w: Sequence, n: int) -> Cone:
     """The GIT chamber of a weight: intersection of all Y-set cones containing it."""
     return _chamber_from_pool(w, n, _y_pool(n), omega(n))
 
 
-def chamber_star(w: Sequence, n: int) -> GitChamber:
+def chamber_star(w: Sequence, n: int) -> Cone:
     return _chamber_from_pool(w, n, _y_star_pool(n), omega_star(n))
+
+
+def _certify_chamber(cone: Cone, n: int, star: bool = False) -> Cone:
+    """The cone, once it equals the chamber (of the smaller support with
+    ``star``) of its relative interior point; disagreement raises."""
+    rep = cone.relint_point()
+    ch = chamber_star(rep, n) if star else chamber(rep, n)
+    if ch != cone:
+        raise ChamberCertificationError(rep, cone, ch)
+    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +155,7 @@ def wall_normals(n: int) -> list[tuple[TwoBlock, tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=None)
-def _wall_regions(n: int, star: bool) -> tuple:
+def _wall_regions(n: int, star: bool) -> tuple[Cone, ...]:
     from .polyhedral import arrangement_leaves
 
     if n < 2 + star:
@@ -163,16 +165,18 @@ def _wall_regions(n: int, star: bool) -> tuple:
     leaves = arrangement_leaves(
         n, support.facets, walls, base_eqs=support.span_eqs
     )
-    return tuple(
-        (Cone.from_generators(leaf.rays, n), leaf.representative())
-        for leaf in leaves
-    )
+    return tuple(Cone.from_generators(leaf.rays, n) for leaf in leaves)
 
 
 @lru_cache(maxsize=None)
+def _region_fan(n: int, star: bool) -> Fan:
+    """The fan of the wall-sign regions of the support."""
+    return fan_from_maximal(_wall_regions(n, star))
+
+
 def wall_fan(n: int) -> Fan:
     """The fan cut out of the orthant directly by the two-block walls."""
-    return fan_from_maximal([cone for cone, _ in _wall_regions(n, False)])
+    return _region_fan(n, False)
 
 
 def git_fan(n: int) -> Fan:
@@ -187,13 +191,12 @@ def git_fan_star(n: int) -> Fan:
 
 @lru_cache(maxsize=None)
 def _certified_fan(n: int, star: bool) -> Fan:
-    chambers = []
-    for region_cone, rep in _wall_regions(n, star):
-        ch = chamber_star(rep, n) if star else chamber(rep, n)
-        if ch.cone != region_cone:
-            raise ChamberCertificationError(rep, region_cone, ch.cone)
-        chambers.append(ch.cone)
-    return fan_from_maximal(chambers)
+    """The region fan, once each region equals the chamber of its relative
+    interior point.  The certified chambers are the regions, so the GIT fan
+    and the wall fan are one fan, assembled once."""
+    for region in _wall_regions(n, star):
+        _certify_chamber(region, n, star)
+    return _region_fan(n, star)
 
 
 # ---------------------------------------------------------------------------
@@ -209,58 +212,52 @@ def _f1j(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i + 1 in (1, j) else -1 for i in range(n))
 
 
-def _certified_chamber(n: int, ineqs: list) -> GitChamber:
+def _certified_chamber(n: int, ineqs: list) -> Cone:
     """The chamber cut out by the inequalities, certified against the
     defining intersection at its relative interior point."""
     if n < 3:
         raise ValueError("need n >= 3")
     eye = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    cone = Cone.from_inequalities(eye + ineqs, ambient=n)
-    ch = chamber(cone.relint_point(), n)
-    if ch.cone != cone:
-        raise ChamberCertificationError(cone.relint_point(), cone, ch.cone)
-    return ch
+    return _certify_chamber(Cone.from_inequalities(eye + ineqs, ambient=n), n)
 
 
 @lru_cache(maxsize=None)
-def lambda0(n: int) -> GitChamber:
+def lambda0(n: int) -> Cone:
     """The chamber on the w_01 side of the first wall."""
     return _certified_chamber(n, [_f1(n)])
 
 
 @lru_cache(maxsize=None)
-def lambda1(n: int) -> GitChamber:
+def lambda1(n: int) -> Cone:
     """The adjacent chamber across ker(f1), inside the smaller support."""
     neg_f1 = tuple(-x for x in _f1(n))
     return _certified_chamber(n, [neg_f1] + [_f1j(n, j) for j in range(2, n + 1)])
 
 
 @lru_cache(maxsize=None)
-def _enveloping_witnesses(n: int, lam_key) -> tuple[frozenset[Pair], ...]:
+def _enveloping_witnesses(n: int, lam_key: int) -> tuple[frozenset[Pair], ...]:
     """Y-sets J with relint(lam) inside relint(omega_J): the witnesses whose
-    supersets are exactly the enveloping sets."""
-    lam = lambda0(n) if lam_key == 0 else lambda1(n)
+    supersets are exactly the enveloping sets, for lambda0 (key 0) or
+    lambda1 (key 1)."""
+    if lam_key not in (0, 1):
+        raise ValueError(f"chamber key must be 0 or 1 (got {lam_key!r})")
+    lam = lambda1(n) if lam_key else lambda0(n)
     pool = _y_pool(n)
-    rep = lam.cone.relint_point()
+    rep = lam.relint_point()
     out: list[frozenset[Pair]] = []
     for cone, group in zip(pool.cones, pool.groups):
         if not cone.contains(rep, "relative_interior"):
             continue
-        if all(cone.contains(g) for g in lam.cone.generators()):
+        if all(cone.contains(g) for g in lam.generators()):
             out.extend(group)
     return tuple(sorted(out, key=sorted))
 
 
-def _lam_key(lam: GitChamber, n: int) -> int:
-    if lam == lambda0(n):
-        return 0
-    if lam == lambda1(n):
-        return 1
-    raise ValueError("expected one of the two distinguished chambers")
-
-
 @lru_cache(maxsize=None)
 def sigma_fan_cached(n: int, lam_key: int) -> Fan:
+    """The ambient toric fan of lambda0 (key 0) or lambda1 (key 1): cones on
+    column complements of enveloping sets, assembled from the minimal
+    witnesses and validated."""
     witnesses = _enveloping_witnesses(n, lam_key)
     wd = gr.weights(n)
     minimal = [
@@ -276,12 +273,6 @@ def sigma_fan_cached(n: int, lam_key: int) -> Fan:
     if not fan.is_simplicial:
         raise AssertionError(f"ambient fan for lambda{lam_key} is not simplicial")
     return fan
-
-
-def sigma_fan(lam: GitChamber, n: int) -> Fan:
-    """The ambient toric fan of the chamber: cones on column complements of
-    enveloping sets, assembled from the minimal witnesses and validated."""
-    return sigma_fan_cached(n, _lam_key(lam, n))
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +329,15 @@ def sigma_r(n: int) -> Fan:
 
 
 def _sigma_r_with_order(base: Fan, order: Sequence[TwoBlock]) -> Fan:
+    """Subdivide in the given order, each nu ray at its turn only when its
+    carrier in the current fan is its block's carrier.  That carrier's rays
+    are base rays, and subdividing adds only cones through the nu rays, so
+    it is a cone of the base fan too."""
     fan = base
     for tb in order:
-        carrier = sigma_r_carrier(tb)
         ray = nu_ray(tb)
-        if not base.has_cone(carrier):
-            raise AssertionError(f"carrier of {tb} missing from the base fan")
-        if not fan.has_cone(carrier):
-            raise AssertionError(f"carrier of {tb} vanished before its turn")
-        if not carrier.contains(ray, "relative_interior"):
-            raise AssertionError(f"nu ray of {tb} not interior to its carrier")
+        if fan.carrier(ray) != sigma_r_carrier(tb):
+            raise AssertionError(f"the carrier of the nu ray of {tb} is not its block's")
         fan = stellar_subdivide(fan, ray)
     return fan
 
@@ -374,7 +364,7 @@ def _gkz_pool(n: int) -> tuple[Cone, ...]:
     for ymask in gr.y_set_masks(n):
         cols = [wd.v[p] for k, p in enumerate(all_pairs) if not ymask >> k & 1]
         c = Cone.from_generators(cols, dim)
-        seen.setdefault((c.facets, c.span_eqs), c)
+        seen.setdefault(c._key(), c)
     return tuple(seen.values())
 
 
@@ -494,15 +484,9 @@ def gkz_cone(v: Sequence, n: int) -> Cone:
 
 @lru_cache(maxsize=None)
 def _gkz_walls(n: int) -> tuple[tuple[int, ...], ...]:
-    """Hyperplanes spanned by columns: the column spans with one equation."""
-    walls = set()
-    for span in _column_spans(n):
-        if len(span) == 1:
-            normal = span[0]
-            if next(x for x in normal if x) < 0:
-                normal = tuple(-x for x in normal)
-            walls.add(normal)
-    return tuple(sorted(walls))
+    """Hyperplanes spanned by columns: the column spans with one equation,
+    whose canonical normal has a positive first nonzero entry."""
+    return tuple(span[0] for span in _column_spans(n) if len(span) == 1)
 
 
 def _generic_rep(
@@ -564,7 +548,8 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     table = _gkz_table(n)
     span_masks = [m for m in table.span_masks if m]
 
-    profiles: dict[frozenset[int], tuple[Cone, tuple[int, ...]]] = {}
+    profiles: dict[frozenset[int], Cone] = {}
+    first_rep: dict[tuple, tuple[int, ...]] = {}
     rep_count = 0
     trees = gr.trivalent_trees(n)
     for tree in trees:
@@ -603,16 +588,11 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
                 raise AssertionError(f"tree cone representative {rep} lies outside Delta")
             profile = _gkz_profile(rep, n)
             if profile not in profiles:
-                profiles[profile] = (_profile_cone(profile, rep, n), rep)
+                sigma = profiles[profile] = _profile_cone(profile, rep, n)
+                first_rep.setdefault(sigma._key(), rep)
 
-    by_key: dict[tuple, tuple[Cone, tuple[int, ...]]] = {}
-    for sigma, rep in profiles.values():
-        by_key.setdefault((sigma.facets, sigma.span_eqs), (sigma, rep))
-    fan = fan_from_maximal(c for c, _ in by_key.values())
-    witnesses = {
-        (c.facets, c.span_eqs): by_key[(c.facets, c.span_eqs)][1]
-        for c in fan.maximal
-    }
+    fan = fan_from_maximal(profiles.values())
+    witnesses = {c._key(): first_rep[c._key()] for c in fan.maximal}
     return DeltaReduction(fan, witnesses, len(trees), rep_count)
 
 
@@ -630,15 +610,13 @@ def delta_reduction(n: int) -> Fan:
 
 
 def verify_walls(n: int) -> dict:
-    """Two-path GIT fan check plus the counted facts at n = 3, 4."""
+    """The GIT fan checked against the wall fan region by region (each
+    wall-sign region must equal the defining intersection at its relative
+    interior point), plus the counted facts at n = 3, 4."""
     certificates = []
     result = True
     try:
         gf = git_fan(n)
-        wf = wall_fan(n)
-        if gf != wf:
-            result = False
-            certificates.append({"kind": "fan-mismatch"})
     except ChamberCertificationError as err:
         result = False
         certificates.append(
@@ -658,19 +636,13 @@ def verify_walls(n: int) -> dict:
         counts["chambers_inside_star"] = sum(
             1 for c in gf.maximal if star.contains_cone(c)
         )
-        expected = {3: (3, 4, 1), 4: (7, 12, 8)}
-        if n in expected:
-            ew, ec, es = expected[n]
-            if n == 3:
-                ok = counts["walls"] == ew and counts["maximal_chambers"] == ec
-            else:
-                ok = (
-                    counts["maximal_chambers"] == ec
-                    and counts["chambers_inside_star"] == es
-                )
-            if not ok:
-                result = False
-                certificates.append({"kind": "counted-facts", "counts": counts})
+        expected = {
+            3: {"walls": 3, "maximal_chambers": 4, "chambers_inside_star": 1},
+            4: {"walls": 7, "maximal_chambers": 12, "chambers_inside_star": 8},
+        }
+        if n in expected and counts != expected[n]:
+            result = False
+            certificates.append({"kind": "counted-facts", "counts": counts})
     return {
         "claim": "walls",
         "n": n,
@@ -687,8 +659,9 @@ def verify_star_subfan(n: int) -> dict:
 
 def verify_nu_equality(n: int) -> dict:
     """nu well-definedness: identical block expressions, difference of the
-    coefficient vectors in the row space of Q with unit coefficients, and the
-    carrier membership in both ambient fans."""
+    coefficient vectors in the row space of Q with unit coefficients, the
+    block's carrier as the carrier of the ray in the lambda1 ambient fan, and
+    a carrier in the lambda0 ambient fan for every block."""
     sigma1 = sigma_fan_cached(n, 1)
     wd = gr.weights(n)
     all_pairs, _ = gr.pairs(n)
@@ -724,15 +697,9 @@ def verify_nu_equality(n: int) -> dict:
             entry["error"] = "difference not the signed row sum of Q"
             certificates.append(entry)
             continue
-        carrier = sigma_r_carrier(tb)
-        if not carrier.contains(ray, "relative_interior"):
+        if sigma1.carrier(ray) != sigma_r_carrier(tb):
             result = False
-            entry["error"] = "nu ray not interior to its carrier"
-            certificates.append(entry)
-            continue
-        if not sigma1.has_cone(carrier):
-            result = False
-            entry["error"] = "carrier missing from the lambda1 ambient fan"
+            entry["error"] = "carrier in the lambda1 ambient fan is not the block's"
             certificates.append(entry)
     # carriers over lambda0 exist for every block of size >= 2
     witnesses0 = _enveloping_witnesses(n, 0)
@@ -771,7 +738,7 @@ def verify_delta_subfan(n: int) -> dict:
     for c in data.fan.maximal:
         rays = set(c.rays)
         match = next((m for m in sr.maximal if c.is_pointed and rays <= set(m.rays)), None)
-        witness = data.witnesses[(c.facets, c.span_eqs)]
+        witness = data.witnesses[c._key()]
         entry = {
             "delta_cone_rays": [list(r) for r in c.rays],
             "delta_witness": list(witness),

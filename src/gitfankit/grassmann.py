@@ -4,8 +4,8 @@ Pairs over {0,...,n} index the wedge coordinates; a Y-set is a subset of
 those pairs realisable as the exact support of a decomposable 2-vector.  The
 module provides the exchange-condition test, constructive support witnesses,
 a brute-force support oracle, the weight data (Q and its Gale dual P), wall
-normals of two-block partitions, Pluecker quadruples and the tree-metric
-(four-point) membership tests behind the Delta-reduction.
+normals of two-block partitions and the tree-metric (four-point) membership
+tests behind the Delta-reduction.
 """
 
 from __future__ import annotations

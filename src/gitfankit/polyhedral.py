@@ -548,17 +548,16 @@ class Fan:
         return False
 
     def carrier(self, point: Sequence[int]) -> Optional[Cone]:
-        """The unique cone containing the point in its relative interior."""
-        best: Optional[Cone] = None
-        for c in self.maximal:
-            if not c.contains(point):
-                continue
-            face = c._face(c._carrier_mask(point))
-            if best is None or face.dim < best.dim:
-                best = face
-        if best is not None and not best.contains(point, "relative_interior"):
+        """The unique cone containing the point in its relative interior, or
+        None outside the support.  In a fan it is the smallest face holding
+        the point of any cone that holds it, so the first holder is read."""
+        holder = next((c for c in self.maximal if c.contains(point)), None)
+        if holder is None:
+            return None
+        face = holder._face(holder._carrier_mask(point))
+        if not face.contains(point, "relative_interior"):
             raise AssertionError("carrier computation failed the relint check")
-        return best
+        return face
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fan):
@@ -739,14 +738,6 @@ class ArrangementLeaf:
     signs: tuple[int, ...]
     rays: tuple[IVec, ...]
     lineality: tuple[IVec, ...]
-    ambient: int
-
-    def representative(self) -> IVec:
-        pt = [0] * self.ambient
-        for r in self.rays:
-            for i, x in enumerate(r):
-                pt[i] += x
-        return tuple(pt)
 
 
 def _sides(state: _DDState, wall: IVec) -> tuple[bool, bool]:
@@ -789,7 +780,7 @@ def arrangement_leaves(
     def recurse(state: _DDState, depth: int, signs: tuple[int, ...]) -> None:
         if depth == len(walls):
             leaves.append(
-                ArrangementLeaf(signs, tuple(state.rays), tuple(state.lin), ambient)
+                ArrangementLeaf(signs, tuple(state.rays), tuple(state.lin))
             )
             return
         w = walls[depth]

@@ -55,24 +55,29 @@ def test_fan_sigmar_equals_sigma1_n3(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_fan_sigmar_n5_payload_pinned(tmp_path, capsys):
-    out = tmp_path / "sigmar5.json"
-    assert main(["fan", "sigmar", "-n", "5", "-o", str(out)]) == 0
-    assert "25 rays, 291 maximal cones" in capsys.readouterr().out
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "34b0ab5cd49ce81df82c85923754c6268de4d26923f650afcb32151e9187c46f"
-    )
+# sha256 of the -o payload of each command; the poset labels carry every
+# face's facets and span equations, which the stellar pieces derive from their
+# star cones' facets
+PINNED_PAYLOADS = {
+    "fan sigmar -n 5": "34b0ab5cd49ce81df82c85923754c6268de4d26923f650afcb32151e9187c46f",
+    "poset sigmar -n 4": "f1699a9c5b33f268b37053867355a4ce37bdbfc7a5bd1e73a9311985b90e3203",
+    "fan gitfan -n 5": "9ffa13104d878ea9f924588952975b400f890e0fc18eb5ac412f2daefd062ac4",
+    "fan gitfan-star -n 5": "68c28b17cd1baec00439327282bc1b652c5db12e113d40f00482c7e55d19c0b9",
+    "poset gitfan -n 5": "d8fe8226127c8596ce9cc1ba2ccbe8902dd20300358347d937478820d9e977ba",
+    "verify walls -n 4": "de03cc9b8766ad5e3e10de69db4b7341f44914792042cf1ad603e1a7e2e6ec92",
+    "verify delta-subfan -n 4": "39036fd218955dd12920d95a040b23d530359c77dfc6857103f062b2b68a63d3",
+    "fan delta -n 4": "5578301469962a7cbc71e6fe7f0b627cf9e2a430e4a39b2e59d6058a80e09024",
+    "fan sigma0 -n 5": "95f0399365635e73ead70d275de1e00ca9c4beddf0b40e44d1aeb655c399ee1a",
+    "fan sigma1 -n 5": "d804c466cdba5eb1784e8104d941354fed65645c51567c52ec024443a6642360",
+}
 
 
-def test_poset_sigmar_n4_payload_pinned(tmp_path, capsys):
-    # element labels carry every face's facets and span equations, which the
-    # stellar pieces derive from their star cones' facets
-    out = tmp_path / "poset_sigmar4.json"
-    assert main(["poset", "sigmar", "-n", "4", "-o", str(out)]) == 0
+@pytest.mark.parametrize("command", PINNED_PAYLOADS, ids=lambda c: c.replace(" -n ", "-").replace(" ", "-"))
+def test_payload_pinned(command, tmp_path, capsys):
+    out = tmp_path / "payload.json"
+    assert main(command.split() + ["-o", str(out)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "f1699a9c5b33f268b37053867355a4ce37bdbfc7a5bd1e73a9311985b90e3203"
-    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PAYLOADS[command]
 
 
 def test_fan_delta_guard(capsys):

@@ -1,6 +1,7 @@
 """GIT fans, ambient fans, nu rays, GKZ cones, Delta-reduction, centers."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -25,22 +26,18 @@ def test_omega_star_n3():
 
 
 def test_chamber_inner_triangle():
-    ch = gf.chamber((1, 1, 1), 3)
-    assert ch.cone == gf.omega_star(3)
-    assert all(gr.is_y_set(YSet(3, m)) for m in ch.defining_ysets)
+    assert gf.chamber((1, 1, 1), 3) == gf.omega_star(3)
 
 
 def test_chamber_corner():
-    ch = gf.chamber((3, 1, 1), 3)
-    assert ch.cone.rays == ((1, 0, 0), (1, 0, 1), (1, 1, 0))
+    assert gf.chamber((3, 1, 1), 3).rays == ((1, 0, 0), (1, 0, 1), (1, 1, 0))
 
 
 def test_chamber_contains_its_weight():
     rng = random.Random(2)
     for _ in range(15):
         w = tuple(rng.randint(0, 6) for _ in range(4))
-        ch = gf.chamber(w, 4)
-        assert ch.cone.contains(w)
+        assert gf.chamber(w, 4).contains(w)
 
 
 def test_chamber_outside_support():
@@ -49,13 +46,17 @@ def test_chamber_outside_support():
 
 
 def test_chamber_cone_recomputed_from_defining_sets():
-    wd = gr.weights(3)
-    ch = gf.chamber((3, 1, 1), 3)
-    acc = None
-    for members in ch.defining_ysets:
-        c = Cone.from_generators([wd.w[p] for p in members], 3)
-        acc = c if acc is None else acc.intersect(c)
-    assert acc == ch.cone
+    """The chamber is the intersection of omega_J over every Y-set J whose
+    cone holds w, each Y-set taken from the enumeration on its own."""
+    for w in ((3, 1, 1), (1, 1, 1), (2, 2, 1), (5, 1, 1, 1), (1, 1, 1, 1), (4, 3, 2, 1)):
+        n = len(w)
+        wd = gr.weights(n)
+        acc = gf.omega(n)
+        for y in gr.enumerate_y_sets(n):
+            c = Cone.from_generators([wd.w[p] for p in y.members], n)
+            if c.contains(w):
+                acc = acc.intersect(c)
+        assert acc == gf.chamber(w, n), w
 
 
 @pytest.mark.parametrize("n,chambers", [(3, 4), (4, 12)])
@@ -135,21 +136,21 @@ def test_chambers_outside_star_are_corner_cones(n):
 
 def test_lambda_chambers_n3():
     l0, l1 = gf.lambda0(3), gf.lambda1(3)
-    assert l1.cone == gf.omega_star(3)
-    common = l0.cone.intersect(l1.cone)
+    assert l1 == gf.omega_star(3)
+    common = l0.intersect(l1)
     assert common.dim == 2
     f1 = (1, -1, -1)
     assert all(sum(a * b for a, b in zip(f1, r)) == 0 for r in common.rays)
     star = gf.omega_star(3)
-    assert star.contains_cone(l1.cone)
-    assert not star.contains_cone(l0.cone)
+    assert star.contains_cone(l1)
+    assert not star.contains_cone(l0)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_lambda_chambers_in_git_fan(n):
     fan = gf.git_fan(n)
-    assert fan.has_cone(gf.lambda0(n).cone)
-    assert fan.has_cone(gf.lambda1(n).cone)
+    assert fan.has_cone(gf.lambda0(n))
+    assert fan.has_cone(gf.lambda1(n))
 
 
 def envelope_sets(lam_key, n):
@@ -176,14 +177,14 @@ def test_envelope_sets_n3():
     assert frozenset(all_pairs - carrier_pairs) in envs
     # every enveloping set contains a Y-set witness covering the chamber
     wd = gr.weights(3)
-    rep = lam0.cone.relint_point()
+    rep = lam0.relint_point()
     for i in envs:
         found = False
         for members in envs:
             if members <= i and gr.is_y_set(YSet(3, members)):
                 c = Cone.from_generators([wd.w[p] for p in members], 3)
                 if c.contains(rep, "relative_interior") and all(
-                    c.contains(g) for g in lam0.cone.generators()
+                    c.contains(g) for g in lam0.generators()
                 ):
                     found = True
                     break
@@ -214,11 +215,22 @@ def test_envelope_sets_match_literal_definition():
             members = frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1)
             omega_i = omega_cone(members)
             for j in ysets:
-                if j <= members and relint_inside(lam.cone, omega_cone(j)):
+                if j <= members and relint_inside(lam, omega_cone(j)):
                     if relint_inside(omega_cone(j), omega_i):
                         literal.add(members)
                         break
         assert computed == literal
+
+
+@pytest.mark.parametrize("key", [2, -1])
+def test_sigma_fan_rejects_bad_chamber_key(key, monkeypatch):
+    built = []
+    for attr in ("lambda0", "lambda1", "_y_pool", "fan_from_maximal"):
+        fn = getattr(gf, attr)
+        monkeypatch.setattr(gf, attr, lambda *a, fn=fn, attr=attr: built.append(attr) or fn(*a))
+    with pytest.raises(ValueError, match="chamber key"):
+        gf.sigma_fan_cached(4, key)
+    assert built == []
 
 
 def test_sigma0_contains_carrier():
@@ -722,6 +734,80 @@ def test_verify_walls_and_star_reports():
     assert gf.verify_walls(3)["result"]
     assert gf.verify_star_subfan(3)["result"]
     assert gf.verify_nu_equality(4)["result"]
+
+
+@pytest.mark.parametrize("n, count", [(3, "chambers_inside_star"), (4, "walls")])
+def test_verify_walls_checks_every_count(n, count, monkeypatch):
+    # the fan is built before the patch, so only the one count goes wrong
+    gf.git_fan(n)
+    if count == "walls":
+        walls = gf.wall_normals(n)[1:]
+        monkeypatch.setattr(gf, "wall_normals", lambda n: walls)
+    else:
+        monkeypatch.setattr(gf, "omega_star", gf.omega)
+    rep = gf.verify_walls(n)
+    assert rep["result"] is False
+    assert rep["certificates"] == [{"kind": "counted-facts", "counts": rep["counts"]}]
+    assert rep["counts"][count] == (6 if count == "walls" else 4)
+
+
+# -- negative controls: a wrong chamber or carrier must fail its claim --------
+
+
+def test_walls_report_a_chamber_off_its_region(tmp_path, monkeypatch, capsys):
+    from gitfankit.cli import main
+
+    gitfankit.clear_caches()
+    region = gf._wall_regions(3, False)[0]
+    rep = region.relint_point()
+    real = gf.chamber
+    monkeypatch.setattr(
+        gf, "chamber", lambda w, n: gf.omega(n) if tuple(w) == rep else real(w, n)
+    )
+    out = tmp_path / "walls.json"
+    assert main(["verify", "walls", "-n", "3", "-o", str(out)]) == 1
+    capsys.readouterr()
+    assert json.loads(out.read_text())["certificates"] == [
+        {
+            "kind": "chamber-certification",
+            "rep": list(rep),
+            "region": [list(r) for r in region.rays],
+            "chamber": [list(r) for r in gf.omega(3).rays],
+        }
+    ]
+
+
+@pytest.fixture
+def wrong_carrier(monkeypatch):
+    """The first block of nu_order(4) given the second block's carrier."""
+    gitfankit.clear_caches()
+    first, second = gf.nu_order(4)[:2]
+    real = gf.sigma_r_carrier
+    monkeypatch.setattr(
+        gf, "sigma_r_carrier", lambda tb: real(second if tb == first else tb)
+    )
+    return first
+
+
+def test_sigma_r_rejects_a_wrong_carrier(wrong_carrier, capsys):
+    from gitfankit.cli import main
+
+    assert main(["fan", "sigmar", "-n", "4"]) == 3
+    assert "is not its block's" in capsys.readouterr().err
+
+
+def test_nu_equality_reports_a_wrong_carrier(wrong_carrier, tmp_path, capsys):
+    from gitfankit.cli import main
+
+    out = tmp_path / "nu.json"
+    assert main(["verify", "nu-equality", "-n", "4", "-o", str(out)]) == 1
+    capsys.readouterr()
+    assert json.loads(out.read_text())["certificates"] == [
+        {
+            "block": sorted(wrong_carrier.block),
+            "error": "carrier in the lambda1 ambient fan is not the block's",
+        }
+    ]
 
 
 # -- center ideals ------------------------------------------------------------
