@@ -2,6 +2,8 @@
 GIT fans of the Grassmannian cone Gr(2, n+1), semilattice blow-ups, stellar
 subdivisions and the tropical Delta-reduction, with machine verification."""
 
+import sys
+
 from .exact_linalg import gale_dual, kernel_basis, rank, solve
 from .grassmann import (
     TwoBlock,
@@ -71,13 +73,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the package's result caches: the pair-check cache and the cone
-    caches of ``polyhedral`` and every ``lru_cache`` of ``gitfan`` and
-    ``grassmann``.  Results do not change; later calls recompute them."""
-    from . import gitfan, grassmann, polyhedral
+    """Empty the package's result caches: the pair-check cache of
+    ``polyhedral`` and every ``lru_cache`` of every imported module of the
+    package.  Results do not change; later calls recompute them."""
+    from . import polyhedral
 
     polyhedral._PAIR_CACHE.clear()
-    for mod in (gitfan, grassmann, polyhedral):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    for name, mod in list(sys.modules.items()):
+        if name.startswith(__name__ + ".") and mod is not None:
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import grassmann as gr
+from . import symmetry as sym
 from .exact_linalg import _dot, kernel_basis, primitive_vector, rank, solve
 from .grassmann import Pair, TwoBlock
 from .polyhedral import (
@@ -347,6 +348,14 @@ def _sigma_r_with_order(base: Fan, order: Sequence[TwoBlock]) -> Fan:
 # ---------------------------------------------------------------------------
 
 
+def _column_cone(n: int, ymask: int) -> Cone:
+    """cone(v_p; p not in the Y-set of the mask)."""
+    wd = gr.weights(n)
+    all_pairs, _ = gr.pairs(n)
+    cols = [wd.v[p] for k, p in enumerate(all_pairs) if not ymask >> k & 1]
+    return Cone.from_generators(cols, len(wd.p))
+
+
 @lru_cache(maxsize=None)
 def _gkz_pool(n: int) -> tuple[Cone, ...]:
     """The distinct column cones cone(v_p; p in J) whose complement J^c is a
@@ -357,15 +366,36 @@ def _gkz_pool(n: int) -> tuple[Cone, ...]:
     every column subset at n = 3, 4), so for a point of Delta they are all
     the column cones holding it in their relative interior.
     """
-    wd = gr.weights(n)
-    all_pairs, _ = gr.pairs(n)
-    dim = len(wd.p)
     seen = {}
     for ymask in gr.y_set_masks(n):
-        cols = [wd.v[p] for k, p in enumerate(all_pairs) if not ymask >> k & 1]
-        c = Cone.from_generators(cols, dim)
+        c = _column_cone(n, ymask)
         seen.setdefault(c._key(), c)
     return tuple(seen.values())
+
+
+@lru_cache(maxsize=None)
+def _gkz_pool_index(n: int) -> dict[int, int]:
+    """The pool index of each Y-set mask's column cone."""
+    index = {c._key(): i for i, c in enumerate(_gkz_pool(n))}
+    return {ymask: index[_column_cone(n, ymask)._key()] for ymask in gr.y_set_masks(n)}
+
+
+@lru_cache(maxsize=None)
+def _pool_permutation(n: int, sigma: sym.Perm) -> tuple[int, ...]:
+    """Entry i is the pool index of M_sigma applied to pool cone i.
+
+    M_sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J), and the
+    Y-sets are S_n-invariant, so the cone of the Y-set mask Y goes to the
+    cone of sigma Y; every mask of one cone must agree on the image.
+    """
+    index = _gkz_pool_index(n)
+    perm = sym.pair_permutation(n, sigma)
+    out: dict[int, int] = {}
+    for ymask, i in index.items():
+        image = index.get(sum(1 << perm[k] for k in range(len(perm)) if ymask >> k & 1))
+        if image is None or out.setdefault(i, image) != image:
+            raise AssertionError(f"sigma = {sigma} does not permute the GKZ pool")
+    return tuple(out[i] for i in range(len(out)))
 
 
 @lru_cache(maxsize=None)
@@ -385,16 +415,15 @@ def _column_spans(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 @dataclass(frozen=True)
 class _GkzTable:
-    """The column spans and the pool's facet normals, each listed once.
+    """The pool's span equations and facet normals, each listed once.
 
-    ``eqs`` pairs the i-th distinct span equation of ``_column_spans`` with
-    the bit 1 << i, so a span is a bitmask over them: ``span_masks`` lists
-    every column span's, and pool cone k has the span mask ``pool_spans[k]``
-    and the facets ``facet_ids[k]``, indices into ``normals``.
+    ``eqs`` pairs the i-th distinct span equation of the pool cones with the
+    bit 1 << i, so a span is a bitmask over them: pool cone k has the span
+    mask ``pool_spans[k]`` and the facets ``facet_ids[k]``, indices into
+    ``normals``.
     """
 
     eqs: tuple[tuple[tuple[int, ...], int], ...]
-    span_masks: tuple[int, ...]
     pool_spans: tuple[int, ...]
     normals: tuple[tuple[int, ...], ...]
     facet_ids: tuple[tuple[int, ...], ...]
@@ -403,13 +432,11 @@ class _GkzTable:
 @lru_cache(maxsize=None)
 def _gkz_table(n: int) -> _GkzTable:
     pool = _gkz_pool(n)
-    spans = _column_spans(n)
-    eq_bit = {e: 1 << i for i, e in enumerate(sorted({e for span in spans for e in span}))}
+    eq_bit = {e: 1 << i for i, e in enumerate(sorted({e for c in pool for e in c.span_eqs}))}
     normals = sorted({a for c in pool for a in c.facets})
     normal_id = {a: i for i, a in enumerate(normals)}
     return _GkzTable(
         tuple(eq_bit.items()),
-        tuple(sum(eq_bit[e] for e in span) for span in spans),
         tuple(sum(eq_bit[e] for e in c.span_eqs) for c in pool),
         tuple(normals),
         tuple(tuple(normal_id[a] for a in c.facets) for c in pool),
@@ -489,31 +516,96 @@ def _gkz_walls(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(span[0] for span in _column_spans(n) if len(span) == 1)
 
 
+def _tree_basis(n: int, tree: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
+    """The tree cone image's basis: the signed split images, then the
+    lineality image."""
+    wd = gr.weights(n)
+    sign = gr.tropical_sign()
+    splits = [tuple(sign * x for x in gr.split_image(wd, block)) for block in tree]
+    return splits + [gr.lineality_image(wd)]
+
+
+def _tree_spans(n: int, basis: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
+    """The column spans pulled back to tree coordinates, each distinct
+    subspace once, as its canonical equations.
+
+    A point B^T t lies in a span when (B e).t = 0 for its equations e; spans
+    that hold the whole tree space (no equation left) are dropped, since
+    they miss nothing.
+    """
+    pulled: dict[tuple[int, ...], tuple[int, ...]] = {}
+    seen = set()
+    out = set()
+    for span in _column_spans(n):
+        rows = []
+        for e in span:
+            if e not in pulled:
+                pulled[e] = tuple(_dot(e, b) for b in basis)
+            rows.append(pulled[e])
+        rows = frozenset(rows)
+        if rows not in seen:
+            seen.add(rows)
+            eqs = _canonical_subspace_basis(list(rows))
+            if eqs:
+                out.add(eqs)
+    return sorted(out)
+
+
 def _generic_rep(
     vecs: Sequence[tuple[int, ...]],
-    eqs: Sequence[tuple[Sequence[int], int]],
-    span_masks: Sequence[int],
+    spans: Sequence[Sequence[Sequence[int]]],
     dim: int,
 ) -> tuple[int, ...]:
     """sum_e k^e vecs[e] for the first k = 1, 2, ... that lies in no span
-    missing one of the vecs.
-
-    The spans are bitmasks over the equations ``eqs`` (as in ``_GkzTable``),
-    so a point lies in a span when the span's mask is inside the point's
-    zero mask.
-    """
+    missing one of the vecs; each span is given by its equations."""
     if not vecs:
         return (0,) * dim
-    shared = -1
-    for v in vecs:
-        shared &= _zero_mask(eqs, v)
-    missed = [m for m in span_masks if m & ~shared]
+    missed = [s for s in spans if any(_dot(e, v) for e in s for v in vecs)]
     for k in range(1, 64):
         rep = tuple(sum(k**e * v[j] for e, v in enumerate(vecs)) for j in range(dim))
-        zero = _zero_mask(eqs, rep)
-        if all(m & ~zero for m in missed):
+        if all(any(_dot(e, rep) for e in s) for s in missed):
             return rep
     raise AssertionError("no generic representative found")
+
+
+def _sweep_tree(
+    n: int, basis: Sequence[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """The generic representatives of the cells the GKZ walls cut from the
+    closed tree cone of the basis, in leaf order, each with its GKZ profile.
+
+    The GKZ walls, pulled back to the tree coordinates, cut the closed tree
+    cone (split coordinates >= 0, the lineality coordinate free) into cells.
+    A GKZ wall equal to some t_i = 0 stays a wall: its zero side, on that
+    facet, has another GKZ sign vector than the interior next to it.  The
+    tree cone image lies inside Delta, so every representative is asserted
+    to lie in Delta.
+    """
+    from .polyhedral import arrangement_leaves
+
+    wd = gr.weights(n)
+    dim = len(wd.p)
+    if rank(basis) != len(basis):
+        raise AssertionError("tree cone image is degenerate")
+    twalls: set[tuple[int, ...]] = set()
+    for a in _gkz_walls(n):
+        ta = tuple(_dot(a, b) for b in basis)
+        if any(ta):
+            ta = primitive_vector(ta)
+            if next(x for x in ta if x) < 0:
+                ta = tuple(-x for x in ta)
+            twalls.add(ta)
+    k = len(basis)
+    orthant = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)]
+    spans = _tree_spans(n, basis)
+    out = []
+    for leaf in arrangement_leaves(k, orthant, sorted(twalls), with_boundaries=True):
+        t = _generic_rep(list(leaf.rays) + list(leaf.lineality), spans, k)
+        rep = tuple(sum(t[j] * basis[j][i] for j in range(k)) for i in range(dim))
+        if not gr.delta_contains(rep, wd):
+            raise AssertionError(f"tree cone representative {rep} lies outside Delta")
+        out.append((rep, _gkz_profile(rep, n)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -528,71 +620,54 @@ class DeltaReduction:
 def _delta_reduction_data(n: int) -> DeltaReduction:
     """Maximal GKZ cones met by Delta, each with its first-found witness.
 
-    Each trivalent tree's cone is mapped into the Gale-dual coordinates by
-    its split images and the lineality image. The GKZ walls, pulled back to
-    those tree coordinates, cut the closed tree cone (split coordinates
-    >= 0) into cells; a generic point of each cell is a representative. The
-    tree cone images cover Delta and each lies inside it, so every
-    representative is asserted to lie in Delta, and the GKZ profiles of the
-    representatives give the cones.
-    """
-    from .polyhedral import arrangement_leaves
+    The tree cone images cover Delta.  Only the first tree of each S_n orbit
+    (``symmetry.tree_orbits``) is swept (``_sweep_tree``); every tree, in
+    ``trivalent_trees`` order, then takes its representative's
+    representatives in leaf order, mapped by its sigma: the point by
+    M_sigma, the profile by ``_pool_permutation``.  A profile not seen
+    before gets the image as its witness, which must lie in Delta, have
+    exactly the mapped profile and lie in the relative interior of the
+    profile's cone; the first witness of each cone is kept.  ``rep_count``
+    counts the representatives swept, ``tree_count`` the trees covered.
 
+    This is exact.  The Y-sets, and so the pool, are S_n-invariant, and
+    M_sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J).  M_sigma
+    maps the representative's tree basis onto sigma T's (asserted), hence
+    its tree cone image onto sigma T's, and it permutes the column spans
+    that define genericity.  So the cells, generic representatives and
+    profiles of sigma T are the images of T's.
+    """
     if n < 3:
         raise ValueError(f"need n >= 3 (got {n})")
     wd = gr.weights(n)
-    dim = len(wd.p)
-    sign = gr.tropical_sign()
-    walls = _gkz_walls(n)
-    lin = gr.lineality_image(wd)
-    table = _gkz_table(n)
-    span_masks = [m for m in table.span_masks if m]
-
+    trees = gr.trivalent_trees(n)
+    swept: dict[int, list[tuple[tuple[int, ...], frozenset[int]]]] = {}
     profiles: dict[frozenset[int], Cone] = {}
     first_rep: dict[tuple, tuple[int, ...]] = {}
-    rep_count = 0
-    trees = gr.trivalent_trees(n)
-    for tree in trees:
-        basis = [
-            tuple(sign * x for x in gr.split_image(wd, block)) for block in tree
-        ] + [lin]
-        if rank(basis) != len(basis):
-            raise AssertionError("tree cone image is degenerate")
-        twalls: set[tuple[int, ...]] = set()
-        for a in walls:
-            ta = tuple(_dot(a, b) for b in basis)
-            if any(ta):
-                ta = primitive_vector(ta)
-                if next(x for x in ta if x) < 0:
-                    ta = tuple(-x for x in ta)
-                twalls.add(ta)
-        # the closed tree cone: t_i >= 0 on the split coordinates, the
-        # lineality coordinate free.  A GKZ wall equal to some t_i = 0 stays
-        # a wall: its zero side, on that facet, has another GKZ sign vector
-        # than the interior next to it
-        k = len(basis)
-        orthant = [tuple(1 if j == i else 0 for j in range(k)) for i in range(len(tree))]
-        leaves = arrangement_leaves(k, orthant, sorted(twalls), with_boundaries=True)
-        # span equations pulled back to tree coordinates, where e.(B^T t) is
-        # (B e).t; equations that become equal share one entry
-        merged: dict[tuple[int, ...], int] = {}
-        for e, bit in table.eqs:
-            te = tuple(_dot(e, b) for b in basis)
-            merged[te] = merged.get(te, 0) | bit
-        tree_eqs = list(merged.items())
-        for leaf in leaves:
-            t = _generic_rep(list(leaf.rays) + list(leaf.lineality), tree_eqs, span_masks, k)
-            rep = tuple(sum(t[j] * basis[j][i] for j in range(k)) for i in range(dim))
-            rep_count += 1
-            if not gr.delta_contains(rep, wd):
-                raise AssertionError(f"tree cone representative {rep} lies outside Delta")
-            profile = _gkz_profile(rep, n)
-            if profile not in profiles:
-                sigma = profiles[profile] = _profile_cone(profile, rep, n)
-                first_rep.setdefault(sigma._key(), rep)
+    for tree, (r, sigma) in zip(trees, sym.tree_orbits(n)):
+        rep_basis = _tree_basis(n, trees[r])
+        if r not in swept:
+            swept[r] = _sweep_tree(n, rep_basis)
+        m = sym.gale_matrix(n, sigma)
+        image, basis = [sym.apply(m, b) for b in rep_basis], _tree_basis(n, tree)
+        if image[-1] != basis[-1] or sorted(image) != sorted(basis):
+            raise AssertionError(f"sigma = {sigma} does not map tree {trees[r]} onto {tree}")
+        perm = _pool_permutation(n, sigma)
+        for rep, profile in swept[r]:
+            mapped = frozenset(perm[i] for i in profile)
+            if mapped in profiles:
+                continue
+            w = sym.apply(m, rep)
+            if not gr.delta_contains(w, wd):
+                raise AssertionError(f"the image {w} of a representative lies outside Delta")
+            if _gkz_profile(w, n) != mapped:
+                raise AssertionError(f"the image {w} of a representative has another GKZ profile")
+            sigma_cone = profiles[mapped] = _profile_cone(mapped, w, n)
+            first_rep.setdefault(sigma_cone._key(), w)
 
     fan = fan_from_maximal(profiles.values())
     witnesses = {c._key(): first_rep[c._key()] for c in fan.maximal}
+    rep_count = sum(len(reps) for reps in swept.values())
     return DeltaReduction(fan, witnesses, len(trees), rep_count)
 
 

@@ -9,6 +9,7 @@ import pytest
 import gitfankit
 import gitfankit.gitfan as gf
 import gitfankit.grassmann as gr
+import gitfankit.symmetry as sym
 from gitfankit.exact_linalg import kernel_basis, primitive_vector, solve
 from gitfankit.grassmann import TwoBlock, YSet
 from gitfankit import polyhedral
@@ -457,12 +458,13 @@ def test_delta_witnesses_in_relint():
         assert gr.delta_contains(wit, wd)
 
 
-# (trees, representatives tried, maximal cones) and the sorted witnesses: the
-# generic representatives that first reached each maximal cone's profile
+# (trees covered, representatives swept, maximal cones) and the sorted
+# witnesses: the images of generic representatives that first reached each
+# maximal cone's profile
 DELTA_PINS = {
-    3: ((3, 30, 5), [(-2, -4, -4), (-2, -2, 2), (-2, 2, -2), (2, -2, -2), (6, 2, 2)]),
+    3: ((3, 10, 5), [(-2, -4, -4), (-2, -2, 2), (-2, 2, -2), (2, -2, -2), (6, 2, 2)]),
     4: (
-        (15, 990, 17),
+        (15, 120, 17),
         [
             (-6, -6, -2, -2, -6, -6), (-6, -2, -6, -6, -2, -6), (-4, -4, -2, 2, -4, -4),
             (-4, -4, 2, -2, -4, -4), (-4, -2, -4, -4, 2, -4), (-4, 2, -4, -4, -2, -4),
@@ -495,12 +497,11 @@ def _full_span_delta_reference(n):
     dim = len(wd.p)
     sign = gr.tropical_sign()
     lin = gr.lineality_image(wd)
-    table = gf._gkz_table(n)
-    span_masks = sorted({m for m in table.span_masks if m})
     first_rep = {}
     for tree in gr.trivalent_trees(n):
         basis = [tuple(sign * x for x in gr.split_image(wd, b)) for b in tree] + [lin]
         k = len(basis)
+        spans = gf._tree_spans(n, basis)
         twalls = set()
         for a in gf._gkz_walls(n):
             ta = tuple(sum(x * y for x, y in zip(a, b)) for b in basis)
@@ -512,14 +513,8 @@ def _full_span_delta_reference(n):
         for i in range(len(tree)):
             twalls.add(tuple(1 if j == i else 0 for j in range(k)))
         leaves = polyhedral.arrangement_leaves(k, [], sorted(twalls), with_boundaries=True)
-        merged = {}
-        for e, bit in table.eqs:
-            te = tuple(sum(x * y for x, y in zip(e, b)) for b in basis)
-            merged[te] = merged.get(te, 0) | bit
         for leaf in leaves:
-            t = gf._generic_rep(
-                list(leaf.rays) + list(leaf.lineality), list(merged.items()), span_masks, k
-            )
+            t = gf._generic_rep(list(leaf.rays) + list(leaf.lineality), spans, k)
             rep = tuple(sum(t[j] * basis[j][i] for j in range(k)) for i in range(dim))
             if gr.delta_contains(rep, wd):
                 first_rep.setdefault(gf._gkz_profile(rep, n), rep)
@@ -528,9 +523,10 @@ def _full_span_delta_reference(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_tree_cone_sweep_matches_full_span_reference(n, monkeypatch):
-    """Sweeping only the closed tree cones finds every profile the full-span
-    sweep finds, with the same first representative, hence the same fan and
-    witnesses; and every representative it tries lies in Delta."""
+    """The orbit sweep of the closed tree cones finds the profiles the
+    all-trees full-span sweep finds, with the same first representative,
+    hence the same fan and witnesses; every point it tries lies in Delta:
+    each representative swept and each new profile's witness."""
     reference = _full_span_delta_reference(n)
     by_key = {}
     for profile, rep in reference.items():
@@ -548,7 +544,8 @@ def test_tree_cone_sweep_matches_full_span_reference(n, monkeypatch):
 
     monkeypatch.setattr(gr, "delta_contains", recording_contains)
     data = gf._delta_reduction_data.__wrapped__(n)
-    assert len(tried) == data.rep_count == DELTA_PINS[n][0][1]
+    assert data.rep_count == DELTA_PINS[n][0][1]
+    assert len(tried) == data.rep_count + len(reference)
     assert all(hit for _, hit in tried)
     first_rep = {}
     for rep, _ in tried:
@@ -559,6 +556,64 @@ def test_tree_cone_sweep_matches_full_span_reference(n, monkeypatch):
     assert data.witnesses == {
         (c.facets, c.span_eqs): by_key[(c.facets, c.span_eqs)][1] for c in ref_fan.maximal
     }
+
+
+def _generic_rep_by_span_masks(vecs, eqs, span_masks, dim):
+    """Genericity as the sweep decided it over every column span: spans as
+    bitmasks over the equations pulled back to tree coordinates (equal
+    pull-backs merged), a point in a span when the span's mask is inside the
+    point's zero mask."""
+
+    def zero_mask(x):
+        return sum(bit for e, bit in eqs if not _dot(e, x))
+
+    if not vecs:
+        return (0,) * dim
+    shared = -1
+    for v in vecs:
+        shared &= zero_mask(v)
+    missed = [m for m in span_masks if m & ~shared]
+    for k in range(1, 64):
+        rep = tuple(sum(k**e * v[j] for e, v in enumerate(vecs)) for j in range(dim))
+        zero = zero_mask(rep)
+        if all(m & ~zero for m in missed):
+            return rep
+    raise AssertionError("no generic representative found")
+
+
+@pytest.mark.parametrize("n, counts", [(3, [5]), (4, [21, 25])], ids=["3", "4"])
+def test_tree_spans_keep_every_generic_rep(n, counts):
+    """On every cell of every tree, the distinct pulled-back subspaces give
+    the representative the test against all column spans gives; the
+    representative trees have the pinned numbers of distinct subspaces."""
+    spans = gf._column_spans(n)
+    bit = {e: 1 << i for i, e in enumerate(sorted({e for span in spans for e in span}))}
+    span_masks = [m for m in (sum(bit[e] for e in span) for span in spans) if m]
+    trees = gr.trivalent_trees(n)
+    assert [len(gf._tree_spans(n, gf._tree_basis(n, trees[r])))
+            for r in sorted({r for r, _ in sym.tree_orbits(n)})] == counts
+    checked = 0
+    for tree in trees:
+        basis = gf._tree_basis(n, tree)
+        k = len(basis)
+        merged = {}
+        for e, b in bit.items():
+            te = tuple(_dot(e, x) for x in basis)
+            merged[te] = merged.get(te, 0) | b
+        twalls = set()
+        for a in gf._gkz_walls(n):
+            ta = tuple(_dot(a, b) for b in basis)
+            if any(ta):
+                ta = primitive_vector(ta)
+                twalls.add(ta if next(x for x in ta if x) > 0 else tuple(-x for x in ta))
+        orthant = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)]
+        tree_spans = gf._tree_spans(n, basis)
+        for leaf in polyhedral.arrangement_leaves(k, orthant, sorted(twalls), with_boundaries=True):
+            vecs = list(leaf.rays) + list(leaf.lineality)
+            expected = _generic_rep_by_span_masks(vecs, list(merged.items()), span_masks, k)
+            assert gf._generic_rep(vecs, tree_spans, k) == expected
+            checked += 1
+    assert checked == {3: 30, 4: 990}[n]
 
 
 def _delta_test_points(n, rng):
@@ -631,8 +686,8 @@ def _full_gkz_pool(n):
 
 
 @pytest.mark.parametrize("n, cones, spans, walls", [(3, 25, 17, 9), (4, 140, 356, 57)])
-def test_y_set_pool_matches_full_pool(n, cones, spans, walls, monkeypatch):
-    """On every representative the sweep tries and on every witness, the
+def test_y_set_pool_matches_full_pool(n, cones, spans, walls):
+    """On every tree's representatives and on every witness, the
     column cones holding the point in their relative interior are the same
     whether read from the Y-set pool or from the pool over all column
     subsets; the span table lists exactly the full pool's spans, and the
@@ -647,18 +702,16 @@ def test_y_set_pool_matches_full_pool(n, cones, spans, walls, monkeypatch):
     expected = {a if next(x for x in a if x) > 0 else tuple(-x for x in a) for a in normals}
     assert gf._gkz_walls(n) == tuple(sorted(expected)) and len(expected) == walls
 
-    tried = []
-    real_contains = gr.delta_contains
-
-    def recording_contains(p, wd):
-        tried.append(p)
-        return real_contains(p, wd)
-
-    monkeypatch.setattr(gr, "delta_contains", recording_contains)
-    data = gf._delta_reduction_data.__wrapped__(n)
-    monkeypatch.undo()
-    points = set(tried) | set(data.witnesses.values())
-    assert len(tried) == DELTA_PINS[n][0][1]
+    # every representative of every tree: the swept ones mapped by each
+    # tree's sigma
+    trees = gr.trivalent_trees(n)
+    orbits = sym.tree_orbits(n)
+    swept = {r: gf._sweep_tree(n, gf._tree_basis(n, trees[r])) for r in {r for r, _ in orbits}}
+    images = [
+        sym.apply(sym.gale_matrix(n, sigma), rep) for r, sigma in orbits for rep, _ in swept[r]
+    ]
+    assert len(images) == {3: 30, 4: 990}[n]
+    points = set(images) | set(gf._delta_reduction_data(n).witnesses.values())
     for point in points:
         from_pool = {pool[i]._key() for i in gf._gkz_profile(point, n)}
         from_full = {c._key() for c in full if c.contains(point, "relative_interior")}
@@ -697,8 +750,8 @@ def _orthogonal(x, rng):
 
 
 def test_generic_rep_matches_reference():
-    """Span tests by equation bitmasks pick the same k and representative as
-    the explicit search, also where the first candidates lie in a bad span."""
+    """The genericity test picks the same k and representative as the
+    explicit search, also where the first candidates lie in a bad span."""
     rng = random.Random(31)
     later_k = 0
     for _ in range(300):
@@ -714,10 +767,8 @@ def test_generic_rep_matches_reference():
             if rng.random() < 0.3:
                 span.add(tuple(rng.randint(-1, 1) for _ in range(dim)))
             spans.append(sorted(span))
-        bit = {eq: 1 << i for i, eq in enumerate(sorted({eq for span in spans for eq in span}))}
-        masks = sorted({sum(bit[eq] for eq in span) for span in spans})
         expected = _generic_rep_reference(vecs, spans, dim)
-        assert gf._generic_rep(vecs, list(bit.items()), masks, dim) == expected
+        assert gf._generic_rep(vecs, spans, dim) == expected
         later_k += expected != tuple(sum(v[i] for v in vecs) for i in range(dim))
     assert later_k > 20
 
@@ -924,3 +975,23 @@ def test_clear_caches_keeps_results():
     ):
         assert cached.cache_info().currsize == 0
     assert (gf.git_fan(3), gf.sigma_r(3), gf.delta_reduction(3)) == before
+
+
+def test_clear_caches_empties_every_module():
+    import importlib
+    import pkgutil
+
+    modules = [
+        importlib.import_module(f"gitfankit.{m.name}")
+        for m in pkgutil.iter_modules(gitfankit.__path__)
+    ]
+    assert "gitfankit.symmetry" in {m.__name__ for m in modules}
+    gf.delta_reduction(4)
+    gitfankit.clear_caches()
+    cached = [
+        (mod.__name__, name)
+        for mod in modules
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info") and obj.cache_info().currsize
+    ]
+    assert cached == []
