@@ -591,7 +591,8 @@ def fan_from_maximal(cones: Iterable[Cone]) -> Fan:
     for c in cone_list:
         redundant = False
         for d in cone_list:
-            if d is c or not d.contains_cone(c):
+            # a cone holds no cone of larger dimension
+            if d is c or d.dim < c.dim or not d.contains_cone(c):
                 continue
             if not c.is_face_of(d):
                 raise FanAxiomViolation(

@@ -212,6 +212,17 @@ def test_fan_prunes_faces():
     assert f.maximal == (big,)
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_fan_rejects_nested_cones_of_equal_dimension(order):
+    # the containment scan skips only holders of lower dimension, so a
+    # distinct cone of the same dimension inside another is still caught
+    outer, inner = cone((1, 0), (0, 1)), cone((1, 0), (1, 1))
+    assert outer.dim == inner.dim and outer.contains_cone(inner)
+    with pytest.raises(FanAxiomViolation, match="contained in another without being a face") as exc:
+        fan_from_maximal([outer, inner][::order])
+    assert exc.value.offending == (inner, outer)
+
+
 def common_face_reference(c1, c2):
     """The fan axiom by definition: the intersection is a face of both."""
     m = c1.intersect(c2)

@@ -329,7 +329,7 @@ def test_sorted_building_families_give_nested_complex():
     # exhaustive on the orthant face posets: whenever the underlying set of a
     # sorted family is a building set, the iterated blow-up is isomorphic to
     # the nested-set complex of that set
-    from gitfankit.semilattice import _inclusion_poset, _orthant_fan, _sorted_families
+    from gitfankit.semilattice import _inclusion_masks, _orthant_fan, _sorted_families
 
     def nested_complex_poset(lat, s):
         # the nested subsets of s (the empty set and singletons included),
@@ -341,7 +341,7 @@ def test_sorted_building_families_give_nested_complex():
             for combo in itertools.combinations(s, r)
             if not combo or is_nested(lat, frozenset(s), combo)
         ]
-        return _inclusion_poset(faces, faces)
+        return FiniteSemilattice(faces, _inclusion_masks(faces))
 
     for dim in (2, 3):
         lat = face_poset(_orthant_fan(dim))
@@ -593,6 +593,20 @@ def test_poset_isomorphic_long_chain():
     assert poset_isomorphic(chain, chain)
 
 
+def random_relations(rng, count=400):
+    """Up-set masks of count seeded random relations on 1 to 7 elements:
+    element 0 is the bottom, i < j only for i < j, and each up-set takes the
+    (already closed) up-sets of the elements put above it."""
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        up = [(1 << n) - 1] + [1 << i for i in range(1, n)]
+        for i in reversed(range(1, n)):
+            for j in range(i + 1, n):
+                if rng.random() < 0.35:
+                    up[i] |= up[j]
+        yield up
+
+
 def test_poset_isomorphic_matches_brute_force_on_small_posets(monkeypatch):
     # every semilattice of at most 7 elements built by the two sweeps or by a
     # seeded draw of random relations, against every other of its size and
@@ -609,17 +623,9 @@ def test_poset_isomorphic_matches_brute_force_on_small_posets(monkeypatch):
     verify_fk_bridge(seed=5, samples=25)
     verify_blowup_join_criterion()
     rng = random.Random(7)
-    for _ in range(400):
-        n = rng.randint(1, 7)
-        # element 0 is the bottom; i < j only for i < j, and each up-set
-        # takes the (already closed) up-sets of the elements put above it
-        up = [(1 << n) - 1] + [1 << i for i in range(1, n)]
-        for i in reversed(range(1, n)):
-            for j in range(i + 1, n):
-                if rng.random() < 0.35:
-                    up[i] |= up[j]
+    for up in random_relations(rng):
         with contextlib.suppress(ValueError):
-            FiniteSemilattice(range(n), up)
+            FiniteSemilattice(range(len(up)), up)
     monkeypatch.undo()
     posets = list(met.values())
     assert len(posets) > 100
@@ -634,22 +640,31 @@ def test_poset_isomorphic_matches_brute_force_on_small_posets(monkeypatch):
         assert brute_isomorphic(a, b) and poset_isomorphic(a, b)
 
 
-def test_poset_isomorphic_accepts_relabelled_fk_posets(monkeypatch):
+def recorded_blow_ups(monkeypatch):
+    """A list that collects (source, blow-up) for every later blow_up call."""
     import gitfankit.semilattice as sl
 
-    compared = []
-    real = sl.poset_isomorphic
+    seen = []
+    real = sl.blow_up
 
-    def recording(l1, l2):
-        compared.extend((l1, l2))
-        return real(l1, l2)
+    def recording(lattice, xi):
+        blown = real(lattice, xi)
+        seen.append((lattice, blown))
+        return blown
 
-    monkeypatch.setattr(sl, "poset_isomorphic", recording)
+    monkeypatch.setattr(sl, "blow_up", recording)
+    return seen
+
+
+def test_poset_isomorphic_accepts_relabelled_fk_posets(monkeypatch):
+    # each trial's source face poset and its blow-up, against a relabelling
+    seen = recorded_blow_ups(monkeypatch)
     assert verify_fk_bridge(seed=2024)["result"]
     monkeypatch.undo()
-    assert len(compared) == 400
+    posets = [lat for pair in seen for lat in pair]
+    assert len(posets) == 400
     rng = random.Random(2024)
-    for lat in compared:
+    for lat in posets:
         assert poset_isomorphic(lat, relabelled(lat, rng))
 
 
@@ -754,6 +769,147 @@ def test_fk_bridge_reports_a_dropped_pair(monkeypatch):
     assert rep["result"] is False
     assert [c["trial"] for c in rep["certificates"]] == list(range(10))
     assert all(set(c) == {"trial", "ambient", "ray"} for c in rep["certificates"])
+
+
+def bridge_verdicts(monkeypatch, **sweep):
+    """The fk sweep's report, and per trial the pair (the sweep's verdict,
+    the isomorphism search's verdict on the same subdivided fan and
+    blow-up)."""
+    import gitfankit.semilattice as sl
+
+    blow_ups = recorded_blow_ups(monkeypatch)
+    subdivided, verdicts = [], []
+    real_subdivide, real_trial = sl.stellar_subdivide, sl._fk_bridge_trial
+
+    def subdivide(fan, ray):
+        subdivided.append(real_subdivide(fan, ray))
+        return subdivided[-1]
+
+    def judged(args):
+        failure = real_trial(args)
+        # a trial's last subdivision and blow-up are the two it compares
+        searched = poset_isomorphic(ray_face_poset(subdivided[-1]), blow_ups[-1][1])
+        verdicts.append((failure is None, searched))
+        return failure
+
+    monkeypatch.setattr(sl, "stellar_subdivide", subdivide)
+    monkeypatch.setattr(sl, "_fk_bridge_trial", judged)
+    rep = verify_fk_bridge(**sweep)
+    monkeypatch.undo()
+    assert len(verdicts) == sweep["samples"]
+    return rep, verdicts
+
+
+@pytest.mark.parametrize("seed, samples", [(2024, 200), (5, 25)])
+def test_fk_canonical_map_agrees_with_isomorphism_search(monkeypatch, seed, samples):
+    rep, verdicts = bridge_verdicts(monkeypatch, seed=seed, samples=samples)
+    assert rep["result"]
+    assert verdicts == [(True, True)] * samples
+
+
+def test_fk_bridge_reports_a_dropped_relation(monkeypatch):
+    # negative control: the blow-up keeps its labels but its bottom no
+    # longer lies below its last element, so the canonical map misses one
+    # inclusion and every trial must fail, as the search does
+    import gitfankit.semilattice as sl
+
+    real = sl.blow_up
+
+    def weakened(lattice, xi):
+        blown = real(lattice, xi)
+        out = copy.copy(blown)
+        out._up = list(blown._up)
+        out._up[blown._bottom] ^= 1 << len(blown) - 1
+        return out
+
+    monkeypatch.setattr(sl, "blow_up", weakened)
+    rep, verdicts = bridge_verdicts(monkeypatch, seed=5, samples=10)
+    assert rep["result"] is False
+    assert [c["trial"] for c in rep["certificates"]] == list(range(10))
+    assert all(set(c) == {"trial", "ambient", "ray"} for c in rep["certificates"])
+    assert verdicts == [(False, False)] * 10
+
+
+def reference_validation(labels, up):
+    """The checks of ``FiniteSemilattice.__init__`` as first written, with a
+    bit generator per element: raises ValueError with the same messages."""
+
+    def bits(mask):
+        return (k for k in range(mask.bit_length()) if mask >> k & 1)
+
+    labels = tuple(labels)
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise ValueError("duplicate labels")
+    up = list(up)
+    if len(up) != n or any(mask >> n for mask in up):
+        raise ValueError("relation has wrong shape")
+    down = [0] * n
+    for i, mask in enumerate(up):
+        for k in bits(mask):
+            down[k] |= 1 << i
+    for i, mask in enumerate(up):
+        if not mask >> i & 1:
+            raise ValueError("relation not reflexive")
+        if mask & down[i] != 1 << i:
+            raise ValueError("relation not antisymmetric")
+        if any(up[k] & ~mask for k in bits(mask)):
+            raise ValueError("relation not transitive")
+    bottoms = [i for i, mask in enumerate(up) if mask == (1 << n) - 1]
+    if len(bottoms) != 1:
+        raise ValueError("no unique bottom element")
+    by_down = {mask: i for i, mask in enumerate(down)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if down[i] & down[j] not in by_down:
+                raise ValueError(f"elements {labels[i]!r}, {labels[j]!r} have no meet")
+
+
+def validation_outcome(build, labels, up):
+    """None when build accepts the relation, else its error message."""
+    try:
+        build(labels, up)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_matches_reference_on_random_and_perturbed_relations(monkeypatch):
+    # the seeded random relations, and every poset the fk and thm44 sweeps
+    # build with one up-set bit flipped, are accepted or rejected alike
+    met = []
+    real_init = FiniteSemilattice.__init__
+
+    def recording_init(self, labels, up):
+        met.append((tuple(labels), list(up)))
+        real_init(self, labels, up)
+
+    monkeypatch.setattr(FiniteSemilattice, "__init__", recording_init)
+    verify_fk_bridge()
+    verify_blowup_join_criterion()
+    monkeypatch.undo()
+    assert len(met) == 1072
+    rng = random.Random(7)
+    cases = [(range(len(up)), up) for up in random_relations(rng)]
+    for labels, up in met:
+        flipped = list(up)
+        flipped[rng.randrange(len(up))] ^= 1 << rng.randrange(len(up))
+        cases.append((labels, flipped))
+    # the same inputs with their elements moved to random indices, so that
+    # index order is no longer a linear extension of the order
+    for labels, up in list(cases):
+        perm = list(range(len(up)))
+        rng.shuffle(perm)
+        moved = [0] * len(up)
+        for i, mask in enumerate(up):
+            moved[perm[i]] = sum(1 << perm[k] for k in range(len(up)) if mask >> k & 1)
+        cases.append((labels, moved))
+    outcomes = set()
+    for labels, up in cases:
+        outcome = validation_outcome(FiniteSemilattice, labels, up)
+        assert outcome == validation_outcome(reference_validation, labels, up), (labels, up)
+        outcomes.add(outcome if outcome is None else outcome.split()[-1])
+    assert outcomes == {None, "reflexive", "antisymmetric", "transitive", "element", "meet"}
 
 
 def test_thm44_reports_pairs_without_up_sets(monkeypatch):
