@@ -398,21 +398,6 @@ def _pool_permutation(n: int, sigma: sym.Perm) -> tuple[int, ...]:
     return tuple(out[i] for i in range(len(out)))
 
 
-@lru_cache(maxsize=None)
-def _column_spans(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The canonical span equations of every column subset, each distinct
-    span once, sorted: the kernel of the columns in canonical RREF form,
-    as ``Cone.span_eqs`` gives it (a zero row stands in for no columns)."""
-    wd = gr.weights(n)
-    cols = [wd.v[p] for p in gr.pairs(n)[0]]
-    zero = (0,) * len(wd.p)
-    spans = set()
-    for mask in range(1 << len(cols)):
-        rows = [c for k, c in enumerate(cols) if mask >> k & 1] or [zero]
-        spans.add(_canonical_subspace_basis(kernel_basis(rows)))
-    return tuple(sorted(spans))
-
-
 @dataclass(frozen=True)
 class _GkzTable:
     """The pool's span equations and facet normals, each listed once.
@@ -511,9 +496,18 @@ def gkz_cone(v: Sequence, n: int) -> Cone:
 
 @lru_cache(maxsize=None)
 def _gkz_walls(n: int) -> tuple[tuple[int, ...], ...]:
-    """Hyperplanes spanned by columns: the column spans with one equation,
-    whose canonical normal has a positive first nonzero entry."""
-    return tuple(span[0] for span in _column_spans(n) if len(span) == 1)
+    """Hyperplanes spanned by columns, sorted, each as its canonical normal
+    (positive first nonzero entry): the kernel of every d - 1 columns whose
+    kernel is a line.  A hyperplane spanned by columns holds d - 1
+    independent ones, so none is missed."""
+    wd = gr.weights(n)
+    cols = [wd.v[p] for p in gr.pairs(n)[0]]
+    walls = set()
+    for rows in itertools.combinations(cols, len(wd.p) - 1):
+        kernel = kernel_basis(rows)
+        if len(kernel) == 1:
+            walls.add(_canonical_subspace_basis(kernel)[0])
+    return tuple(sorted(walls))
 
 
 def _tree_basis(n: int, tree: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
@@ -525,59 +519,24 @@ def _tree_basis(n: int, tree: Sequence[frozenset[int]]) -> list[tuple[int, ...]]
     return splits + [gr.lineality_image(wd)]
 
 
-def _tree_spans(n: int, basis: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
-    """The column spans pulled back to tree coordinates, each distinct
-    subspace once, as its canonical equations.
-
-    A point B^T t lies in a span when (B e).t = 0 for its equations e; spans
-    that hold the whole tree space (no equation left) are dropped, since
-    they miss nothing.
-    """
-    pulled: dict[tuple[int, ...], tuple[int, ...]] = {}
-    seen = set()
-    out = set()
-    for span in _column_spans(n):
-        rows = []
-        for e in span:
-            if e not in pulled:
-                pulled[e] = tuple(_dot(e, b) for b in basis)
-            rows.append(pulled[e])
-        rows = frozenset(rows)
-        if rows not in seen:
-            seen.add(rows)
-            eqs = _canonical_subspace_basis(list(rows))
-            if eqs:
-                out.add(eqs)
-    return sorted(out)
-
-
-def _generic_rep(
-    vecs: Sequence[tuple[int, ...]],
-    spans: Sequence[Sequence[Sequence[int]]],
-    dim: int,
-) -> tuple[int, ...]:
-    """sum_e k^e vecs[e] for the first k = 1, 2, ... that lies in no span
-    missing one of the vecs; each span is given by its equations."""
-    if not vecs:
-        return (0,) * dim
-    missed = [s for s in spans if any(_dot(e, v) for e in s for v in vecs)]
-    for k in range(1, 64):
-        rep = tuple(sum(k**e * v[j] for e, v in enumerate(vecs)) for j in range(dim))
-        if all(any(_dot(e, rep) for e in s) for s in missed):
-            return rep
-    raise AssertionError("no generic representative found")
-
-
 def _sweep_tree(
     n: int, basis: Sequence[tuple[int, ...]]
 ) -> list[tuple[tuple[int, ...], frozenset[int]]]:
-    """The generic representatives of the cells the GKZ walls cut from the
-    closed tree cone of the basis, in leaf order, each with its GKZ profile.
+    """The ray sums of the cells the GKZ walls cut from the closed tree cone
+    of the basis, in leaf order, each with its GKZ profile.
 
     The GKZ walls, pulled back to the tree coordinates, cut the closed tree
     cone (split coordinates >= 0, the lineality coordinate free) into cells.
     A GKZ wall equal to some t_i = 0 stays a wall: its zero side, on that
-    facet, has another GKZ sign vector than the interior next to it.  The
+    facet, has another GKZ sign vector than the interior next to it.
+
+    A cell's representative is the sum of its rays and lineality vectors,
+    which lies in its relative interior: it is asserted to have exactly the
+    cell's signs on the walls.  Every column span is a flat of the column
+    matroid, hence the intersection of the GKZ walls that contain it, so a
+    point with the cell's signs lies in a column span exactly when the whole
+    cell does; the GKZ profile, read off the spans and facet signs of the
+    pool cones, is then one profile on the whole relative interior.  The
     tree cone image lies inside Delta, so every representative is asserted
     to lie in Delta.
     """
@@ -595,12 +554,15 @@ def _sweep_tree(
             if next(x for x in ta if x) < 0:
                 ta = tuple(-x for x in ta)
             twalls.add(ta)
+    walls = sorted(twalls)
     k = len(basis)
     orthant = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)]
-    spans = _tree_spans(n, basis)
     out = []
-    for leaf in arrangement_leaves(k, orthant, sorted(twalls), with_boundaries=True):
-        t = _generic_rep(list(leaf.rays) + list(leaf.lineality), spans, k)
+    for leaf in arrangement_leaves(k, orthant, walls, with_boundaries=True):
+        vecs = leaf.rays + leaf.lineality
+        t = tuple(sum(v[j] for v in vecs) for j in range(k))
+        if tuple((x > 0) - (x < 0) for x in (_dot(a, t) for a in walls)) != leaf.signs:
+            raise AssertionError(f"the ray sum {t} of a cell misses the cell's wall signs")
         rep = tuple(sum(t[j] * basis[j][i] for j in range(k)) for i in range(dim))
         if not gr.delta_contains(rep, wd):
             raise AssertionError(f"tree cone representative {rep} lies outside Delta")
@@ -633,9 +595,9 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     This is exact.  The Y-sets, and so the pool, are S_n-invariant, and
     M_sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J).  M_sigma
     maps the representative's tree basis onto sigma T's (asserted), hence
-    its tree cone image onto sigma T's, and it permutes the column spans
-    that define genericity.  So the cells, generic representatives and
-    profiles of sigma T are the images of T's.
+    its tree cone image onto sigma T's, and it permutes the GKZ walls, so
+    it maps the cells of T onto the cells of sigma T.  So the cells, ray sums
+    and profiles of sigma T are the images of T's.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 (got {n})")

@@ -522,6 +522,8 @@ def delta_contains(p: Sequence, wd: WeightData) -> bool:
     the tropical lineality, and the positive scale D is irrelevant because
     the four-point test is invariant under positive scaling.
     """
+    if len(p) != len(wd.p):
+        raise ValueError("point has wrong dimension")
     s = tropical_sign()
     return trop_contains(
         [s * _dot(row, p) for row in _p_right_inverse(wd.n)],

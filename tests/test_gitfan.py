@@ -1,5 +1,6 @@
 """GIT fans, ambient fans, nu rays, GKZ cones, Delta-reduction, centers."""
 
+import functools
 import itertools
 import json
 import random
@@ -459,7 +460,7 @@ def test_delta_witnesses_in_relint():
 
 
 # (trees covered, representatives swept, maximal cones) and the sorted
-# witnesses: the images of generic representatives that first reached each
+# witnesses: the images of the cells' ray sums that first reached each
 # maximal cone's profile
 DELTA_PINS = {
     3: ((3, 10, 5), [(-2, -4, -4), (-2, -2, 2), (-2, 2, -2), (2, -2, -2), (6, 2, 2)]),
@@ -491,17 +492,18 @@ def _full_span_delta_reference(n):
     """The sweep before it was restricted to the closed tree cone: the
     coordinate hyperplanes t_i = 0 join the walls, no base cone is given, so
     the whole span of each tree cone image is swept, and ``delta_contains``
-    filters the representatives.  Returns the first representative of each
-    profile, in the order found."""
+    filters the representatives.  Each representative is the explicit
+    genericity search over every column span of the full pool.  Returns the
+    first representative of each profile, in the order found."""
     wd = gr.weights(n)
     dim = len(wd.p)
     sign = gr.tropical_sign()
     lin = gr.lineality_image(wd)
+    spans = _full_spans(n)
     first_rep = {}
     for tree in gr.trivalent_trees(n):
         basis = [tuple(sign * x for x in gr.split_image(wd, b)) for b in tree] + [lin]
         k = len(basis)
-        spans = gf._tree_spans(n, basis)
         twalls = set()
         for a in gf._gkz_walls(n):
             ta = tuple(sum(x * y for x, y in zip(a, b)) for b in basis)
@@ -514,11 +516,16 @@ def _full_span_delta_reference(n):
             twalls.add(tuple(1 if j == i else 0 for j in range(k)))
         leaves = polyhedral.arrangement_leaves(k, [], sorted(twalls), with_boundaries=True)
         for leaf in leaves:
-            t = gf._generic_rep(list(leaf.rays) + list(leaf.lineality), spans, k)
-            rep = tuple(sum(t[j] * basis[j][i] for j in range(k)) for i in range(dim))
+            vecs = [_image(basis, v) for v in leaf.rays + leaf.lineality]
+            rep = _generic_rep_reference(vecs, spans, dim)
             if gr.delta_contains(rep, wd):
                 first_rep.setdefault(gf._gkz_profile(rep, n), rep)
     return first_rep
+
+
+def _image(basis, t):
+    """The point B^T t of tree coordinates t."""
+    return tuple(sum(c * b[i] for c, b in zip(t, basis)) for i in range(len(basis[0])))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -558,48 +565,16 @@ def test_tree_cone_sweep_matches_full_span_reference(n, monkeypatch):
     }
 
 
-def _generic_rep_by_span_masks(vecs, eqs, span_masks, dim):
-    """Genericity as the sweep decided it over every column span: spans as
-    bitmasks over the equations pulled back to tree coordinates (equal
-    pull-backs merged), a point in a span when the span's mask is inside the
-    point's zero mask."""
-
-    def zero_mask(x):
-        return sum(bit for e, bit in eqs if not _dot(e, x))
-
-    if not vecs:
-        return (0,) * dim
-    shared = -1
-    for v in vecs:
-        shared &= zero_mask(v)
-    missed = [m for m in span_masks if m & ~shared]
-    for k in range(1, 64):
-        rep = tuple(sum(k**e * v[j] for e, v in enumerate(vecs)) for j in range(dim))
-        zero = zero_mask(rep)
-        if all(m & ~zero for m in missed):
-            return rep
-    raise AssertionError("no generic representative found")
-
-
-@pytest.mark.parametrize("n, counts", [(3, [5]), (4, [21, 25])], ids=["3", "4"])
-def test_tree_spans_keep_every_generic_rep(n, counts):
-    """On every cell of every tree, the distinct pulled-back subspaces give
-    the representative the test against all column spans gives; the
-    representative trees have the pinned numbers of distinct subspaces."""
-    spans = gf._column_spans(n)
-    bit = {e: 1 << i for i, e in enumerate(sorted({e for span in spans for e in span}))}
-    span_masks = [m for m in (sum(bit[e] for e in span) for span in spans) if m]
-    trees = gr.trivalent_trees(n)
-    assert [len(gf._tree_spans(n, gf._tree_basis(n, trees[r])))
-            for r in sorted({r for r, _ in sym.tree_orbits(n)})] == counts
+@pytest.mark.parametrize("n", [3, 4])
+def test_ray_sums_are_full_span_generic_reps(n):
+    """On every cell of every tree, the sweep's representative, the ray sum,
+    is the representative the explicit genericity search over every column
+    span of the full pool picks."""
+    spans = _full_spans(n)
     checked = 0
-    for tree in trees:
+    for tree in gr.trivalent_trees(n):
         basis = gf._tree_basis(n, tree)
         k = len(basis)
-        merged = {}
-        for e, b in bit.items():
-            te = tuple(_dot(e, x) for x in basis)
-            merged[te] = merged.get(te, 0) | b
         twalls = set()
         for a in gf._gkz_walls(n):
             ta = tuple(_dot(a, b) for b in basis)
@@ -607,13 +582,31 @@ def test_tree_spans_keep_every_generic_rep(n, counts):
                 ta = primitive_vector(ta)
                 twalls.add(ta if next(x for x in ta if x) > 0 else tuple(-x for x in ta))
         orthant = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)]
-        tree_spans = gf._tree_spans(n, basis)
-        for leaf in polyhedral.arrangement_leaves(k, orthant, sorted(twalls), with_boundaries=True):
-            vecs = list(leaf.rays) + list(leaf.lineality)
-            expected = _generic_rep_by_span_masks(vecs, list(merged.items()), span_masks, k)
-            assert gf._generic_rep(vecs, tree_spans, k) == expected
-            checked += 1
+        leaves = polyhedral.arrangement_leaves(k, orthant, sorted(twalls), with_boundaries=True)
+        expected = [
+            _generic_rep_reference([_image(basis, v) for v in leaf.rays + leaf.lineality],
+                                   spans, len(basis[0]))
+            for leaf in leaves
+        ]
+        assert [rep for rep, _ in gf._sweep_tree(n, basis)] == expected
+        checked += len(expected)
     assert checked == {3: 30, 4: 990}[n]
+
+
+def test_sweep_rejects_a_cell_whose_ray_sum_misses_its_signs(monkeypatch):
+    """Negative control: a cell whose signs disagree with its ray sum stops
+    the Delta-reduction."""
+    real_leaves = polyhedral.arrangement_leaves
+
+    def flipped_leaves(*args, **kwargs):
+        leaves = real_leaves(*args, **kwargs)
+        leaf = leaves[0]
+        signs = (1 - abs(leaf.signs[0]),) + leaf.signs[1:]
+        return [polyhedral.ArrangementLeaf(signs, leaf.rays, leaf.lineality)] + leaves[1:]
+
+    monkeypatch.setattr(polyhedral, "arrangement_leaves", flipped_leaves)
+    with pytest.raises(AssertionError, match="misses the cell's wall signs"):
+        gf._delta_reduction_data.__wrapped__(3)
 
 
 def _delta_test_points(n, rng):
@@ -672,6 +665,7 @@ def test_gkz_profile_matches_pool_scan(n):
         assert gf._gkz_profile(point, n) == expected, point
 
 
+@functools.lru_cache(maxsize=None)
 def _full_gkz_pool(n):
     """The pool over every column subset, one double description each: the
     distinct cones cone(v_p; p in J) for all J, in first-found order."""
@@ -685,19 +679,41 @@ def _full_gkz_pool(n):
     return tuple(seen.values())
 
 
+@functools.lru_cache(maxsize=None)
+def _full_spans(n):
+    """The distinct column spans, each as its canonical equations."""
+    return tuple(sorted({c.span_eqs for c in _full_gkz_pool(n)}))
+
+
+@pytest.mark.parametrize("n, spans", [(3, 17), (4, 356)])
+def test_column_spans_are_wall_intersections(n, spans):
+    """Every column span is the intersection of the GKZ walls that contain
+    it: a flat of the column matroid is an intersection of hyperplanes."""
+    walls = gf._gkz_walls(n)
+    full = {c.span_eqs: c for c in _full_gkz_pool(n)}
+    assert len(full) == spans
+    for eqs, c in full.items():
+        gens = c.rays + c.lineality
+        containing = [a for a in walls if not any(_dot(a, g) for g in gens)]
+        assert polyhedral._canonical_subspace_basis(containing) == eqs
+
+
+def test_gkz_walls_n5():
+    assert len(gf._gkz_walls(5)) == 400
+
+
 @pytest.mark.parametrize("n, cones, spans, walls", [(3, 25, 17, 9), (4, 140, 356, 57)])
 def test_y_set_pool_matches_full_pool(n, cones, spans, walls):
     """On every tree's representatives and on every witness, the
     column cones holding the point in their relative interior are the same
     whether read from the Y-set pool or from the pool over all column
-    subsets; the span table lists exactly the full pool's spans, and the
-    walls are the normals of its codim-one cones."""
+    subsets; the full pool has the pinned number of spans, and the walls
+    are the normals of its codim-one cones."""
     full = _full_gkz_pool(n)
     pool = gf._gkz_pool(n)
     assert len(pool) == cones
     assert set(c._key() for c in pool) < set(c._key() for c in full)
-    assert gf._column_spans(n) == tuple(sorted({c.span_eqs for c in full}))
-    assert len(gf._column_spans(n)) == spans
+    assert len({c.span_eqs for c in full}) == spans
     normals = {c.span_eqs[0] for c in full if len(c.span_eqs) == 1}
     expected = {a if next(x for x in a if x) > 0 else tuple(-x for x in a) for a in normals}
     assert gf._gkz_walls(n) == tuple(sorted(expected)) and len(expected) == walls
@@ -722,7 +738,7 @@ def _generic_rep_reference(vecs, spans, dim):
     """The vector-by-vector genericity search over explicit span equations."""
 
     def in_span(span, x):
-        return all(sum(a * b for a, b in zip(eq, x)) == 0 for eq in span)
+        return not any(_dot(eq, x) for eq in span)
 
     for k in range(1, 64):
         rep = tuple(sum(k**e * v[i] for e, v in enumerate(vecs)) for i in range(dim))
@@ -732,45 +748,6 @@ def _generic_rep_reference(vecs, spans, dim):
         ):
             return rep
     raise AssertionError("no generic representative found")
-
-
-def _orthogonal(x, rng):
-    """An integer vector orthogonal to x (of dimension 2 or 3); a random one
-    when x is zero."""
-    if not any(x):
-        return tuple(rng.randint(-2, 2) for _ in x)
-    if len(x) == 2:
-        return (-x[1], x[0])
-    u = [rng.randint(-2, 2) for _ in range(3)]
-    return (
-        x[1] * u[2] - x[2] * u[1],
-        x[2] * u[0] - x[0] * u[2],
-        x[0] * u[1] - x[1] * u[0],
-    )
-
-
-def test_generic_rep_matches_reference():
-    """The genericity test picks the same k and representative as the
-    explicit search, also where the first candidates lie in a bad span."""
-    rng = random.Random(31)
-    later_k = 0
-    for _ in range(300):
-        dim = rng.choice((2, 3))
-        vecs = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 3))]
-        spans = []
-        for _ in range(rng.randint(1, 4)):
-            # a hyperplane through the k-th candidate, sometimes cut down by
-            # a random second equation
-            k = rng.randint(1, 3)
-            cand = tuple(sum(k**e * v[i] for e, v in enumerate(vecs)) for i in range(dim))
-            span = {_orthogonal(cand, rng)}
-            if rng.random() < 0.3:
-                span.add(tuple(rng.randint(-1, 1) for _ in range(dim)))
-            spans.append(sorted(span))
-        expected = _generic_rep_reference(vecs, spans, dim)
-        assert gf._generic_rep(vecs, spans, dim) == expected
-        later_k += expected != tuple(sum(v[i] for v in vecs) for i in range(dim))
-    assert later_k > 20
 
 
 def test_ray_classification_n3():
@@ -969,7 +946,7 @@ def test_clear_caches_keeps_results():
         polyhedral._cone_from_ineqs,
         gf._delta_reduction_data,
         gf._gkz_pool,
-        gf._column_spans,
+        gf._gkz_walls,
         gr.weights,
         gr._p_right_inverse,
     ):

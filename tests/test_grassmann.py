@@ -427,6 +427,14 @@ def test_delta_contains_lineality_and_splits():
         assert delta_contains([sgn * x for x in img], wd)
 
 
+@pytest.mark.parametrize("length", [0, 3, 5, 7, 8])
+def test_delta_contains_rejects_wrong_dimension(length):
+    wd = weights(4)
+    assert len(wd.p) == 6 and delta_contains((0,) * 6, wd)
+    with pytest.raises(ValueError, match="point has wrong dimension"):
+        delta_contains((0,) * length, wd)
+
+
 def test_serialization():
     ys = yset(3, [(0, 1), (1, 2)])
     assert ys.serialize() == ["0,1", "1,2"]

@@ -15,7 +15,7 @@ import pytest
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 # exact_linalg.rref was folded into the private integer RREF core; the
-# benchmark still names it as a metric source (ROADMAP item 10)
+# benchmark still names it as a metric source (ROADMAP item 11)
 STALE_SOURCES = {"exact_linalg.rref"}
 # call counts that layer_metrics reads by name outside the tables
 LAYER_METRIC_SOURCES = ("gitfan.chamber", "gitfan.chamber_star")
