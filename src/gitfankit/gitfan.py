@@ -589,8 +589,11 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     M_sigma, the profile by ``_pool_permutation``.  A profile not seen
     before gets the image as its witness, which must lie in Delta, have
     exactly the mapped profile and lie in the relative interior of the
-    profile's cone; the first witness of each cone is kept.  ``rep_count``
-    counts the representatives swept, ``tree_count`` the trees covered.
+    profile's cone; the first witness of each cone is kept.  Representatives
+    of one profile map to one profile (``_pool_permutation`` is a
+    bijection), so only the first of each profile of a swept tree is
+    mapped: the later ones would be skipped.  ``rep_count`` counts the
+    representatives swept, ``tree_count`` the trees covered.
 
     This is exact.  The Y-sets, and so the pool, are S_n-invariant, and
     M_sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J).  M_sigma
@@ -603,19 +606,25 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
         raise ValueError(f"need n >= 3 (got {n})")
     wd = gr.weights(n)
     trees = gr.trivalent_trees(n)
-    swept: dict[int, list[tuple[tuple[int, ...], frozenset[int]]]] = {}
+    # per swept tree: its first representative of each profile
+    swept: dict[int, dict[frozenset[int], tuple[int, ...]]] = {}
+    rep_count = 0
     profiles: dict[frozenset[int], Cone] = {}
     first_rep: dict[tuple, tuple[int, ...]] = {}
     for tree, (r, sigma) in zip(trees, sym.tree_orbits(n)):
         rep_basis = _tree_basis(n, trees[r])
         if r not in swept:
-            swept[r] = _sweep_tree(n, rep_basis)
+            reps = _sweep_tree(n, rep_basis)
+            rep_count += len(reps)
+            swept[r] = {}
+            for rep, profile in reps:
+                swept[r].setdefault(profile, rep)
         m = sym.gale_matrix(n, sigma)
         image, basis = [sym.apply(m, b) for b in rep_basis], _tree_basis(n, tree)
         if image[-1] != basis[-1] or sorted(image) != sorted(basis):
             raise AssertionError(f"sigma = {sigma} does not map tree {trees[r]} onto {tree}")
         perm = _pool_permutation(n, sigma)
-        for rep, profile in swept[r]:
+        for profile, rep in swept[r].items():
             mapped = frozenset(perm[i] for i in profile)
             if mapped in profiles:
                 continue
@@ -629,7 +638,6 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
 
     fan = fan_from_maximal(profiles.values())
     witnesses = {c._key(): first_rep[c._key()] for c in fan.maximal}
-    rep_count = sum(len(reps) for reps in swept.values())
     return DeltaReduction(fan, witnesses, len(trees), rep_count)
 
 

@@ -108,37 +108,52 @@ def is_y_set(ys: YSet) -> bool:
 def y_set_masks(n: int) -> tuple[int, ...]:
     """Bitmasks (in canonical pair order) of all Y-sets, ascending.
 
-    Depth first over the pairs in canonical order.  The exchange rules of a
-    4-set i<j<k<l involve exactly its six pairs, so they are all decided with
-    the last of them, (k, l); a branch is cut there as soon as one fails.
+    Read a set of pairs as a graph on {0..n}.  It satisfies (*) iff it is
+    complete multipartite on its non-isolated points:
+
+    - If ij is an edge and a non-isolated point k is joined to neither i nor
+      j, then k has a neighbour l outside {i, j}, and the disjoint edges ij,
+      kl break (*): both of its options join k to i or to j.  So no induced
+      K2 + K1 lies among the non-isolated points, non-adjacency is an
+      equivalence relation on them, and its classes are the parts.
+    - Conversely, let ij and kl be disjoint edges of a complete multipartite
+      graph.  If k is outside i's class and l outside j's, then ik and jl
+      are edges.  Otherwise k is in i's class or l in j's; either way il and
+      jk join different classes, so they are edges.
+
+    So each point is labelled isolated or with a class number, classes
+    numbered in order of first use (each partition once), and a labelling
+    gives the pairs across its classes.  Labellings with fewer than two
+    classes all give the empty set.
     """
     all_pairs, _ = pairs(n)
     bit = {p: 1 << k for k, p in enumerate(all_pairs)}
-    # rules[k]: (matching, other matching, other matching) masks closed at pair k
-    rules: list[list[tuple[int, int, int]]] = [[] for _ in all_pairs]
-    for i, j, k, l in itertools.combinations(range(n + 1), 4):
-        m1 = bit[(i, j)] | bit[(k, l)]
-        m2 = bit[(i, k)] | bit[(j, l)]
-        m3 = bit[(i, l)] | bit[(j, k)]
-        rules[all_pairs.index((k, l))] += [(m1, m2, m3), (m2, m1, m3), (m3, m1, m2)]
-    out = []
-    stack = [(0, 0)]
+    # joins[p][s]: the pairs from point p to the points of the bitmask s < 2^p
+    joins = [
+        [sum(bit[(q, p)] for q in range(p) if s >> q & 1) for s in range(1 << p)]
+        for p in range(n + 1)
+    ]
+    out = set()
+    # (next point, pairs so far, point bitmask of each class)
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
     while stack:
-        depth, mask = stack.pop()
-        if depth == len(all_pairs):
-            out.append(mask)
+        p, mask, classes = stack.pop()
+        if p > n:
+            out.add(mask)
             continue
-        for cand in (mask, mask | 1 << depth):
-            if all(
-                cand & mp != mp or cand & ma == ma or cand & mb == mb
-                for mp, ma, mb in rules[depth]
-            ):
-                stack.append((depth + 1, cand))
+        used = sum(classes)
+        stack.append((p + 1, mask, classes))
+        stack.append((p + 1, mask | joins[p][used], classes + (1 << p,)))
+        for c, members in enumerate(classes):
+            grown = classes[:c] + (members | 1 << p,) + classes[c + 1 :]
+            stack.append((p + 1, mask | joins[p][used ^ members], grown))
     return tuple(sorted(out))
 
 
 def mask_to_yset(mask: int, n: int) -> YSet:
     all_pairs, _ = pairs(n)
+    if not 0 <= mask < 1 << len(all_pairs):
+        raise ValueError(f"mask {mask} is not a set of pairs for n={n}")
     return YSet(n, frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1))
 
 

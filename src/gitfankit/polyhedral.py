@@ -16,7 +16,19 @@ the signs those facets take on its rays and on the new ray (they must be its
 dual basis, positive at the new ray exactly on the carrier) instead of
 re-checking every pair of cones of the fan.
 
-A pair of cones in ``fan_from_maximal`` is decided from P = c1 ∩ c2, built
+``fan_from_maximal`` first reads one table of sides.  Its planes are the
+distinct hyperplanes, up to sign, of the input cones' facets and span
+equations; each cone gets the bitmask of the planes it lies weakly above
+(h.g >= 0 on every generator, lineality taken with both signs) and of those
+it lies weakly below.  Cone d holds cone c iff c lies above each facet of d,
+taken with its sign, and above and below each span equation of d: two mask
+tests, the exact form of ``d.contains_cone(c)``.  A pair is certified
+without solving anything when each cone lies weakly on one side of every
+facet and span equation of the other.  Then each constraint of c2 either
+holds on all of c1 or cuts c1 in a supporting hyperplane, so c1 ∩ c2 is an
+intersection of faces of c1, hence a face of c1, and likewise of c2.
+
+A pair the table does not certify is decided from P = c1 ∩ c2, built
 by double description that starts from c1's own rays and lineality, with
 c1's facet-ray incidences as the tight sets, and inserts only c2's span
 equations and facets.  This is exact: the incidences of an irredundant
@@ -570,12 +582,41 @@ class Fan:
         return hash((self.ambient, tuple(sorted(c._key() for c in self.maximal))))
 
 
+def _side_table(cones: Sequence[Cone]) -> tuple[list[int], ...]:
+    """Bitmasks over the distinct hyperplanes, up to sign, of the cones'
+    facets and span equations.  Per cone: the planes h with h.g >= 0 on
+    every generator (``above``) and with h.g <= 0 (``below``), and the
+    planes on whose side of its own a contained cone must lie: its facets,
+    by their sign, and its span equations, on both (``need_above``,
+    ``need_below``)."""
+    index: dict[IVec, int] = {}
+
+    def bit(a: IVec) -> int:
+        return 1 << index.setdefault(max(a, _neg(a)), len(index))
+
+    need_above, need_below = [], []
+    for c in cones:
+        eqs = sum(bit(e) for e in c.span_eqs)
+        need_above.append(eqs | sum(bit(a) for a in c.facets if a > _neg(a)))
+        need_below.append(eqs | sum(bit(a) for a in c.facets if a < _neg(a)))
+    above, below = [], []
+    for c in cones:
+        gens = c.generators()
+        # dict order is index order: plane k is the k-th key
+        dots = [[_dot(plane, g) for g in gens] for plane in index]
+        above.append(sum(1 << k for k, d in enumerate(dots) if min(d, default=0) >= 0))
+        below.append(sum(1 << k for k, d in enumerate(dots) if max(d, default=0) <= 0))
+    return above, below, need_above, need_below
+
+
 def fan_from_maximal(cones: Iterable[Cone]) -> Fan:
     """Assemble a fan from a collection of cones.
 
     Cones that are faces of others in the collection are pruned; the common
     face axiom is checked pairwise on the rest and a violation raises
-    :class:`FanAxiomViolation` carrying the offending pair.
+    :class:`FanAxiomViolation` carrying the offending pair.  Both steps read
+    ``_side_table`` (see the module docstring); only the pairs it does not
+    certify go to ``_pair_has_common_face``.
     """
     cone_list = list(cones)
     if not cone_list:
@@ -587,12 +628,20 @@ def fan_from_maximal(cones: Iterable[Cone]) -> Fan:
     for c in cone_list:
         uniq.setdefault(c._key(), c)
     cone_list = list(uniq.values())
+    if len(cone_list) == 1:
+        return Fan(ambient, tuple(cone_list))
+    above, below, need_above, need_below = _side_table(cone_list)
     keep = []
-    for c in cone_list:
+    for i, c in enumerate(cone_list):
         redundant = False
-        for d in cone_list:
+        for j, d in enumerate(cone_list):
             # a cone holds no cone of larger dimension
-            if d is c or d.dim < c.dim or not d.contains_cone(c):
+            if (
+                j == i
+                or d.dim < c.dim
+                or need_above[j] & ~above[i]
+                or need_below[j] & ~below[i]
+            ):
                 continue
             if not c.is_face_of(d):
                 raise FanAxiomViolation(
@@ -601,15 +650,21 @@ def fan_from_maximal(cones: Iterable[Cone]) -> Fan:
                 )
             redundant = True
         if not redundant:
-            keep.append(c)
-    for i, c1 in enumerate(keep):
-        for c2 in keep[i + 1 :]:
+            keep.append(i)
+    sided = [a | b for a, b in zip(above, below)]
+    planes = [a | b for a, b in zip(need_above, need_below)]
+    for k, i in enumerate(keep):
+        for j in keep[k + 1 :]:
+            # each cone weakly on one side of every plane of the other
+            if not (planes[j] & ~sided[i] or planes[i] & ~sided[j]):
+                continue
+            c1, c2 = cone_list[i], cone_list[j]
             if not _pair_has_common_face(c1, c2):
                 raise FanAxiomViolation(
                     "pairwise intersection is not a common face",
                     offending=(c1, c2),
                 )
-    return Fan(ambient, tuple(sorted(keep, key=_fan_order)))
+    return Fan(ambient, tuple(sorted((cone_list[i] for i in keep), key=_fan_order)))
 
 
 def _fan_order(c: Cone) -> tuple:

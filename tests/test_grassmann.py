@@ -174,6 +174,55 @@ def test_y_set_counts():
     assert [len(y_set_masks(n)) for n in range(2, 7)] == [8, 37, 172, 814, 4013]
 
 
+def _exchange_dfs_masks(n):
+    """The exchange-rule enumerator: depth first over the pairs in canonical
+    order, each 4-set's rules decided at its last pair."""
+    all_pairs, _ = pairs(n)
+    bit = {p: 1 << k for k, p in enumerate(all_pairs)}
+    rules = [[] for _ in all_pairs]
+    for i, j, k, l in itertools.combinations(range(n + 1), 4):
+        m1 = bit[(i, j)] | bit[(k, l)]
+        m2 = bit[(i, k)] | bit[(j, l)]
+        m3 = bit[(i, l)] | bit[(j, k)]
+        rules[all_pairs.index((k, l))] += [(m1, m2, m3), (m2, m1, m3), (m3, m1, m2)]
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        depth, mask = stack.pop()
+        if depth == len(all_pairs):
+            out.append(mask)
+            continue
+        for cand in (mask, mask | 1 << depth):
+            if all(
+                cand & mp != mp or cand & ma == ma or cand & mb == mb
+                for mp, ma, mb in rules[depth]
+            ):
+                stack.append((depth + 1, cand))
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_y_set_masks_match_exchange_dfs(n):
+    # the partition enumeration against the exchange rules, one size past
+    # the CLI's range
+    assert y_set_masks(n) == _exchange_dfs_masks(n)
+    if n == 7:
+        assert len(y_set_masks(n)) == 20_892
+
+
+def test_mask_to_yset_rejects_bits_past_the_last_pair():
+    assert len(mask_to_yset((1 << 6) - 1, 3).members) == 6
+    for mask in (1 << 6, 1 << 40):
+        with pytest.raises(ValueError, match="not a set of pairs"):
+            mask_to_yset(mask, 3)
+
+
+def test_mask_to_yset_rejects_negative_masks():
+    for mask in (-1, -(1 << 40)):
+        with pytest.raises(ValueError, match="not a set of pairs"):
+            mask_to_yset(mask, 3)
+
+
 def test_oracle_equivalence_n4_forced():
     # the witness value ranges still exhaust all supports one size up
     enum = {y.members for y in enumerate_y_sets(4)}

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,8 +367,12 @@ def test_pair_check_runs_no_dd_conversion(monkeypatch):
 
     monkeypatch.setattr(polyhedral, "_dd", no_dd)
     monkeypatch.setattr(polyhedral, "_PAIR_CACHE", {})
+    # the side table settles every pair of chambers
     assert fan_from_maximal(fan.maximal) == fan
-    assert len(polyhedral._PAIR_CACHE) == 66
+    assert polyhedral._PAIR_CACHE == {}
+    pairs = list(itertools.combinations(fan.maximal, 2))
+    assert all(polyhedral._pair_has_common_face(c1, c2) for c1, c2 in pairs)
+    assert len(pairs) == len(polyhedral._PAIR_CACHE) == 66
 
 
 def test_fan_from_maximal_rejects_overlapping_chamber():
@@ -384,6 +389,141 @@ def test_fan_from_maximal_rejects_overlapping_chamber():
     with pytest.raises(FanAxiomViolation, match="pairwise intersection") as exc:
         fan_from_maximal([grown] + chambers)
     assert exc.value.offending == (grown, d)
+
+
+def reference_fan_from_maximal(cones):
+    """The assembler without the side table: every containment by
+    ``contains_cone`` and every pair of kept cones by the DD pair check."""
+    cone_list = list(cones)
+    if not cone_list:
+        raise ValueError("empty cone collection")
+    ambient = cone_list[0].ambient
+    if any(c.ambient != ambient for c in cone_list):
+        raise ValueError("mixed ambient dimensions")
+    uniq = {}
+    for c in cone_list:
+        uniq.setdefault(c._key(), c)
+    cone_list = list(uniq.values())
+    keep = []
+    for c in cone_list:
+        redundant = False
+        for d in cone_list:
+            if d is c or d.dim < c.dim or not d.contains_cone(c):
+                continue
+            if not c.is_face_of(d):
+                raise FanAxiomViolation(
+                    "cone contained in another without being a face", offending=(c, d)
+                )
+            redundant = True
+        if not redundant:
+            keep.append(c)
+    for i, c1 in enumerate(keep):
+        for c2 in keep[i + 1 :]:
+            if not polyhedral._pair_has_common_face(c1, c2):
+                raise FanAxiomViolation(
+                    "pairwise intersection is not a common face", offending=(c1, c2)
+                )
+    return Fan(ambient, tuple(sorted(keep, key=polyhedral._fan_order)))
+
+
+def assembler_inputs(build, *args):
+    """The cone lists an uncached library builder hands to ``fan_from_maximal``."""
+    seen = []
+
+    def capture(cones):
+        seen.append(list(cones))
+        return fan_from_maximal(seen[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "fan_from_maximal", capture)
+        build.__wrapped__(*args)
+    return seen
+
+
+def side_table_inputs():
+    """Named cone lists: GIT fan regions, Delta(4)'s profile cones, the
+    sigma ambient fans, random simplicial fans (maximal cones, all faces,
+    and two fans overlaid), and collections that are not fans."""
+    from gitfankit.semilattice import random_simplicial_fan
+
+    cases = []
+    for n in (3, 4, 5):
+        for star in (False, True):
+            cases.append((f"regions-{n}-{star}", list(gf._wall_regions(n, star))))
+        for key in (0, 1):
+            cases += [(f"sigma-{n}-{key}", c) for c in assembler_inputs(gf.sigma_fan_cached, n, key)]
+    (profiles,) = assembler_inputs(gf._delta_reduction_data, 4)
+    assert len(profiles) == 63
+    cases.append(("delta-4-profiles", profiles))
+    for seed in range(6):
+        rng = random.Random(seed)
+        ambient = 2 + seed % 3
+        f1 = random_simplicial_fan(rng, ambient, 7)
+        f2 = random_simplicial_fan(rng, ambient, 7)
+        cases += [
+            (f"random-{seed}-maximal", list(f1.maximal)),
+            (f"random-{seed}-faces", list(f1.cones().values())),
+            (f"random-{seed}-overlay", list(f1.maximal) + list(f2.maximal)),
+        ]
+    chambers = list(gf.git_fan(4).maximal)
+    c = chambers[0]
+    d = next(d for d in chambers[1:] if len(set(c.rays) & set(d.rays)) == 3)
+    shared = set(c.rays) & set(d.rays)
+    apex = next(r for r in d.rays if r not in shared)
+    x = tuple(3 * sum(v) + a for v, a in zip(zip(*shared), apex))
+    grown = Cone.from_generators(c.rays + (x,), 4)
+    # a 2-cone from the interior of c across its facet into the interior of d
+    crossing = Cone.from_generators([c.relint_point(), d.relint_point()], 4)
+    outer, inner = cone((1, 0), (0, 1)), cone((1, 0), (1, 1))
+    cases += [
+        ("grown-chamber", [grown] + chambers[1:]),
+        ("crossing-2-cone", chambers + [crossing]),
+        ("nested-equal-dim", [outer, inner]),
+        ("nested-equal-dim-reversed", [inner, outer]),
+        ("crossing-facet", [outer, cone((1, 1), (-1, 1))]),
+    ]
+    return cases
+
+
+def assemble(assembler, cones):
+    try:
+        return assembler(cones)
+    except FanAxiomViolation as err:
+        return (str(err), err.offending)
+
+
+def test_side_table_assembler_matches_all_pairs_reference(monkeypatch):
+    outcomes = Counter()
+    for name, cones in side_table_inputs():
+        monkeypatch.setattr(polyhedral, "_PAIR_CACHE", {})
+        got = assemble(fan_from_maximal, cones)
+        expected = assemble(reference_fan_from_maximal, cones)
+        assert got == expected, name
+        if isinstance(got, Fan):
+            assert got.maximal == expected.maximal, name
+        outcomes[got[0] if isinstance(got, tuple) else "fan"] += 1
+    assert outcomes["pairwise intersection is not a common face"] >= 4, outcomes
+    assert outcomes["cone contained in another without being a face"] >= 2, outcomes
+    assert outcomes["fan"] >= 25, outcomes
+
+
+def test_side_table_containment_matches_contains_cone():
+    checked = 0
+    for name, cones in side_table_inputs():
+        above, below, need_above, need_below = polyhedral._side_table(cones)
+        for (i, c), (j, d) in itertools.product(enumerate(cones), repeat=2):
+            holds = not (need_above[j] & ~above[i] or need_below[j] & ~below[i])
+            assert holds == d.contains_cone(c), (name, i, j)
+            checked += holds
+    assert checked >= 1000
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_region_fans_need_no_pair_check(monkeypatch, star):
+    monkeypatch.setattr(polyhedral, "_PAIR_CACHE", {})
+    fan = gf._region_fan.__wrapped__(5, star)
+    assert len(fan.maximal) == (76 if star else 81)
+    assert polyhedral._PAIR_CACHE == {}
 
 
 # -- stellar subdivision ------------------------------------------------------
