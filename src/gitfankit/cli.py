@@ -171,16 +171,21 @@ def cmd_ysets(args) -> int:
         args.oracle and not _guard_check("oracle", "ysets --oracle", n, args.force)
     ):
         return EXIT_USAGE
-    ysets = gr.enumerate_y_sets(n)
+    # mask bits ascend in canonical pair order, which is sorted order
+    all_pairs, _ = gr.pairs(n)
+    labels = [f"{i},{j}" for i, j in all_pairs]
+    masks = gr.y_set_masks(n)
     payload = {
         "n": n,
-        "count": len(ysets),
-        "ysets": [y.serialize() for y in ysets],
+        "count": len(masks),
+        "ysets": [[s for k, s in enumerate(labels) if m >> k & 1] for m in masks],
     }
-    print(f"n={n}: {len(ysets)} Y-sets")
+    print(f"n={n}: {len(masks)} Y-sets")
     if args.oracle:
         brute = {frozenset(y.members) for y in gr.brute_force_supports(n)}
-        enum = {frozenset(y.members) for y in ysets}
+        enum = {
+            frozenset(p for k, p in enumerate(all_pairs) if m >> k & 1) for m in masks
+        }
         equal = brute == enum
         payload["oracle"] = {"count": len(brute), "equal": equal}
         print(f"equal: {str(equal).lower()}")

@@ -1,10 +1,15 @@
 """GIT fans of the Grassmannian cone and the blow-up pipeline.
 
 Chambers are enumerated twice, by wall-sign regions and by the defining
-intersection of Y-set cones, and the two paths are compared region by
-region; the ambient fans of the two distinguished chambers feed the iterated
-stellar subdivision toward the reduced tropical fan, which is checked cone by
-cone against it.
+intersection of Y-set cones.  Each region R is certified against the second
+path at its ray sum p without a conversion: R is full-dimensional, no
+lower-dimensional Y-cone holds p, the generators of R lie inside every
+holder, and every facet of R is a facet of a holder.  Every facet of an
+intersection of full-dimensional cones is a facet of one of them, so this
+holds exactly when R is the chamber of p (``_chamber_certified``).  The
+ambient fans of the two distinguished chambers feed the iterated stellar
+subdivision toward the reduced tropical fan, which is checked cone by cone
+against it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import grassmann as gr
 from . import symmetry as sym
@@ -22,6 +27,7 @@ from .grassmann import Pair, TwoBlock
 from .polyhedral import (
     Cone,
     Fan,
+    IVec,
     _canonical_subspace_basis,
     fan_from_maximal,
     is_subfan,
@@ -60,83 +66,230 @@ def omega_star(n: int) -> Cone:
     return Cone.from_generators(gens, n)
 
 
-def _reduced_members(members: frozenset[Pair]) -> frozenset[Pair]:
-    """Extremal generator pairs of the weight cone: drop {j,k} when both
-    {0,j} and {0,k} are present (w_jk = w_0j + w_0k is then redundant)."""
-    return frozenset(
-        p
-        for p in members
-        if p[0] == 0 or not ((0, p[0]) in members and (0, p[1]) in members)
+@dataclass(frozen=True)
+class _ConeTable:
+    """Cones listed by their span equations and facet normals, each
+    distinct one once.
+
+    ``eqs`` pairs the i-th distinct span equation with the bit 1 << i, so a
+    span is a bitmask over them: cone k has the span mask ``spans[k]``.  A
+    cone built with the table has the facets ``facet_ids[k]``, indices into
+    ``normals``; one whose facet ids are None is built from its generators
+    ``gens[k]`` only when asked for (``cone``), and kept in ``built``.
+    ``masks[k]`` lists the Y-set masks cone k stands for.
+    """
+
+    ambient: int
+    masks: tuple[tuple[int, ...], ...]
+    eqs: tuple[tuple[IVec, int], ...]
+    spans: tuple[int, ...]
+    normals: tuple[IVec, ...]
+    facet_ids: tuple[Optional[tuple[int, ...]], ...]
+    gens: tuple[Optional[tuple[IVec, ...]], ...]
+    built: dict[int, Cone]
+
+    def cone(self, k: int) -> Cone:
+        """Cone k when it is built on demand, built at the first call."""
+        if k not in self.built:
+            self.built[k] = Cone.from_generators(self.gens[k], self.ambient)
+        return self.built[k]
+
+    def facets(self, k: int) -> list[IVec]:
+        fids = self.facet_ids[k]
+        if fids is None:
+            return list(self.cone(k).facets)
+        return [self.normals[f] for f in fids]
+
+    def span_eqs(self, k: int) -> list[IVec]:
+        out = []
+        mask = self.spans[k]
+        while mask:
+            out.append(self.eqs[(mask & -mask).bit_length() - 1][0])
+            mask &= mask - 1
+        return out
+
+
+def _cone_table(
+    ambient: int,
+    span_eqs: Sequence[Sequence[IVec]],
+    cones: dict[int, Cone],
+    gens: Sequence[Optional[tuple[IVec, ...]]],
+    masks: Sequence[Sequence[int]],
+) -> _ConeTable:
+    """The table of cones with the given canonical span equations: ``cones``
+    maps the index of each cone built with the table to it; the others are
+    built on demand from ``gens``."""
+    eq_bit = {e: 1 << i for i, e in enumerate(sorted({e for eqs in span_eqs for e in eqs}))}
+    normals = sorted({a for c in cones.values() for a in c.facets})
+    normal_id = {a: i for i, a in enumerate(normals)}
+    return _ConeTable(
+        ambient,
+        tuple(tuple(m) for m in masks),
+        tuple(eq_bit.items()),
+        tuple(sum(eq_bit[e] for e in eqs) for eqs in span_eqs),
+        tuple(normals),
+        tuple(
+            tuple(normal_id[a] for a in cones[k].facets) if k in cones else None
+            for k in range(len(span_eqs))
+        ),
+        tuple(gens),
+        {},
     )
 
 
-@dataclass(frozen=True)
-class _WeightCones:
-    """Distinct cones omega_I over a family of index sets, with the grouping."""
+def _zero_mask(eqs: Iterable[tuple[Sequence[int], int]], x: Sequence[int]) -> int:
+    """OR of the masks of the equations that vanish at x."""
+    zero = 0
+    for e, mask in eqs:
+        if not _dot(e, x):
+            zero |= mask
+    return zero
 
-    cones: tuple[Cone, ...]
-    groups: tuple[tuple[frozenset[Pair], ...], ...]  # member sets per cone
+
+def _holders(table: _ConeTable, pt: Sequence[int], relint: bool = False) -> list[int]:
+    """Indices of the table's cones holding the integer point pt, in their
+    relative interior with ``relint``.
+
+    A cone whose span misses pt is skipped on its mask alone; facet values
+    at pt are computed once per distinct normal, and a cone built on demand
+    is built only when its span holds pt.
+    """
+    low = 1 if relint else 0
+    zero = _zero_mask(table.eqs, pt)
+    value: dict[int, int] = {}
+    out = []
+    for k, (mask, fids) in enumerate(zip(table.spans, table.facet_ids)):
+        if mask & ~zero:
+            continue
+        if fids is None:
+            if all(_dot(a, pt) >= low for a in table.cone(k).facets):
+                out.append(k)
+            continue
+        for f in fids:
+            d = value.get(f)
+            if d is None:
+                d = value[f] = _dot(table.normals[f], pt)
+            if d < low:
+                break
+        else:
+            out.append(k)
+    return out
 
 
-def _weight_cone_pool(n: int, families: Sequence[frozenset[Pair]]) -> _WeightCones:
+def _intersection(table: _ConeTable, ks: Iterable[int]) -> Cone:
+    """The intersection of the table's cones ks, by double description."""
+    ks = list(ks)
+    return Cone.from_inequalities(
+        [a for k in ks for a in table.facets(k)],
+        [e for k in ks for e in table.span_eqs(k)],
+        ambient=table.ambient,
+    )
+
+
+def _y_table(n: int, masks: Iterable[int]) -> _ConeTable:
+    """The Y-cones omega_J = cone(w_p; p in J) of the given Y-set masks.
+
+    Each mask is reduced to the extremal generator pairs of its cone: {j,k}
+    is dropped when {0,j} and {0,k} are present (w_jk = w_0j + w_0k is then
+    redundant), and each reduced key gives one cone.  Its span equations
+    come from one kernel of its generators (the zero cone, of no
+    generators, keeps the whole identity).  Only the full-dimensional cones
+    are built with the table; a lower-dimensional one is built when a point
+    lies in its span.
+    """
     wd = gr.weights(n)
-    by_key: dict[frozenset[Pair], list[frozenset[Pair]]] = {}
-    for members in families:
-        by_key.setdefault(_reduced_members(members), []).append(members)
-    cones = []
-    groups = []
-    for rkey in sorted(by_key, key=lambda s: sorted(s)):
-        cones.append(Cone.from_generators([wd.w[p] for p in rkey], n))
-        groups.append(tuple(sorted(by_key[rkey], key=sorted)))
-    return _WeightCones(tuple(cones), tuple(groups))
+    all_pairs, inner = gr.pairs(n)
+    bit = {p: 1 << k for k, p in enumerate(all_pairs)}
+    redundant = [(bit[(j, k)], bit[(0, j)] | bit[(0, k)]) for j, k in inner]
+    by_key: dict[int, list[int]] = {}
+    for m in masks:
+        key = m
+        for b, outer in redundant:
+            if m & outer == outer:
+                key &= ~b
+        by_key.setdefault(key, []).append(m)
+    keys = sorted(by_key)
+    gens = [tuple(wd.w[p] for p in all_pairs if key & bit[p]) for key in keys]
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    span_eqs = [_canonical_subspace_basis(kernel_basis(g)) if g else eye for g in gens]
+    cones = {
+        k: Cone.from_generators(g, n) for k, (g, eqs) in enumerate(zip(gens, span_eqs)) if not eqs
+    }
+    return _cone_table(n, span_eqs, cones, gens, [by_key[key] for key in keys])
 
 
 @lru_cache(maxsize=None)
-def _y_pool(n: int) -> _WeightCones:
-    members = [
-        frozenset(gr.mask_to_yset(m, n).members) for m in gr.y_set_masks(n)
-    ]
-    return _weight_cone_pool(n, members)
+def _y_pool(n: int) -> _ConeTable:
+    """The Y-cones, the chambers' defining cones over the orthant."""
+    return _y_table(n, gr.y_set_masks(n))
 
 
 @lru_cache(maxsize=None)
-def _y_star_pool(n: int) -> _WeightCones:
-    """Y*-sets: the Y-sets made of inner pairs only."""
-    all_pairs, _ = gr.pairs(n)
-    outer = sum(1 << k for k, p in enumerate(all_pairs) if p[0] == 0)
-    members = [
-        gr.mask_to_yset(m, n).members for m in gr.y_set_masks(n) if not m & outer
-    ]
-    return _weight_cone_pool(n, members)
+def _y_star_pool(n: int) -> _ConeTable:
+    """The Y*-cones: the cones of the Y-sets made of inner pairs only."""
+    outer = sum(1 << k for k, p in enumerate(gr.pairs(n)[0]) if p[0] == 0)
+    return _y_table(n, [m for m in gr.y_set_masks(n) if not m & outer])
 
 
-def _chamber_from_pool(w: Sequence, n: int, pool: _WeightCones, support: Cone) -> Cone:
+def _table_chamber(w: Sequence, n: int, table: _ConeTable, support: Cone) -> Cone:
     pt = primitive_vector(w)
     if len(pt) != n:
         raise ValueError("point has wrong dimension")
     if not support.contains(pt):
         raise ValueError(f"point {tuple(w)} lies outside the support")
-    ineqs: list = []
-    eqs: list = []
-    for cone in pool.cones:
-        if cone.contains(pt):
-            ineqs.extend(cone.facets)
-            eqs.extend(cone.span_eqs)
-    return Cone.from_inequalities(ineqs, eqs, ambient=n)
+    return _intersection(table, _holders(table, pt))
 
 
 def chamber(w: Sequence, n: int) -> Cone:
     """The GIT chamber of a weight: intersection of all Y-set cones containing it."""
-    return _chamber_from_pool(w, n, _y_pool(n), omega(n))
+    return _table_chamber(w, n, _y_pool(n), omega(n))
 
 
 def chamber_star(w: Sequence, n: int) -> Cone:
-    return _chamber_from_pool(w, n, _y_star_pool(n), omega_star(n))
+    return _table_chamber(w, n, _y_star_pool(n), omega_star(n))
+
+
+def _chamber_certified(cone: Cone, n: int, star: bool = False) -> bool:
+    """Whether the cone is the chamber (of the smaller support with
+    ``star``) of its ray sum p, read off the Y-cones holding p with no
+    conversion.  It is when
+
+    1. the cone is full-dimensional,
+    2. no lower-dimensional Y-cone holds p,
+    3. every generator of the cone lies on the non-negative side of every
+       facet of every holder, and
+    4. every facet of the cone is a facet of some holder.
+
+    This is exact.  By 3 the cone lies in the intersection of the holders,
+    which is chamber(p); by 4 chamber(p), inside every holder, lies on the
+    inner side of each facet of the cone, so inside the cone.  Conversely
+    a full-dimensional chamber(p) has p in its interior, so no
+    lower-dimensional cone holds p, and every facet of an intersection of
+    full-dimensional cones is a facet of one of them: a correct cone
+    passes.
+    """
+    if cone.dim != n:
+        return False
+    table = _y_star_pool(n) if star else _y_pool(n)
+    ids: set[int] = set()
+    for k in _holders(table, cone.relint_point()):
+        if table.facet_ids[k] is None:
+            return False
+        ids.update(table.facet_ids[k])
+    normals = {table.normals[f] for f in ids}
+    if not normals.issuperset(cone.facets):
+        return False
+    gens = cone.generators()
+    return all(_dot(a, g) >= 0 for a in normals for g in gens)
 
 
 def _certify_chamber(cone: Cone, n: int, star: bool = False) -> Cone:
     """The cone, once it equals the chamber (of the smaller support with
-    ``star``) of its relative interior point; disagreement raises."""
+    ``star``) of its relative interior point: certified from the holders
+    of that point (``_chamber_certified``), or else compared with the
+    chamber by double description; disagreement raises."""
+    if _chamber_certified(cone, n, star):
+        return cone
     rep = cone.relint_point()
     ch = chamber_star(rep, n) if star else chamber(rep, n)
     if ch != cone:
@@ -243,14 +396,19 @@ def _enveloping_witnesses(n: int, lam_key: int) -> tuple[frozenset[Pair], ...]:
     if lam_key not in (0, 1):
         raise ValueError(f"chamber key must be 0 or 1 (got {lam_key!r})")
     lam = lambda1(n) if lam_key else lambda0(n)
-    pool = _y_pool(n)
-    rep = lam.relint_point()
+    table = _y_pool(n)
+    gens = lam.generators()
+    all_pairs, _ = gr.pairs(n)
     out: list[frozenset[Pair]] = []
-    for cone, group in zip(pool.cones, pool.groups):
-        if not cone.contains(rep, "relative_interior"):
-            continue
-        if all(cone.contains(g) for g in lam.generators()):
-            out.extend(group)
+    for k in _holders(table, lam.relint_point(), relint=True):
+        eqs, facets = table.span_eqs(k), table.facets(k)
+        if all(_dot(e, g) == 0 for e in eqs for g in gens) and all(
+            _dot(a, g) >= 0 for a in facets for g in gens
+        ):
+            out.extend(
+                frozenset(p for i, p in enumerate(all_pairs) if m >> i & 1)
+                for m in table.masks[k]
+            )
     return tuple(sorted(out, key=sorted))
 
 
@@ -374,13 +532,6 @@ def _gkz_pool(n: int) -> tuple[Cone, ...]:
 
 
 @lru_cache(maxsize=None)
-def _gkz_pool_index(n: int) -> dict[int, int]:
-    """The pool index of each Y-set mask's column cone."""
-    index = {c._key(): i for i, c in enumerate(_gkz_pool(n))}
-    return {ymask: index[_column_cone(n, ymask)._key()] for ymask in gr.y_set_masks(n)}
-
-
-@lru_cache(maxsize=None)
 def _pool_permutation(n: int, sigma: sym.Perm) -> tuple[int, ...]:
     """Entry i is the pool index of M_sigma applied to pool cone i.
 
@@ -388,7 +539,8 @@ def _pool_permutation(n: int, sigma: sym.Perm) -> tuple[int, ...]:
     Y-sets are S_n-invariant, so the cone of the Y-set mask Y goes to the
     cone of sigma Y; every mask of one cone must agree on the image.
     """
-    index = _gkz_pool_index(n)
+    table = _gkz_table(n)
+    index = {ymask: i for i, masks in enumerate(table.masks) for ymask in masks}
     perm = sym.pair_permutation(n, sigma)
     out: dict[int, int] = {}
     for ymask, i in index.items():
@@ -398,77 +550,33 @@ def _pool_permutation(n: int, sigma: sym.Perm) -> tuple[int, ...]:
     return tuple(out[i] for i in range(len(out)))
 
 
-@dataclass(frozen=True)
-class _GkzTable:
-    """The pool's span equations and facet normals, each listed once.
-
-    ``eqs`` pairs the i-th distinct span equation of the pool cones with the
-    bit 1 << i, so a span is a bitmask over them: pool cone k has the span
-    mask ``pool_spans[k]`` and the facets ``facet_ids[k]``, indices into
-    ``normals``.
-    """
-
-    eqs: tuple[tuple[tuple[int, ...], int], ...]
-    pool_spans: tuple[int, ...]
-    normals: tuple[tuple[int, ...], ...]
-    facet_ids: tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=None)
-def _gkz_table(n: int) -> _GkzTable:
+def _gkz_table(n: int) -> _ConeTable:
+    """The pool as a table of cones, all built, each with the Y-set masks
+    whose column cone it is."""
     pool = _gkz_pool(n)
-    eq_bit = {e: 1 << i for i, e in enumerate(sorted({e for c in pool for e in c.span_eqs}))}
-    normals = sorted({a for c in pool for a in c.facets})
-    normal_id = {a: i for i, a in enumerate(normals)}
-    return _GkzTable(
-        tuple(eq_bit.items()),
-        tuple(sum(eq_bit[e] for e in c.span_eqs) for c in pool),
-        tuple(normals),
-        tuple(tuple(normal_id[a] for a in c.facets) for c in pool),
+    index = {c._key(): i for i, c in enumerate(pool)}
+    masks: list[list[int]] = [[] for _ in pool]
+    for ymask in gr.y_set_masks(n):
+        masks[index[_column_cone(n, ymask)._key()]].append(ymask)
+    return _cone_table(
+        len(gr.weights(n).p),
+        [c.span_eqs for c in pool],
+        dict(enumerate(pool)),
+        [None] * len(pool),
+        masks,
     )
 
 
-def _zero_mask(eqs: Iterable[tuple[Sequence[int], int]], x: Sequence[int]) -> int:
-    """OR of the masks of the equations that vanish at x."""
-    zero = 0
-    for e, mask in eqs:
-        if not _dot(e, x):
-            zero |= mask
-    return zero
-
-
 def _gkz_profile(pt: Sequence[int], n: int) -> frozenset[int]:
-    """Indices of the pool cones whose relative interior contains pt.
-
-    A cone whose span misses pt is skipped on its mask alone; facet signs of
-    the rest are computed once per distinct normal.
-    """
-    table = _gkz_table(n)
-    zero = _zero_mask(table.eqs, pt)
-    positive: dict[int, bool] = {}
-    profile = []
-    for i, (mask, fids) in enumerate(zip(table.pool_spans, table.facet_ids)):
-        if mask & ~zero:
-            continue
-        for f in fids:
-            if f not in positive:
-                positive[f] = _dot(table.normals[f], pt) > 0
-            if not positive[f]:
-                break
-        else:
-            profile.append(i)
-    return frozenset(profile)
+    """Indices of the pool cones whose relative interior contains pt."""
+    return frozenset(_holders(_gkz_table(n), pt, relint=True))
 
 
 def _profile_cone(profile: Iterable[int], pt: Sequence[int], n: int) -> Cone:
     """Intersection of the pool cones of a profile, checked to hold pt in its
     relative interior."""
-    pool = _gkz_pool(n)
-    sigma = Cone.from_inequalities(
-        [a for i in profile for a in pool[i].facets],
-        [e for i in profile for e in pool[i].span_eqs],
-        ambient=len(gr.weights(n).p),
-    )
+    sigma = _intersection(_gkz_table(n), profile)
     if not sigma.contains(pt, "relative_interior"):
         raise AssertionError("GKZ cone does not contain its point in relint")
     return sigma

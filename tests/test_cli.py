@@ -422,7 +422,7 @@ def test_guard_row(key, args, monkeypatch, capsys):
     # every library entry point the CLI calls after its guards
     monkeypatch.setattr(cli, "_build_fan", builder("fan"))
     monkeypatch.setattr(cli, "_run_claim", builder("claim"))
-    for name in ("enumerate_y_sets", "brute_force_supports"):
+    for name in ("enumerate_y_sets", "y_set_masks", "brute_force_supports"):
         monkeypatch.setattr(cli.gr, name, builder(name))
     monkeypatch.setattr(cli.gfan, "nu_vector", builder("nu_vector"))
     lo, hi = cli.GUARDS[key]

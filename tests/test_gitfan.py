@@ -1,5 +1,6 @@
 """GIT fans, ambient fans, nu rays, GKZ cones, Delta-reduction, centers."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -783,26 +784,197 @@ def test_verify_walls_checks_every_count(n, count, monkeypatch):
 
 
 def test_walls_report_a_chamber_off_its_region(tmp_path, monkeypatch, capsys):
+    """Drop from the Y-cone table the facet normal that bounds the first
+    n = 3 region on its wall: the certificate fails at that region, and the
+    defining intersection, read from the same table, is the region merged
+    with its neighbour across the wall."""
     from gitfankit.cli import main
 
     gitfankit.clear_caches()
-    region = gf._wall_regions(3, False)[0]
+    regions = gf._wall_regions(3, False)
+    region = regions[0]
     rep = region.relint_point()
-    real = gf.chamber
-    monkeypatch.setattr(
-        gf, "chamber", lambda w, n: gf.omega(n) if tuple(w) == rep else real(w, n)
+    wall = (-1, 1, -1)
+    assert wall in region.facets
+    neighbour = next(r for r in regions if tuple(-x for x in wall) in r.facets)
+    table = gf._y_pool(3)
+    drop = table.normals.index(wall)
+    faulty = dataclasses.replace(
+        table,
+        facet_ids=tuple(
+            f if f is None else tuple(i for i in f if i != drop) for f in table.facet_ids
+        ),
+        built={},
     )
+    monkeypatch.setattr(gf, "_y_pool", lambda n: faulty)
     out = tmp_path / "walls.json"
     assert main(["verify", "walls", "-n", "3", "-o", str(out)]) == 1
     capsys.readouterr()
+    merged = Cone.from_generators(region.rays + neighbour.rays, 3)
     assert json.loads(out.read_text())["certificates"] == [
         {
             "kind": "chamber-certification",
             "rep": list(rep),
             "region": [list(r) for r in region.rays],
-            "chamber": [list(r) for r in gf.omega(3).rays],
+            "chamber": [list(r) for r in merged.rays],
         }
     ]
+
+
+# -- the chamber certificate against the double-description reference -------
+
+
+def _chamber_reference(cone, n, star=False):
+    """Whether the cone is the chamber of its ray sum, by double description."""
+    rep = cone.relint_point()
+    return (gf.chamber_star(rep, n) if star else gf.chamber(rep, n)) == cone
+
+
+@pytest.mark.parametrize("n,star", [(3, False), (3, True), (4, False), (4, True), (5, False), (5, True)])
+def test_chamber_certificate_matches_reference_on_regions(n, star):
+    regions = gf._wall_regions(n, star)
+    verdicts = [gf._chamber_certified(r, n, star) for r in regions]
+    assert verdicts == [_chamber_reference(r, n, star) for r in regions]
+    assert all(verdicts)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_chamber_certificate_matches_reference_on_lambdas(n):
+    for lam in (gf.lambda0(n), gf.lambda1(n)):
+        assert gf._chamber_certified(lam, n) == _chamber_reference(lam, n) is True
+
+
+@pytest.mark.parametrize("n,star", [(4, False), (4, True)])
+def test_chamber_certificate_rejects_a_region_with_a_facet_dropped(n, star):
+    """Every region with one wall facet dropped, cut back to the support:
+    it strictly holds the region, so it is no chamber."""
+    support = gf.omega_star(n) if star else gf.omega(n)
+    for region in gf._wall_regions(n, star):
+        walls = [a for a in region.facets if a not in support.facets]
+        assert walls
+        for a in walls:
+            grown = Cone.from_inequalities(
+                [f for f in region.facets if f != a] + list(support.facets), ambient=n
+            )
+            assert grown != region and grown.contains_cone(region)
+            assert not gf._chamber_certified(grown, n, star)
+            assert not _chamber_reference(grown, n, star)
+
+
+def test_chamber_certificate_rejects_proper_faces():
+    """Faces of a region are lower-dimensional: the certificate refuses them
+    (condition 1), and ``_certify_chamber`` decides them by the reference."""
+    for region in gf._wall_regions(4, False):
+        for face in region.faces():
+            if face == region or face.is_zero():
+                continue
+            assert not gf._chamber_certified(face, 4)
+            if _chamber_reference(face, 4):
+                assert gf._certify_chamber(face, 4) is face
+            else:
+                with pytest.raises(gf.ChamberCertificationError):
+                    gf._certify_chamber(face, 4)
+
+
+@pytest.mark.parametrize("n,star", [(3, False), (3, True), (4, False), (4, True)])
+def test_y_table_describes_its_cones(n, star):
+    """Each cone of the Y-cone table, built from its generators, has the
+    table's span equations and facets, and is the cone of every Y-set
+    listed with it; the table lists every Y-set of its support once."""
+    table = gf._y_star_pool(n) if star else gf._y_pool(n)
+    wd = gr.weights(n)
+    all_pairs = gr.pairs(n)[0]
+    outer = sum(1 << k for k, p in enumerate(all_pairs) if p[0] == 0)
+    masks = [m for m in gr.y_set_masks(n) if not (star and m & outer)]
+    assert sorted(m for ms in table.masks for m in ms) == masks
+    for k, ms in enumerate(table.masks):
+        cone = Cone.from_generators(table.gens[k], n)
+        assert set(cone.span_eqs) == set(table.span_eqs(k))
+        assert set(cone.facets) == set(table.facets(k))
+        assert (table.facet_ids[k] is None) == (cone.dim < n)
+        for m in ms:
+            members = [p for i, p in enumerate(all_pairs) if m >> i & 1]
+            assert Cone.from_generators([wd.w[p] for p in members], n) == cone
+
+
+def test_chamber_certificate_needs_full_dimension_and_no_lower_holder(monkeypatch):
+    """Two tables in the plane where a wrong cone meets conditions 3 and 4.
+    The quadrant's ray sum (1, 1) lies on the diagonal ray, a
+    lower-dimensional holder built on demand, so its chamber is that ray
+    (condition 2 refuses the quadrant).  The diagonal ray lies in the half
+    plane x + y >= 0, whose facet is the ray's own facet, but the ray is
+    not full-dimensional (condition 1 refuses it)."""
+    quadrant = Cone.from_generators([(1, 0), (0, 1)], 2)
+    ray = Cone.from_generators([(1, 1)], 2)
+    half = Cone.from_inequalities([(1, 1)], ambient=2)
+    tables = {
+        quadrant: gf._cone_table(
+            2, [quadrant.span_eqs, ray.span_eqs], {0: quadrant}, [None, ray.rays], [(), ()]
+        ),
+        ray: gf._cone_table(2, [half.span_eqs], {0: half}, [None], [()]),
+    }
+    for cone, chamber in ((quadrant, ray), (ray, half)):
+        table = tables[cone]
+        monkeypatch.setattr(gf, "_y_pool", lambda n: table)
+        assert gf._intersection(table, gf._holders(table, cone.relint_point())) == chamber
+        assert not gf._chamber_certified(cone, 2)
+    assert set(tables[quadrant].built) == {1}
+
+
+def test_chamber_on_a_wall_builds_its_lower_dimensional_holders():
+    """At a point on a wall the chamber is the intersection over every
+    omega_J holding the point, lower-dimensional ones included; those are
+    built from the table on demand."""
+    n = 4
+    gitfankit.clear_caches()
+    wd = gr.weights(n)
+    table = gf._y_pool(n)
+    region = gf._wall_regions(n, False)[0]
+    wall_face = next(f for f in region.faces() if f.dim == n - 1)
+    pt = wall_face.relint_point()
+    assert table.built == {}
+    holders = gf._holders(table, pt)
+    lower = [k for k in holders if table.facet_ids[k] is None]
+    # every lower-dimensional cone whose span holds pt is built, and no other
+    assert lower and set(lower) <= set(table.built)
+    assert all(table.facet_ids[k] is None for k in table.built)
+    acc = gf.omega(n)
+    for y in gr.enumerate_y_sets(n):
+        c = Cone.from_generators([wd.w[p] for p in y.members], n)
+        if c.contains(pt):
+            acc = acc.intersect(c)
+    assert gf.chamber(pt, n) == acc
+    assert acc.dim < n and not gf._chamber_certified(wall_face, n)
+
+
+def test_certificate_builds_only_the_full_dimensional_y_cones(monkeypatch):
+    """With the Y-cone table built, certifying the 81 regions at n = 5 runs
+    no double description and no ``chamber`` call: only the 67
+    full-dimensional Y-cones, built with the table, are ever built."""
+    gitfankit.clear_caches()
+    regions = gf._wall_regions(5, False)
+    assert len(regions) == 81
+    built = []
+    real = polyhedral._cone_from_gens
+
+    def spy(gens, ambient):
+        cone = real(gens, ambient)
+        built.append(cone.dim)
+        return cone
+
+    monkeypatch.setattr(polyhedral, "_cone_from_gens", spy)
+    table = gf._y_pool(5)
+    assert len(table.facet_ids) == 383
+    assert built == [5] * 67
+
+    def no_dd(*args, **kwargs):
+        raise AssertionError("double description conversion in the certificate")
+
+    monkeypatch.setattr(polyhedral, "_dd", no_dd)
+    monkeypatch.setattr(gf, "chamber", no_dd)
+    for region in regions:
+        assert gf._certify_chamber(region, 5) is region
+    assert built == [5] * 67 and table.built == {}
 
 
 @pytest.fixture
