@@ -8,11 +8,9 @@ from .exact_linalg import gale_dual, kernel_basis, rank, solve
 from .grassmann import (
     TwoBlock,
     WeightData,
-    YSet,
     brute_force_supports,
     delta_contains,
     delta_meets_relint,
-    enumerate_y_sets,
     is_y_set,
     pairs,
     trop_contains,
@@ -29,7 +27,6 @@ from .gitfan import (
     delta_reduction,
     git_fan,
     git_fan_star,
-    gkz_cone,
     lambda0,
     lambda1,
     nu_order,
@@ -50,7 +47,6 @@ from .polyhedral import (
     FanAxiomViolation,
     fan_from_maximal,
     is_subfan,
-    iterated_stellar,
     stellar_subdivide,
 )
 from .semilattice import (
@@ -62,7 +58,6 @@ from .semilattice import (
     is_building_set,
     is_harmonious,
     is_nested,
-    iterated_blow_up,
     poset_isomorphic,
     ray_face_poset,
     verify_blowup_join_criterion,

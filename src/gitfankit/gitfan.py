@@ -389,27 +389,23 @@ def lambda1(n: int) -> Cone:
 
 
 @lru_cache(maxsize=None)
-def _enveloping_witnesses(n: int, lam_key: int) -> tuple[frozenset[Pair], ...]:
-    """Y-sets J with relint(lam) inside relint(omega_J): the witnesses whose
-    supersets are exactly the enveloping sets, for lambda0 (key 0) or
-    lambda1 (key 1)."""
+def _enveloping_witnesses(n: int, lam_key: int) -> tuple[int, ...]:
+    """Masks of the Y-sets J with relint(lam) inside relint(omega_J), in
+    ascending order: the witnesses whose supersets are exactly the
+    enveloping sets, for lambda0 (key 0) or lambda1 (key 1)."""
     if lam_key not in (0, 1):
         raise ValueError(f"chamber key must be 0 or 1 (got {lam_key!r})")
     lam = lambda1(n) if lam_key else lambda0(n)
     table = _y_pool(n)
     gens = lam.generators()
-    all_pairs, _ = gr.pairs(n)
-    out: list[frozenset[Pair]] = []
+    out: list[int] = []
     for k in _holders(table, lam.relint_point(), relint=True):
         eqs, facets = table.span_eqs(k), table.facets(k)
         if all(_dot(e, g) == 0 for e in eqs for g in gens) and all(
             _dot(a, g) >= 0 for a in facets for g in gens
         ):
-            out.extend(
-                frozenset(p for i, p in enumerate(all_pairs) if m >> i & 1)
-                for m in table.masks[k]
-            )
-    return tuple(sorted(out, key=sorted))
+            out.extend(table.masks[k])
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
@@ -418,17 +414,8 @@ def sigma_fan_cached(n: int, lam_key: int) -> Fan:
     column complements of enveloping sets, assembled from the minimal
     witnesses and validated."""
     witnesses = _enveloping_witnesses(n, lam_key)
-    wd = gr.weights(n)
-    minimal = [
-        j for j in witnesses if not any(k < j for k in witnesses if k != j)
-    ]
-    all_pairs = set(gr.pairs(n)[0])
-    dim = len(wd.p)
-    cones = []
-    for j in minimal:
-        complement = all_pairs - j
-        cones.append(Cone.from_generators([wd.v[p] for p in complement], dim))
-    fan = fan_from_maximal(cones)
+    minimal = [j for j in witnesses if not any(k != j and k & j == k for k in witnesses)]
+    fan = fan_from_maximal(_column_cone(n, j) for j in minimal)
     if not fan.is_simplicial:
         raise AssertionError(f"ambient fan for lambda{lam_key} is not simplicial")
     return fan
@@ -580,26 +567,6 @@ def _profile_cone(profile: Iterable[int], pt: Sequence[int], n: int) -> Cone:
     if not sigma.contains(pt, "relative_interior"):
         raise AssertionError("GKZ cone does not contain its point in relint")
     return sigma
-
-
-def gkz_cone(v: Sequence, n: int) -> Cone:
-    """GKZ cone of a point of Delta: intersection of all column-spanned cones
-    whose relative interior contains it.
-
-    The pool holds only the column cones that meet Delta, which is exact for
-    points of Delta alone; a point outside Delta raises ``ValueError``.  At
-    n >= 5 that the pool is complete rests on the relint criterion, verified
-    for n <= 4 only.
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3 (got {n})")
-    pt = tuple(int(x) for x in v)
-    if not gr.delta_contains(pt, gr.weights(n)):
-        raise ValueError(f"point {pt} lies outside Delta")
-    profile = _gkz_profile(pt, n)
-    if not profile:
-        raise ValueError(f"point {pt} lies in no column cone's relative interior")
-    return _profile_cone(profile, pt, n)
 
 
 @lru_cache(maxsize=None)
@@ -856,13 +823,11 @@ def verify_nu_equality(n: int) -> dict:
             certificates.append(entry)
     # carriers over lambda0 exist for every block of size >= 2
     witnesses0 = _enveloping_witnesses(n, 0)
-    all_pairs_set = set(all_pairs)
     for size in range(2, n):
         for a in itertools.combinations(range(2, n + 1), size):
             block = set(a) | {0}
-            k_set = frozenset(p for p in all_pairs if set(p) <= block)
-            complement = frozenset(all_pairs_set - k_set)
-            if not any(j <= complement for j in witnesses0):
+            complement = sum(1 << k for k, p in enumerate(all_pairs) if not set(p) <= block)
+            if not any(j & complement == j for j in witnesses0):
                 result = False
                 certificates.append(
                     {"block": sorted(a), "error": "carrier missing from Sigma_0"}

@@ -1,11 +1,12 @@
 """Index combinatorics of the Grassmannian cone Gr(2, n+1).
 
 Pairs over {0,...,n} index the wedge coordinates; a Y-set is a subset of
-those pairs realisable as the exact support of a decomposable 2-vector.  The
-module provides the exchange-condition test, constructive support witnesses,
-a brute-force support oracle, the weight data (Q and its Gale dual P), wall
-normals of two-block partitions and the tree-metric (four-point) membership
-tests behind the Delta-reduction.
+those pairs realisable as the exact support of a decomposable 2-vector, held
+throughout as a bitmask over ``pairs(n)[0]``.  The module provides the
+exchange-condition test, the Y-set listing, a support witness read off the
+class labelling, a brute-force support oracle, the weight data (Q and its
+Gale dual P), wall normals of two-block partitions and the tree-metric
+(four-point) membership tests behind the Delta-reduction.
 """
 
 from __future__ import annotations
@@ -28,24 +29,6 @@ def pairs(n: int) -> tuple[list[Pair], list[Pair]]:
     all_pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     inner = [p for p in all_pairs if p[0] >= 1]
     return all_pairs, inner
-
-
-@dataclass(frozen=True)
-class YSet:
-    n: int
-    members: frozenset[Pair]
-
-    def __post_init__(self):
-        for i, j in self.members:
-            if not (0 <= i < j <= self.n):
-                raise ValueError(f"pair ({i},{j}) out of range for n={self.n}")
-
-    def serialize(self) -> list[str]:
-        return [f"{i},{j}" for i, j in sorted(self.members)]
-
-
-def yset(n: int, members: Iterable[Sequence[int]]) -> YSet:
-    return YSet(n, frozenset((min(p), max(p)) for p in members))
 
 
 @dataclass(frozen=True)
@@ -99,9 +82,17 @@ def _star_violation(members: frozenset[Pair]) -> Optional[tuple[Pair, Pair]]:
     return None
 
 
-def is_y_set(ys: YSet) -> bool:
+def mask_to_yset(mask: int, n: int) -> frozenset[Pair]:
+    """The pairs of a mask: bit k stands for the k-th pair of ``pairs(n)[0]``."""
+    all_pairs, _ = pairs(n)
+    if not 0 <= mask < 1 << len(all_pairs):
+        raise ValueError(f"mask {mask} is not a set of pairs for n={n}")
+    return frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1)
+
+
+def is_y_set(mask: int, n: int) -> bool:
     """The exchange condition on every disjoint pair of members."""
-    return _star_violation(ys.members) is None
+    return _star_violation(mask_to_yset(mask, n)) is None
 
 
 @lru_cache(maxsize=None)
@@ -150,158 +141,57 @@ def y_set_masks(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def mask_to_yset(mask: int, n: int) -> YSet:
-    all_pairs, _ = pairs(n)
-    if not 0 <= mask < 1 << len(all_pairs):
-        raise ValueError(f"mask {mask} is not a set of pairs for n={n}")
-    return YSet(n, frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1))
-
-
-def enumerate_y_sets(n: int) -> list[YSet]:
-    """All Y-sets over {0..n}, in deterministic (mask-ascending) order."""
-    return [mask_to_yset(m, n) for m in y_set_masks(n)]
-
-
 # ---------------------------------------------------------------------------
 # wedge supports and witnesses
 # ---------------------------------------------------------------------------
 
 
-def wedge_support(u: Sequence, v: Sequence) -> YSet:
-    """Support of the decomposable 2-vector u wedge v over {0..n}."""
+def wedge_support(u: Sequence, v: Sequence) -> int:
+    """Mask of the support of the decomposable 2-vector u wedge v over {0..n}."""
     if len(u) != len(v):
         raise ValueError("vectors must have equal length")
-    n = len(u) - 1
-    members = set()
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
+    mask, k = 0, 0
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
             if u[i] * v[j] - u[j] * v[i] != 0:
-                members.add((i, j))
-    return YSet(n, frozenset(members))
+                mask |= 1 << k
+            k += 1
+    return mask
 
 
-def _components(vertices: Sequence[int], edges: set[Pair]) -> list[frozenset[int]]:
-    parent = {v: v for v in vertices}
+def y_set_witness(mask: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Vectors (u, v) over {0..n} whose wedge has the support of the mask.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    comps: dict[int, set[int]] = {}
-    for v in vertices:
-        comps.setdefault(find(v), set()).add(v)
-    return [frozenset(c) for c in comps.values()]
-
-
-def _affine_witness(ys: YSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Witness (x, y) with support of (1,x) wedge (0,y) equal to the Y-set.
-
-    Requires some pair {0,k} to be present; follows the two-graph
-    construction: components of the non-edge graph get distinct positive
-    levels, isolated vertices of the joint graph get zero.
+    A Y-set is complete multipartite on its non-isolated points, with the
+    non-adjacency classes as parts (``y_set_masks``).  Take u_i = 1 on the
+    non-isolated points and 0 elsewhere, and v_i the class number of i
+    (0 for an isolated point): the minor u_i v_j - u_j v_i is v_j - v_i on
+    two non-isolated points, nonzero exactly across classes, and 0 at an
+    isolated point.  The support is checked against the mask, so a set that
+    is not a Y-set raises ``ValueError``.
     """
-    n = ys.n
-    members = ys.members
-    vertices = list(range(1, n + 1))
-    e1 = {
-        (i, j)
-        for (i, j) in members
-        if i >= 1 and ((0, i) in members or (0, j) in members)
-    }
-    e2 = {
-        (i, j)
-        for i in vertices
-        for j in vertices
-        if i < j
-        and (i, j) not in members
-        and (0, i) in members
-        and (0, j) in members
-    }
-    comps12 = _components(vertices, e1 | e2)
-    singles12 = {next(iter(c)) for c in comps12 if len(c) == 1}
-    comps2 = [
-        c
-        for c in sorted(_components(vertices, e2), key=min)
-        if not (len(c) == 1 and next(iter(c)) in singles12)
-    ]
-    x = [0] * n
-    for p, comp in enumerate(comps2, start=1):
-        for i in comp:
-            x[i - 1] = p
-    for i in singles12:
-        x[i - 1] = 0
-    y = [1 if (0, j) in members else 0 for j in range(1, n + 1)]
-    return tuple(x), tuple(y)
-
-
-def witness_vectors(
-    x: Sequence[int], y: Sequence[int], mode: str
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ambient vectors whose wedge realises the witness support."""
-    if mode == "affine":
-        return (1, *x), (0, *y)
-    if mode == "star":
-        return (0, *x), (0, *y)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def y_set_witness(ys: YSet) -> tuple[tuple[int, ...], tuple[int, ...], str]:
-    """Constructive witness (x, y, mode) whose wedge support equals the Y-set.
-
-    Mode "affine" realises (1,x) wedge (0,y); mode "star" (used when no pair
-    contains 0) realises (0,x) wedge (0,y) after re-rooting at a covered
-    index.  The output is verified against wedge_support before returning.
-    """
-    if not is_y_set(ys):
-        raise ValueError("witness requested for a set failing the exchange condition")
-    n = ys.n
-    if not ys.members:
-        return (0,) * n, (0,) * n, "affine"
-    if any(i == 0 for i, _ in ys.members):
-        x, y = _affine_witness(ys)
-        u, v = witness_vectors(x, y, "affine")
-        if wedge_support(u, v) != ys:
-            raise AssertionError(f"affine witness verification failed for {ys}")
-        return x, y, "affine"
-    covered = sorted({i for p in ys.members for i in p})
-    for root in covered:
-        swap = {0: root, root: 0}
-        relabeled = YSet(
-            n,
-            frozenset(
-                (min(swap.get(i, i), swap.get(j, j)), max(swap.get(i, i), swap.get(j, j)))
-                for i, j in ys.members
-            ),
+    members = mask_to_yset(mask, n)
+    label: dict[int, int] = {}
+    for i in sorted({i for p in members for i in p}):
+        # the class of an earlier point not joined to i, else a new class
+        label[i] = next(
+            (label[j] for j in label if (j, i) not in members),
+            max(label.values(), default=0) + 1,
         )
-        if not is_y_set(relabeled):
-            continue
-        xr, yr = _affine_witness(relabeled)
-        ur, vr = witness_vectors(xr, yr, "affine")
-        # permute coordinate 0 <-> root back
-        u = list(ur)
-        v = list(vr)
-        u[0], u[root] = u[root], u[0]
-        v[0], v[root] = v[root], v[0]
-        if u[0] != 0 or v[0] != 0:
-            continue
-        x, y = tuple(u[1:]), tuple(v[1:])
-        uu, vv = witness_vectors(x, y, "star")
-        if wedge_support(uu, vv) == ys:
-            return x, y, "star"
-    raise AssertionError(f"no verified witness found for {ys}")
+    u = tuple(1 if i in label else 0 for i in range(n + 1))
+    v = tuple(label.get(i, 0) for i in range(n + 1))
+    if wedge_support(u, v) != mask:
+        raise ValueError(f"mask {mask} is not a Y-set for n={n}")
+    return u, v
 
 
-def brute_force_supports(n: int) -> set[YSet]:
-    """All wedge supports within the witness value ranges: the Y-set oracle."""
+def brute_force_supports(n: int) -> set[int]:
+    """The Y-set oracle: the masks of the supports of (1, x) wedge (0, y) and
+    (0, x) wedge (0, y) for x in {0..n}^n and y in {0, 1}^n, computed from
+    the wedges alone, without the exchange condition or the labelling."""
     if n < 2:
         raise ValueError("need n >= 2")
-    out: set[YSet] = set()
+    out: set[int] = set()
     xs = list(itertools.product(range(n + 1), repeat=n))
     ys_ = list(itertools.product((0, 1), repeat=n))
     for x in xs:
@@ -363,6 +253,8 @@ def two_block_hyperplane(block: Union[TwoBlock, Iterable[int]], n: int = 0) -> t
         a = set(block)
         if not n:
             raise ValueError("n required when passing a raw block")
+        if not a or not a < set(range(1, n + 1)):
+            raise ValueError(f"block {sorted(a)} is not a proper nonempty part of 1..{n}")
     return tuple(1 if i in a else -1 for i in range(1, n + 1))
 
 
@@ -486,16 +378,14 @@ def tropical_sign() -> int:
 
     wd = weights(3)
     all_pairs, _ = pairs(3)
+    full = (1 << len(all_pairs)) - 1
     verdicts = {}
     for sign in (1, -1):
         ok = True
         for mask in range(1 << len(all_pairs)):
             subset = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
             sigma = Cone.from_generators([wd.v[p] for p in subset], len(wd.p))
-            expected = is_y_set(
-                YSet(3, frozenset(p for p in all_pairs if p not in subset))
-            )
-            if _relint_meets_delta(sigma, 3, sign) != expected:
+            if _relint_meets_delta(sigma, 3, sign) != is_y_set(full ^ mask, 3):
                 ok = False
                 break
         verdicts[sign] = ok

@@ -631,6 +631,7 @@ def fan_from_maximal(cones: Iterable[Cone]) -> Fan:
     if len(cone_list) == 1:
         return Fan(ambient, tuple(cone_list))
     above, below, need_above, need_below = _side_table(cone_list)
+    dims = [c.dim for c in cone_list]
     keep = []
     for i, c in enumerate(cone_list):
         redundant = False
@@ -638,7 +639,7 @@ def fan_from_maximal(cones: Iterable[Cone]) -> Fan:
             # a cone holds no cone of larger dimension
             if (
                 j == i
-                or d.dim < c.dim
+                or dims[j] < dims[i]
                 or need_above[j] & ~above[i]
                 or need_below[j] & ~below[i]
             ):
@@ -776,12 +777,6 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
                 Cone(fan.ambient, rays, (), tuple(sorted(facets)), c.span_eqs)
             )
     return Fan(fan.ambient, tuple(sorted(new_max, key=_fan_order)))
-
-
-def iterated_stellar(fan: Fan, rays: Iterable[Sequence[int]]) -> Fan:
-    for r in rays:
-        fan = stellar_subdivide(fan, r)
-    return fan
 
 
 # ---------------------------------------------------------------------------

@@ -211,31 +211,6 @@ def blow_up(lattice: FiniteSemilattice, xi: Hashable) -> FiniteSemilattice:
     return FiniteSemilattice(labels, masks)
 
 
-def is_sorted_family(lattice: FiniteSemilattice, family) -> bool:
-    """True when larger elements come first: xi_i > xi_j implies i < j."""
-    family = list(family)
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if lattice.lt(family[i], family[j]):
-                return False
-    return True
-
-
-def iterated_blow_up(lattice: FiniteSemilattice, family) -> FiniteSemilattice:
-    """Left fold of blow-ups in the given order."""
-    family = list(family)
-    if len(set(family)) != len(family):
-        raise ValueError("family elements must be distinct")
-    current = lattice
-    for xi in family:
-        if xi not in current:
-            raise ValueError(
-                f"element {xi!r} vanished before its turn; family not sorted?"
-            )
-        current = blow_up(current, xi)
-    return current
-
-
 # ---------------------------------------------------------------------------
 # building sets, nested sets, harmonious pairs
 # ---------------------------------------------------------------------------
@@ -604,8 +579,11 @@ def verify_fk_bridge(
     A failing trial is certified by its index, ambient dimension and ray.
     Each trial draws from its own (seed, trial)-derived generator, so the
     outcome is identical for every worker count; at most one worker process
-    is started per trial.
+    is started per trial.  ``samples`` and ``jobs`` must be positive: a sweep
+    of no trial proves nothing.
     """
+    if samples < 1 or jobs < 1:
+        raise ValueError(f"need samples >= 1 and jobs >= 1 (got {samples}, {jobs})")
     trials = [(seed, t, max_ambient, max_rays) for t in range(samples)]
     workers = min(jobs, samples)
     if workers > 1:

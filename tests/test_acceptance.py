@@ -8,12 +8,12 @@ commodity hardware).
 import random
 import time
 from contextlib import contextmanager
+from functools import reduce
 
 import gitfankit.gitfan as gf
 import gitfankit.grassmann as gr
 import gitfankit.semilattice as sl
-from gitfankit.grassmann import YSet
-from gitfankit.polyhedral import Cone, fan_from_maximal, is_subfan, iterated_stellar
+from gitfankit.polyhedral import Cone, fan_from_maximal, is_subfan, stellar_subdivide
 
 
 @contextmanager
@@ -34,20 +34,18 @@ def criterion(number: int, name: str, budget_s: float):
 def test_criterion_1_y_set_oracle():
     with criterion(1, "Y-set oracle equivalence", 70) as out:
         for n in (2, 3):
-            enum = {y.members for y in gr.enumerate_y_sets(n)}
-            brute = {y.members for y in gr.brute_force_supports(n)}
-            assert enum == brute, f"oracle mismatch at n={n}"
+            brute = gr.brute_force_supports(n)
+            assert set(gr.y_set_masks(n)) == brute, f"oracle mismatch at n={n}"
         witnessed = 0
-        for ys in gr.enumerate_y_sets(4):
-            x, y, mode = gr.y_set_witness(ys)
-            u, v = gr.witness_vectors(x, y, mode)
-            assert gr.wedge_support(u, v) == ys
+        for mask in gr.y_set_masks(4):
+            u, v = gr.y_set_witness(mask, 4)
+            assert gr.wedge_support(u, v) == mask
             witnessed += 1
         rng = random.Random(2024)
         for _ in range(10_000):
             u = tuple(rng.randint(-3, 3) for _ in range(5))
             v = tuple(rng.randint(-3, 3) for _ in range(5))
-            assert gr.is_y_set(gr.wedge_support(u, v))
+            assert gr.is_y_set(gr.wedge_support(u, v), 4)
         out["note"] = f"n=2,3 exact; n=4: {witnessed} witnesses + 10^4 samples"
 
 
@@ -80,11 +78,11 @@ def test_criterion_4_blowup_example():
         eye = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         orthant = fan_from_maximal([Cone.from_generators(eye, 3)])
         nu1, nu2, nu0 = (1, 1, 0), (0, 1, 1), (1, 1, 1)
-        s12 = iterated_stellar(orthant, [nu1, nu2])
-        s21 = iterated_stellar(orthant, [nu2, nu1])
+        s12 = reduce(stellar_subdivide, [nu1, nu2], orthant)
+        s21 = reduce(stellar_subdivide, [nu2, nu1], orthant)
         assert s12 != s21
-        a = iterated_stellar(orthant, [nu0, nu1, nu2])
-        b = iterated_stellar(orthant, [nu0, nu2, nu1])
+        a = reduce(stellar_subdivide, [nu0, nu1, nu2], orthant)
+        b = reduce(stellar_subdivide, [nu0, nu2, nu1], orthant)
         assert a == b
         lat = sl.face_poset(orthant)
         c12 = Cone.from_generators([eye[0], eye[1]], 3)
@@ -154,9 +152,7 @@ def test_criterion_10_tropical_self_consistency():
         for mask in range(1 << 6):
             members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
             sigma = Cone.from_generators([wd.v[p] for p in members], 3)
-            expected = gr.is_y_set(
-                YSet(3, frozenset(p for p in all_pairs if p not in members))
-            )
+            expected = gr.is_y_set(mask ^ ((1 << 6) - 1), 3)
             assert gr.delta_meets_relint(sigma, wd) == expected, members
             rep = tuple(sum(wd.v[p][r] for p in members) for r in range(3))
             if gr.delta_contains(rep, wd) != expected:

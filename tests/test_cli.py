@@ -28,6 +28,16 @@ def test_ysets_oracle_n3(capsys):
     assert "37 Y-sets" in out
 
 
+def test_ysets_oracle_mismatch_fails_the_claim(monkeypatch, tmp_path, capsys):
+    # an oracle missing one Y-set (here the empty one) is a failed claim
+    real = cli.gr.brute_force_supports
+    monkeypatch.setattr(cli.gr, "brute_force_supports", lambda n: real(n) - {0})
+    out = tmp_path / "ysets.json"
+    code, stdout, _ = run(["ysets", "-n", "3", "--oracle", "-o", str(out)], capsys)
+    assert code == 1 and "equal: false" in stdout
+    assert json.loads(out.read_text())["oracle"] == {"count": 36, "equal": False}
+
+
 def test_ysets_n2_count(capsys):
     code, out, _ = run(["ysets", "-n", "2"], capsys)
     assert code == 0
@@ -69,6 +79,8 @@ PINNED_PAYLOADS = {
     "fan delta -n 4": "5578301469962a7cbc71e6fe7f0b627cf9e2a430e4a39b2e59d6058a80e09024",
     "fan sigma0 -n 5": "95f0399365635e73ead70d275de1e00ca9c4beddf0b40e44d1aeb655c399ee1a",
     "fan sigma1 -n 5": "d804c466cdba5eb1784e8104d941354fed65645c51567c52ec024443a6642360",
+    "ysets -n 6": "52c5fae7cfbf3531fd4894e8d703a67030a7f9d4bd1dd43e91ce2af8cb46c601",
+    "ysets -n 3 --oracle": "e4bdcc4051973b85579deae69a3012017101e647b43fdd7451d14640eb8f38fa",
 }
 
 
@@ -422,7 +434,7 @@ def test_guard_row(key, args, monkeypatch, capsys):
     # every library entry point the CLI calls after its guards
     monkeypatch.setattr(cli, "_build_fan", builder("fan"))
     monkeypatch.setattr(cli, "_run_claim", builder("claim"))
-    for name in ("enumerate_y_sets", "y_set_masks", "brute_force_supports"):
+    for name in ("y_set_masks", "brute_force_supports"):
         monkeypatch.setattr(cli.gr, name, builder(name))
     monkeypatch.setattr(cli.gfan, "nu_vector", builder("nu_vector"))
     lo, hi = cli.GUARDS[key]

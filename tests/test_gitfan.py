@@ -13,7 +13,7 @@ import gitfankit.gitfan as gf
 import gitfankit.grassmann as gr
 import gitfankit.symmetry as sym
 from gitfankit.exact_linalg import kernel_basis, primitive_vector, solve
-from gitfankit.grassmann import TwoBlock, YSet
+from gitfankit.grassmann import TwoBlock
 from gitfankit import polyhedral
 from gitfankit.polyhedral import Cone, _dot, is_subfan
 
@@ -55,8 +55,8 @@ def test_chamber_cone_recomputed_from_defining_sets():
         n = len(w)
         wd = gr.weights(n)
         acc = gf.omega(n)
-        for y in gr.enumerate_y_sets(n):
-            c = Cone.from_generators([wd.w[p] for p in y.members], n)
+        for mask in gr.y_set_masks(n):
+            c = Cone.from_generators([wd.w[p] for p in sorted(gr.mask_to_yset(mask, n))], n)
             if c.contains(w):
                 acc = acc.intersect(c)
         assert acc == gf.chamber(w, n), w
@@ -81,14 +81,13 @@ LIBRARY_DOMAINS = {
     "git_fan": (lambda n: gf.git_fan(n), 2),
     "git_fan_star": (lambda n: gf.git_fan_star(n), 3),
     "sigma_r": (lambda n: gf.sigma_r(n), 3),
-    "gkz_cone": (lambda n: gf.gkz_cone((), n), 3),
     "delta_reduction": (lambda n: gf.delta_reduction(n), 3),
     "verify_walls": (lambda n: gf.verify_walls(n), 2),
     "verify_star_subfan": (lambda n: gf.verify_star_subfan(n), 3),
     "verify_nu_equality": (lambda n: gf.verify_nu_equality(n), 3),
     "verify_delta_subfan": (lambda n: gf.verify_delta_subfan(n), 3),
     "verify_ray_classification": (lambda n: gf.verify_ray_classification(n), 3),
-    "enumerate_y_sets": (lambda n: gr.enumerate_y_sets(n), 2),
+    "y_set_masks": (lambda n: gr.y_set_masks(n), 2),
     "brute_force_supports": (lambda n: gr.brute_force_supports(n), 2),
 }
 
@@ -160,13 +159,16 @@ def envelope_sets(lam_key, n):
     """The enveloping sets of lambda0 (key 0) or lambda1 (key 1): the index
     sets holding one of the chamber's enveloping witnesses."""
     witnesses = gf._enveloping_witnesses(n, lam_key)
-    all_pairs = gr.pairs(n)[0]
-    sets = set()
-    for mask in range(1 << len(all_pairs)):
-        members = frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1)
-        if any(j <= members for j in witnesses):
-            sets.add(members)
-    return sets
+    return {
+        gr.mask_to_yset(mask, n)
+        for mask in range(1 << len(gr.pairs(n)[0]))
+        if any(j & mask == j for j in witnesses)
+    }
+
+
+def pair_mask(members, n):
+    """The mask of a set of pairs in canonical pair order."""
+    return sum(1 << k for k, p in enumerate(gr.pairs(n)[0]) if p in members)
 
 
 def test_envelope_sets_n3():
@@ -184,7 +186,7 @@ def test_envelope_sets_n3():
     for i in envs:
         found = False
         for members in envs:
-            if members <= i and gr.is_y_set(YSet(3, members)):
+            if members <= i and gr.is_y_set(pair_mask(members, 3), 3):
                 c = Cone.from_generators([wd.w[p] for p in members], 3)
                 if c.contains(rep, "relative_interior") and all(
                     c.contains(g) for g in lam0.generators()
@@ -210,7 +212,7 @@ def test_envelope_sets_match_literal_definition():
             inner.relint_point(), "relative_interior"
         )
 
-    ysets = [frozenset(y.members) for y in gr.enumerate_y_sets(n)]
+    ysets = [gr.mask_to_yset(mask, n) for mask in gr.y_set_masks(n)]
     for key, lam in enumerate((gf.lambda0(n), gf.lambda1(n))):
         computed = envelope_sets(key, n)
         literal = set()
@@ -350,28 +352,25 @@ def test_sigma_r_n5_pinned():
         assert sum(d.dim == c.dim and d.contains_cone(c) for d in s1.maximal) == 1
 
 
+def gkz_cone(pt, n):
+    """The GKZ cone of a point of Delta: the intersection of the pool cones
+    holding it in their relative interior."""
+    return gf._profile_cone(gf._gkz_profile(pt, n), pt, n)
+
+
 def test_gkz_cone_relint_and_region_stability():
     # two points of Delta in the relative interior of one GKZ cone give one cone
     wd = gr.weights(3)
     assert gr.delta_contains((-2, -2, 2), wd) and gr.delta_contains((-5, -5, 4), wd)
-    c1 = gf.gkz_cone((-2, -2, 2), 3)
-    c2 = gf.gkz_cone((-5, -5, 4), 3)
+    c1 = gkz_cone((-2, -2, 2), 3)
+    c2 = gkz_cone((-5, -5, 4), 3)
     assert c1.contains((-2, -2, 2), "relative_interior")
     assert c1 == c2
     # a point of Delta in another GKZ cone
     assert gr.delta_contains((6, 2, 2), wd)
-    c3 = gf.gkz_cone((6, 2, 2), 3)
+    c3 = gkz_cone((6, 2, 2), 3)
     assert c3.contains((6, 2, 2), "relative_interior")
     assert c3 != c1
-
-
-def test_gkz_cone_rejects_points_outside_delta():
-    """The pool is exact only on Delta, so other points are refused."""
-    wd = gr.weights(3)
-    for pt in ((1, 2, 3), (2, 3, 7)):
-        assert not gr.delta_contains(pt, wd)
-        with pytest.raises(ValueError, match="outside Delta"):
-            gf.gkz_cone(pt, 3)
 
 
 def test_gkz_cones_along_delta():
@@ -382,14 +381,14 @@ def test_gkz_cones_along_delta():
     all_pairs = gr.pairs(3)[0]
     for mask in range(1 << 6):
         members = frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1)
-        expected = gr.is_y_set(YSet(3, frozenset(all_pairs) - members))
+        expected = gr.is_y_set(mask ^ ((1 << 6) - 1), 3)
         sigma_j = Cone.from_generators([wd.v[p] for p in members], 3)
         assert gr.delta_meets_relint(sigma_j, wd) == expected
         if not expected or not members:
             continue
         rep = tuple(sum(wd.v[p][r] for p in members) for r in range(3))
         if any(rep) and gr.delta_contains(rep, wd):
-            sigma = gf.gkz_cone(rep, 3)
+            sigma = gkz_cone(rep, 3)
             assert gr.delta_meets_relint(sigma, wd)
 
 
@@ -939,8 +938,8 @@ def test_chamber_on_a_wall_builds_its_lower_dimensional_holders():
     assert lower and set(lower) <= set(table.built)
     assert all(table.facet_ids[k] is None for k in table.built)
     acc = gf.omega(n)
-    for y in gr.enumerate_y_sets(n):
-        c = Cone.from_generators([wd.w[p] for p in y.members], n)
+    for mask in gr.y_set_masks(n):
+        c = Cone.from_generators([wd.w[p] for p in sorted(gr.mask_to_yset(mask, n))], n)
         if c.contains(pt):
             acc = acc.intersect(c)
     assert gf.chamber(pt, n) == acc

@@ -8,13 +8,11 @@ import pytest
 from gitfankit.exact_linalg import rank
 from gitfankit.grassmann import (
     TwoBlock,
-    YSet,
     all_splits,
     all_two_blocks,
     brute_force_supports,
     delta_contains,
     delta_meets_relint,
-    enumerate_y_sets,
     is_y_set,
     lineality_image,
     mask_to_yset,
@@ -28,10 +26,8 @@ from gitfankit.grassmann import (
     two_block_hyperplane,
     wedge_support,
     weights,
-    witness_vectors,
     y_set_masks,
     y_set_witness,
-    yset,
 )
 from gitfankit.polyhedral import Cone, _dot
 
@@ -133,40 +129,44 @@ def test_weight_data_pinned(n):
 # -- the exchange condition ---------------------------------------------------
 
 
+def ymask(n, members):
+    """The mask of a set of pairs over {0..n}."""
+    all_pairs = pairs(n)[0]
+    return sum(1 << all_pairs.index((min(p), max(p))) for p in members)
+
+
 def test_empty_is_y_set():
-    assert is_y_set(yset(3, []))
+    assert is_y_set(0, 3)
 
 
 def test_disjoint_pair_fails():
-    assert not is_y_set(yset(3, [(0, 1), (2, 3)]))
+    assert not is_y_set(ymask(3, [(0, 1), (2, 3)]), 3)
 
 
 def test_full_set_is_y_set():
-    assert is_y_set(yset(3, pairs(3)[0]))
+    assert is_y_set(ymask(3, pairs(3)[0]), 3)
 
 
 def test_enumerate_n2_all_subsets():
-    assert len(enumerate_y_sets(2)) == 8
+    assert y_set_masks(2) == tuple(range(8))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_oracle_equivalence(n):
-    enum = {y.members for y in enumerate_y_sets(n)}
-    brute = {y.members for y in brute_force_supports(n)}
-    assert enum == brute
+    assert brute_force_supports(n) == set(y_set_masks(n))
 
 
 def test_brute_force_soundness_direction():
     # every realised support satisfies the exchange condition
-    for y in brute_force_supports(3):
-        assert is_y_set(y)
+    for mask in brute_force_supports(3):
+        assert is_y_set(mask, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_y_set_masks_match_exchange_filter(n):
     # the pruned enumerator against the exchange test on all 2^m subsets
     m = len(pairs(n)[0])
-    expected = tuple(mask for mask in range(1 << m) if is_y_set(mask_to_yset(mask, n)))
+    expected = tuple(mask for mask in range(1 << m) if is_y_set(mask, n))
     assert y_set_masks(n) == expected
 
 
@@ -211,7 +211,7 @@ def test_y_set_masks_match_exchange_dfs(n):
 
 
 def test_mask_to_yset_rejects_bits_past_the_last_pair():
-    assert len(mask_to_yset((1 << 6) - 1, 3).members) == 6
+    assert mask_to_yset((1 << 6) - 1, 3) == frozenset(pairs(3)[0])
     for mask in (1 << 6, 1 << 40):
         with pytest.raises(ValueError, match="not a set of pairs"):
             mask_to_yset(mask, 3)
@@ -224,68 +224,92 @@ def test_mask_to_yset_rejects_negative_masks():
 
 
 def test_oracle_equivalence_n4_forced():
-    # the witness value ranges still exhaust all supports one size up
-    enum = {y.members for y in enumerate_y_sets(4)}
-    brute = {y.members for y in brute_force_supports(4)}
-    assert enum == brute
+    # the oracle's value ranges still exhaust all supports one size up
+    assert brute_force_supports(4) == set(y_set_masks(4))
 
 
 # -- witnesses ----------------------------------------------------------------
 
 
 def test_witness_single_pair():
-    x, y, mode = y_set_witness(yset(3, [(0, 1)]))
-    assert mode == "affine"
-    assert y == (1, 0, 0)
-    assert x == (0, 0, 0)
+    u, v = y_set_witness(ymask(3, [(0, 1)]), 3)
+    assert u == (1, 1, 0, 0)
+    assert v == (1, 2, 0, 0)
 
 
 def test_witness_affine_example():
-    ys = yset(3, [(0, 2), (0, 3), (2, 3)])
-    x, y, mode = y_set_witness(ys)
-    assert mode == "affine"
-    assert y == (0, 1, 1)
-    u, v = witness_vectors(x, y, mode)
-    assert wedge_support(u, v) == ys
+    mask = ymask(3, [(0, 2), (0, 3), (2, 3)])
+    u, v = y_set_witness(mask, 3)
+    assert u == (1, 0, 1, 1)
+    assert v == (1, 0, 2, 3)
+    assert wedge_support(u, v) == mask
 
 
 def test_witness_star_mode():
-    ys = yset(3, [(1, 2), (1, 3), (2, 3)])
-    x, y, mode = y_set_witness(ys)
-    assert mode == "star"
-    u, v = witness_vectors(x, y, mode)
+    # no pair holds 0: the point 0 is isolated and gets zero in both vectors
+    mask = ymask(3, [(1, 2), (1, 3), (2, 3)])
+    u, v = y_set_witness(mask, 3)
     assert u[0] == 0 and v[0] == 0
-    assert wedge_support(u, v) == ys
+    assert wedge_support(u, v) == mask
 
 
 def test_witness_rejects_non_y_set():
-    with pytest.raises(ValueError):
-        y_set_witness(yset(3, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="not a Y-set"):
+        y_set_witness(ymask(3, [(0, 1), (2, 3)]), 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_all_y_sets_witnessed(n):
-    for ys in enumerate_y_sets(n):
-        x, y, mode = y_set_witness(ys)
-        u, v = witness_vectors(x, y, mode)
-        assert wedge_support(u, v) == ys
+    # the witness is the class labelling: u marks the non-isolated points,
+    # v numbers the classes from 1 in order of first point
+    for mask in y_set_masks(n):
+        u, v = y_set_witness(mask, n)
+        covered = {i for p in mask_to_yset(mask, n) for i in p}
+        assert u == tuple(int(i in covered) for i in range(n + 1))
+        labels = [x for x in v if x]
+        assert [x for i, x in enumerate(labels) if x not in labels[:i]] == list(
+            range(1, max(labels, default=0) + 1)
+        )
+        assert wedge_support(u, v) == mask
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_every_y_set_has_a_labelling_witness(n):
+    for mask in y_set_masks(n):
+        u, v = y_set_witness(mask, n)
+        assert wedge_support(u, v) == mask
+
+
+def test_witness_succeeds_on_y_sets_alone_n4():
+    """Negative control: of the 1,024 sets of pairs at n = 4 a witness
+    verifies for the 172 Y-sets and for no other."""
+    witnessed, refused = set(), set()
+    for mask in range(1 << 10):
+        try:
+            y_set_witness(mask, 4)
+        except ValueError:
+            refused.add(mask)
+        else:
+            witnessed.add(mask)
+    assert witnessed == set(y_set_masks(4))
+    assert len(witnessed) == 172 and len(refused) == 852
 
 
 # -- wedge supports -----------------------------------------------------------
 
 
 def test_wedge_support_basis():
-    assert wedge_support((1, 0, 0, 0), (0, 1, 0, 0)) == yset(3, [(0, 1)])
+    assert wedge_support((1, 0, 0, 0), (0, 1, 0, 0)) == ymask(3, [(0, 1)])
 
 
 def test_wedge_support_zero_minors():
     got = wedge_support((1, 1, 1, 1), (0, 1, 1, 1))
-    assert got == yset(3, [(0, 1), (0, 2), (0, 3)])
+    assert got == ymask(3, [(0, 1), (0, 2), (0, 3)])
 
 
 def test_wedge_support_mixed():
     got = wedge_support((1, 1, 2, 0), (0, 1, 1, 0))
-    assert got == yset(3, [(0, 1), (0, 2), (1, 2)])
+    assert got == ymask(3, [(0, 1), (0, 2), (1, 2)])
 
 
 # -- Pluecker -----------------------------------------------------------------
@@ -330,7 +354,7 @@ def test_wedge_points_satisfy_plucker():
             coords = wedge_coordinates(u, v)
             assert all(plucker_value(coords, q) == 0 for q in quads)
             # the library's support of u wedge v is where these coordinates live
-            assert wedge_support(u, v).members == {p for p, x in coords.items() if x}
+            assert mask_to_yset(wedge_support(u, v), n) == {p for p, x in coords.items() if x}
 
 
 # -- two-block partitions -----------------------------------------------------
@@ -348,6 +372,14 @@ def test_hyperplane_negation_symmetry():
     a = two_block_hyperplane({2, 3}, 4)
     b = two_block_hyperplane({1, 4}, 4)
     assert a == tuple(-x for x in b)
+
+
+@pytest.mark.parametrize("block", [set(), {5}, {1, 2, 3}, {0, 1}, {1, 4}])
+def test_hyperplane_rejects_raw_blocks_that_are_not_proper_parts(block):
+    # a raw block must be a nonempty proper part of 1..n, as a TwoBlock's is
+    with pytest.raises(ValueError, match="not a proper nonempty part"):
+        two_block_hyperplane(block, 3)
+    assert two_block_hyperplane({1}, 3) == (1, -1, -1)
 
 
 def test_two_block_canonicalisation():
@@ -445,8 +477,8 @@ def test_relint_criterion(n):
     for mask in range(1 << len(all_pairs)):
         members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
         sigma = Cone.from_generators([wd.v[p] for p in members], len(wd.p))
-        complement = YSet(n, frozenset(all_pairs) - frozenset(members))
-        assert delta_meets_relint(sigma, wd) == is_y_set(complement), members
+        complement = mask ^ ((1 << len(all_pairs)) - 1)
+        assert delta_meets_relint(sigma, wd) == is_y_set(complement, n), members
 
 
 def test_opposite_tropical_sign_fails_at_n4():
@@ -459,8 +491,8 @@ def test_opposite_tropical_sign_fails_at_n4():
     for mask in range(1 << len(all_pairs)):
         members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
         sigma = Cone.from_generators([wd.v[p] for p in members], len(wd.p))
-        complement = YSet(4, frozenset(all_pairs) - frozenset(members))
-        if _relint_meets_delta(sigma, 4, -tropical_sign()) != is_y_set(complement):
+        complement = mask ^ ((1 << len(all_pairs)) - 1)
+        if _relint_meets_delta(sigma, 4, -tropical_sign()) != is_y_set(complement, 4):
             return
     pytest.fail("the opposite sign agrees with the Y-set criterion on every subset")
 
@@ -484,7 +516,15 @@ def test_delta_contains_rejects_wrong_dimension(length):
         delta_contains((0,) * length, wd)
 
 
-def test_serialization():
-    ys = yset(3, [(0, 1), (1, 2)])
-    assert ys.serialize() == ["0,1", "1,2"]
-    assert mask_to_yset(y_set_masks(3)[1], 3).n == 3
+def test_serialization(tmp_path, capsys):
+    # the ysets payload writes each mask as its pairs "i,j", in pair order
+    import json
+
+    from gitfankit.cli import main
+
+    out = tmp_path / "ysets.json"
+    assert main(["ysets", "-n", "3", "-o", str(out)]) == 0
+    capsys.readouterr()
+    got = json.loads(out.read_text())["ysets"]
+    assert ["0,1", "1,2"] in got
+    assert got[1] == [f"{i},{j}" for i, j in sorted(mask_to_yset(y_set_masks(3)[1], 3))]

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,6 @@ from gitfankit.polyhedral import (
     arrangement_leaves,
     fan_from_maximal,
     is_subfan,
-    iterated_stellar,
     stellar_subdivide,
 )
 
@@ -222,6 +222,22 @@ def test_fan_rejects_nested_cones_of_equal_dimension(order):
     with pytest.raises(FanAxiomViolation, match="contained in another without being a face") as exc:
         fan_from_maximal([outer, inner][::order])
     assert exc.value.offending == (inner, outer)
+
+
+def test_fan_reads_each_cone_dimension_once(monkeypatch):
+    # the containment scan reads dimensions from a list, not per pair
+    cones = [cone(a, b) for a, b in [((1, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (-1, 0))]]
+    cones.append(cone((1, 0)))
+    reads = Counter()
+    real = Cone.dim
+
+    def counted(self):
+        reads[self._key()] += 1
+        return real.fget(self)
+
+    monkeypatch.setattr(Cone, "dim", property(counted))
+    assert len(fan_from_maximal(cones).maximal) == 3
+    assert set(reads.values()) == {1}
 
 
 def common_face_reference(c1, c2):
@@ -539,7 +555,7 @@ def test_stellar_first_ray():
 
 
 def test_stellar_second_ray():
-    f = iterated_stellar(orthant_fan(3), [(1, 1, 0), (0, 1, 1)])
+    f = reduce(stellar_subdivide, [(1, 1, 0), (0, 1, 1)], orthant_fan(3))
     got = sorted(c.rays for c in f.maximal)
     assert got == [
         ((0, 0, 1), (0, 1, 1), (1, 1, 0)),
@@ -549,7 +565,7 @@ def test_stellar_second_ray():
 
 
 def test_stellar_existing_ray_unchanged():
-    f = iterated_stellar(orthant_fan(3), [(1, 1, 0), (0, 1, 1)])
+    f = reduce(stellar_subdivide, [(1, 1, 0), (0, 1, 1)], orthant_fan(3))
     assert stellar_subdivide(f, (1, 1, 0)) == f
     assert stellar_subdivide(f, (1, 0, 0)) == f
 
@@ -576,7 +592,7 @@ def refinement_preserves_support(original, refined):
 
 def test_stellar_preserves_support():
     f0 = orthant_fan(3)
-    f1 = iterated_stellar(f0, [(1, 1, 0), (0, 1, 1), (1, 2, 1)])
+    f1 = reduce(stellar_subdivide, [(1, 1, 0), (0, 1, 1), (1, 2, 1)], f0)
     assert refinement_preserves_support(f0, f1)
 
 
@@ -597,20 +613,15 @@ def test_stellar_outside_support():
 
 
 def test_iterated_order_matters():
-    f12 = iterated_stellar(orthant_fan(3), [(1, 1, 0), (0, 1, 1)])
-    f21 = iterated_stellar(orthant_fan(3), [(0, 1, 1), (1, 1, 0)])
+    f12 = reduce(stellar_subdivide, [(1, 1, 0), (0, 1, 1)], orthant_fan(3))
+    f21 = reduce(stellar_subdivide, [(0, 1, 1), (1, 1, 0)], orthant_fan(3))
     assert f12 != f21
 
 
 def test_iterated_nu0_first_order_independent():
-    a = iterated_stellar(orthant_fan(3), [(1, 1, 1), (1, 1, 0), (0, 1, 1)])
-    b = iterated_stellar(orthant_fan(3), [(1, 1, 1), (0, 1, 1), (1, 1, 0)])
+    a = reduce(stellar_subdivide, [(1, 1, 1), (1, 1, 0), (0, 1, 1)], orthant_fan(3))
+    b = reduce(stellar_subdivide, [(1, 1, 1), (0, 1, 1), (1, 1, 0)], orthant_fan(3))
     assert a == b
-
-
-def test_iterated_empty():
-    f = orthant_fan(3)
-    assert iterated_stellar(f, []) == f
 
 
 # -- subfans ------------------------------------------------------------------
@@ -631,7 +642,7 @@ def test_pair_cache_evicts_oldest(monkeypatch):
 
 
 def test_subfan_reflexive():
-    f = iterated_stellar(orthant_fan(3), [(1, 1, 0)])
+    f = stellar_subdivide(orthant_fan(3), (1, 1, 0))
     assert is_subfan(f, f)
 
 
@@ -645,8 +656,8 @@ def test_subfan_single_cone():
 
 
 def test_subfan_example_fans_incomparable():
-    f12 = iterated_stellar(orthant_fan(3), [(1, 1, 0), (0, 1, 1)])
-    f21 = iterated_stellar(orthant_fan(3), [(0, 1, 1), (1, 1, 0)])
+    f12 = reduce(stellar_subdivide, [(1, 1, 0), (0, 1, 1)], orthant_fan(3))
+    f21 = reduce(stellar_subdivide, [(0, 1, 1), (1, 1, 0)], orthant_fan(3))
     assert not is_subfan(f12, f21)
     assert not is_subfan(f21, f12)
 
@@ -663,7 +674,7 @@ def test_subfan_transitive_on_refinements():
 
 
 def test_carrier():
-    f = iterated_stellar(orthant_fan(3), [(1, 1, 0)])
+    f = stellar_subdivide(orthant_fan(3), (1, 1, 0))
     c = f.carrier((2, 2, 0))
     assert c.rays == ((1, 1, 0),)
     c = f.carrier((1, 2, 0))

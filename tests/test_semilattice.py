@@ -4,6 +4,7 @@ import contextlib
 import copy
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -17,8 +18,6 @@ from gitfankit.semilattice import (
     is_building_set,
     is_harmonious,
     is_nested,
-    is_sorted_family,
-    iterated_blow_up,
     poset_isomorphic,
     random_interior_ray,
     random_simplicial_fan,
@@ -166,11 +165,6 @@ def test_blow_up_bottom_rejected():
         blow_up(boolean_two(), "0")
 
 
-def test_iterated_single_equals_blow_up():
-    lat = boolean_two()
-    assert poset_isomorphic(iterated_blow_up(lat, ["ab"]), blow_up(lat, "ab"))
-
-
 def g_families(lat):
     c12 = cone(E1, E2)
     c23 = cone(E2, E3)
@@ -184,15 +178,12 @@ def test_example_families_track_their_fans():
     # the two subdivision orders give different fans; each blow-up matches
     # its own fan's face poset (the fans happen to be abstractly isomorphic
     # as posets, under swapping the roles of the two subdivided faces)
-    from gitfankit.polyhedral import iterated_stellar
-
     lat = orthant_poset()
     g1, g2, *_ = g_families(lat)
-    assert is_sorted_family(lat, g1) and is_sorted_family(lat, g2)
-    b1 = iterated_blow_up(lat, g1)
-    b2 = iterated_blow_up(lat, g2)
-    f12 = iterated_stellar(orthant_fan(3), [NU1, NU2])
-    f21 = iterated_stellar(orthant_fan(3), [NU2, NU1])
+    b1 = reduce(blow_up, g1, lat)
+    b2 = reduce(blow_up, g2, lat)
+    f12 = reduce(stellar_subdivide, [NU1, NU2], orthant_fan(3))
+    f21 = reduce(stellar_subdivide, [NU2, NU1], orthant_fan(3))
     assert f12 != f21
     assert poset_isomorphic(b1, face_poset(f12))
     assert poset_isomorphic(b2, face_poset(f21))
@@ -203,17 +194,9 @@ def test_example_families_with_orthant_isomorphic():
     lat = orthant_poset()
     g1, g2, *_ = g_families(lat)
     full = cone(E1, E2, E3)
-    b1 = iterated_blow_up(lat, [full] + g1)
-    b2 = iterated_blow_up(lat, [full] + g2)
+    b1 = reduce(blow_up, [full] + g1, lat)
+    b2 = reduce(blow_up, [full] + g2, lat)
     assert poset_isomorphic(b1, b2)
-
-
-def test_unsorted_family_detected():
-    lat = orthant_poset()
-    full = cone(E1, E2, E3)
-    assert not is_sorted_family(lat, [cone(E1), full])
-    with pytest.raises(ValueError):
-        iterated_blow_up(lat, [cone(E1, E2), full])
 
 
 def test_building_set_everything():
@@ -266,7 +249,7 @@ def test_harmonious_closure_adds_orthant():
 
 def join_exists_in_blowup(lattice, family, subset):
     """Directly test existence of the join of the (xi, bottom) elements."""
-    blown = iterated_blow_up(lattice, family)
+    blown = reduce(blow_up, family, lattice)
     targets = [BlowPair(xi, lattice.bottom) for xi in subset]
     assert all(t in blown for t in targets)
     return blown.join(targets) is not None
@@ -314,10 +297,8 @@ def test_bridge_specific():
 
 
 def test_poset_isomorphic_detects_difference():
-    from gitfankit.polyhedral import iterated_stellar
-
-    f1 = iterated_stellar(orthant_fan(3), [NU1])
-    f12 = iterated_stellar(orthant_fan(3), [NU1, NU2])
+    f1 = stellar_subdivide(orthant_fan(3), NU1)
+    f12 = reduce(stellar_subdivide, [NU1, NU2], orthant_fan(3))
     assert not poset_isomorphic(face_poset(f1), face_poset(f12))
 
 
@@ -356,7 +337,7 @@ def test_sorted_building_families_give_nested_complex():
                 continue
             if key not in complex_cache:
                 complex_cache[key] = nested_complex_poset(lat, key)
-            blown = iterated_blow_up(lat, family)
+            blown = reduce(blow_up, family, lat)
             assert poset_isomorphic(blown, complex_cache[key]), family
             checked += 1
         assert checked > 0
@@ -383,7 +364,7 @@ def test_blow_up_stack_matches_iterated_blow_up(monkeypatch):
         monkeypatch.setattr(sl, "blow_up", real_blow_up)
         assert [f for f, _ in built] == families
         for family, blown in built:
-            ref = iterated_blow_up(lat, family)
+            ref = reduce(real_blow_up, family, lat)
             assert blown.labels == ref.labels, family
             assert blown._up == ref._up, family
     assert len(calls) == 670
@@ -424,6 +405,13 @@ def test_fk_bridge_workers_clamped_to_samples(monkeypatch):
     assert verify_fk_bridge(seed=5, samples=1, jobs=8) == verify_fk_bridge(seed=5, samples=1)
     assert rep == verify_fk_bridge(seed=5, samples=3)
     assert opened == [3]
+
+
+@pytest.mark.parametrize("sweep", [{"samples": 0}, {"samples": -3}, {"jobs": 0}, {"jobs": -1}])
+def test_fk_bridge_refuses_an_empty_sweep(sweep):
+    # a sweep of no trial would pass without checking anything
+    with pytest.raises(ValueError, match="samples >= 1 and jobs >= 1"):
+        verify_fk_bridge(seed=5, **sweep)
 
 
 def test_fk_bridge_sweep_smoke():
