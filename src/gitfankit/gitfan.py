@@ -1,12 +1,16 @@
 """GIT fans of the Grassmannian cone and the blow-up pipeline.
 
 Chambers are enumerated twice, by wall-sign regions and by the defining
-intersection of Y-set cones.  Each region R is certified against the second
-path at its ray sum p without a conversion: R is full-dimensional, no
-lower-dimensional Y-cone holds p, the generators of R lie inside every
-holder, and every facet of R is a facet of a holder.  Every facet of an
-intersection of full-dimensional cones is a facet of one of them, so this
-holds exactly when R is the chamber of p (``_chamber_certified``).  The
+intersection of Y-set cones.  Each Y-cone is held as span equations and
+inequalities read off its Y-set's class labelling, with no conversion
+(``grassmann.y_cone_description``): it is full-dimensional exactly when it
+has no equation, and its facets are among its inequalities then.  Each
+region R is certified against the second path at its ray sum p without a
+conversion: R is full-dimensional, no holder of p has a span equation, the
+generators of R satisfy every inequality of every holder, and every facet
+of R is an inequality of a holder.  Every facet of an intersection of
+full-dimensional cones is a facet of one of them, so this holds exactly
+when R is the chamber of p (``_chamber_certified``).  The
 ambient fans of the two distinguished chambers feed the iterated stellar
 subdivision toward the reduced tropical fan, which is checked cone by cone
 against it.
@@ -18,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import grassmann as gr
 from . import symmetry as sym
@@ -68,15 +72,19 @@ def omega_star(n: int) -> Cone:
 
 @dataclass(frozen=True)
 class _ConeTable:
-    """Cones listed by their span equations and facet normals, each
-    distinct one once.
+    """Cones listed by their span equations and inequalities, each distinct
+    one once, with nothing built.
 
     ``eqs`` pairs the i-th distinct span equation with the bit 1 << i, so a
-    span is a bitmask over them: cone k has the span mask ``spans[k]``.  A
-    cone built with the table has the facets ``facet_ids[k]``, indices into
-    ``normals``; one whose facet ids are None is built from its generators
-    ``gens[k]`` only when asked for (``cone``), and kept in ``built``.
-    ``masks[k]`` lists the Y-set masks cone k stands for.
+    span is a bitmask over them: cone k has the span mask ``spans[k]`` and
+    the inequalities ``facet_ids[k]``, indices into ``normals``.  With its
+    span equations they cut the cone out exactly, and none vanishes on the
+    whole cone, so a point of the span lies in the relative interior
+    exactly when every inequality is positive there.  A pool cone's
+    inequalities are its facets.  A Y-cone is full-dimensional exactly
+    when it has no span equation, and then has its facets among its
+    inequalities (``grassmann.y_cone_description``).  ``masks[k]`` lists
+    the Y-set masks cone k stands for.
     """
 
     ambient: int
@@ -84,43 +92,25 @@ class _ConeTable:
     eqs: tuple[tuple[IVec, int], ...]
     spans: tuple[int, ...]
     normals: tuple[IVec, ...]
-    facet_ids: tuple[Optional[tuple[int, ...]], ...]
-    gens: tuple[Optional[tuple[IVec, ...]], ...]
-    built: dict[int, Cone]
-
-    def cone(self, k: int) -> Cone:
-        """Cone k when it is built on demand, built at the first call."""
-        if k not in self.built:
-            self.built[k] = Cone.from_generators(self.gens[k], self.ambient)
-        return self.built[k]
+    facet_ids: tuple[tuple[int, ...], ...]
 
     def facets(self, k: int) -> list[IVec]:
-        fids = self.facet_ids[k]
-        if fids is None:
-            return list(self.cone(k).facets)
-        return [self.normals[f] for f in fids]
+        return [self.normals[f] for f in self.facet_ids[k]]
 
     def span_eqs(self, k: int) -> list[IVec]:
-        out = []
-        mask = self.spans[k]
-        while mask:
-            out.append(self.eqs[(mask & -mask).bit_length() - 1][0])
-            mask &= mask - 1
-        return out
+        return [e for e, bit in self.eqs if self.spans[k] & bit]
 
 
 def _cone_table(
     ambient: int,
     span_eqs: Sequence[Sequence[IVec]],
-    cones: dict[int, Cone],
-    gens: Sequence[Optional[tuple[IVec, ...]]],
+    ineqs: Sequence[Sequence[IVec]],
     masks: Sequence[Sequence[int]],
 ) -> _ConeTable:
-    """The table of cones with the given canonical span equations: ``cones``
-    maps the index of each cone built with the table to it; the others are
-    built on demand from ``gens``."""
+    """The table of the cones with the given span equations and
+    inequalities, each without repeats."""
     eq_bit = {e: 1 << i for i, e in enumerate(sorted({e for eqs in span_eqs for e in eqs}))}
-    normals = sorted({a for c in cones.values() for a in c.facets})
+    normals = sorted({a for rows in ineqs for a in rows})
     normal_id = {a: i for i, a in enumerate(normals)}
     return _ConeTable(
         ambient,
@@ -128,42 +118,23 @@ def _cone_table(
         tuple(eq_bit.items()),
         tuple(sum(eq_bit[e] for e in eqs) for eqs in span_eqs),
         tuple(normals),
-        tuple(
-            tuple(normal_id[a] for a in cones[k].facets) if k in cones else None
-            for k in range(len(span_eqs))
-        ),
-        tuple(gens),
-        {},
+        tuple(tuple(normal_id[a] for a in rows) for rows in ineqs),
     )
-
-
-def _zero_mask(eqs: Iterable[tuple[Sequence[int], int]], x: Sequence[int]) -> int:
-    """OR of the masks of the equations that vanish at x."""
-    zero = 0
-    for e, mask in eqs:
-        if not _dot(e, x):
-            zero |= mask
-    return zero
 
 
 def _holders(table: _ConeTable, pt: Sequence[int], relint: bool = False) -> list[int]:
     """Indices of the table's cones holding the integer point pt, in their
     relative interior with ``relint``.
 
-    A cone whose span misses pt is skipped on its mask alone; facet values
-    at pt are computed once per distinct normal, and a cone built on demand
-    is built only when its span holds pt.
+    A cone whose span misses pt is skipped on its mask alone; inequality
+    values at pt are computed once per distinct normal.
     """
     low = 1 if relint else 0
-    zero = _zero_mask(table.eqs, pt)
+    zero = sum(bit for e, bit in table.eqs if not _dot(e, pt))
     value: dict[int, int] = {}
     out = []
     for k, (mask, fids) in enumerate(zip(table.spans, table.facet_ids)):
         if mask & ~zero:
-            continue
-        if fids is None:
-            if all(_dot(a, pt) >= low for a in table.cone(k).facets):
-                out.append(k)
             continue
         for f in fids:
             d = value.get(f)
@@ -187,35 +158,17 @@ def _intersection(table: _ConeTable, ks: Iterable[int]) -> Cone:
 
 
 def _y_table(n: int, masks: Iterable[int]) -> _ConeTable:
-    """The Y-cones omega_J = cone(w_p; p in J) of the given Y-set masks.
-
-    Each mask is reduced to the extremal generator pairs of its cone: {j,k}
-    is dropped when {0,j} and {0,k} are present (w_jk = w_0j + w_0k is then
-    redundant), and each reduced key gives one cone.  Its span equations
-    come from one kernel of its generators (the zero cone, of no
-    generators, keeps the whole identity).  Only the full-dimensional cones
-    are built with the table; a lower-dimensional one is built when a point
-    lies in its span.
-    """
-    wd = gr.weights(n)
-    all_pairs, inner = gr.pairs(n)
-    bit = {p: 1 << k for k, p in enumerate(all_pairs)}
-    redundant = [(bit[(j, k)], bit[(0, j)] | bit[(0, k)]) for j, k in inner]
-    by_key: dict[int, list[int]] = {}
+    """The Y-cones omega_J = cone(w_p; p in J) of the given Y-set masks, each
+    described by the span equations and inequalities read off its class
+    labelling (``grassmann.y_cone_description``); masks of one description
+    share one entry."""
+    by_key: dict[tuple, list[int]] = {}
     for m in masks:
-        key = m
-        for b, outer in redundant:
-            if m & outer == outer:
-                key &= ~b
-        by_key.setdefault(key, []).append(m)
+        by_key.setdefault(gr.y_cone_description(m, n), []).append(m)
     keys = sorted(by_key)
-    gens = [tuple(wd.w[p] for p in all_pairs if key & bit[p]) for key in keys]
-    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    span_eqs = [_canonical_subspace_basis(kernel_basis(g)) if g else eye for g in gens]
-    cones = {
-        k: Cone.from_generators(g, n) for k, (g, eqs) in enumerate(zip(gens, span_eqs)) if not eqs
-    }
-    return _cone_table(n, span_eqs, cones, gens, [by_key[key] for key in keys])
+    return _cone_table(
+        n, [eqs for eqs, _ in keys], [ineqs for _, ineqs in keys], [by_key[k] for k in keys]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -231,22 +184,24 @@ def _y_star_pool(n: int) -> _ConeTable:
     return _y_table(n, [m for m in gr.y_set_masks(n) if not m & outer])
 
 
-def _table_chamber(w: Sequence, n: int, table: _ConeTable, support: Cone) -> Cone:
+def _table_chamber(w: Sequence, n: int, table: _ConeTable) -> Cone:
     pt = primitive_vector(w)
     if len(pt) != n:
         raise ValueError("point has wrong dimension")
-    if not support.contains(pt):
+    # the support is the Y-cone of all the table's pairs: outside it, no holder
+    holders = _holders(table, pt)
+    if not holders:
         raise ValueError(f"point {tuple(w)} lies outside the support")
-    return _intersection(table, _holders(table, pt))
+    return _intersection(table, holders)
 
 
 def chamber(w: Sequence, n: int) -> Cone:
     """The GIT chamber of a weight: intersection of all Y-set cones containing it."""
-    return _table_chamber(w, n, _y_pool(n), omega(n))
+    return _table_chamber(w, n, _y_pool(n))
 
 
 def chamber_star(w: Sequence, n: int) -> Cone:
-    return _table_chamber(w, n, _y_star_pool(n), omega_star(n))
+    return _table_chamber(w, n, _y_star_pool(n))
 
 
 def _chamber_certified(cone: Cone, n: int, star: bool = False) -> bool:
@@ -255,25 +210,28 @@ def _chamber_certified(cone: Cone, n: int, star: bool = False) -> bool:
     conversion.  It is when
 
     1. the cone is full-dimensional,
-    2. no lower-dimensional Y-cone holds p,
+    2. no holder has a span equation,
     3. every generator of the cone lies on the non-negative side of every
-       facet of every holder, and
-    4. every facet of the cone is a facet of some holder.
+       inequality of every holder, and
+    4. every facet of the cone is an inequality of some holder.
 
-    This is exact.  By 3 the cone lies in the intersection of the holders,
-    which is chamber(p); by 4 chamber(p), inside every holder, lies on the
-    inner side of each facet of the cone, so inside the cone.  Conversely
-    a full-dimensional chamber(p) has p in its interior, so no
-    lower-dimensional cone holds p, and every facet of an intersection of
-    full-dimensional cones is a facet of one of them: a correct cone
-    passes.
+    This is exact.  A Y-cone is described exactly by its span equations
+    and inequalities, is full-dimensional exactly when it has no equation,
+    and then has its facets among its inequalities
+    (``grassmann.y_cone_description``).  By 3 the cone lies in the
+    intersection of the holders, which is chamber(p); by 4 chamber(p),
+    inside every holder, lies on the inner side of each facet of the cone,
+    so inside the cone.  Conversely a full-dimensional chamber(p) has p in
+    its interior, so every holder is full-dimensional, and every facet of
+    an intersection of full-dimensional cones is a facet of one of them,
+    hence an inequality of it: a correct cone passes.
     """
     if cone.dim != n:
         return False
     table = _y_star_pool(n) if star else _y_pool(n)
     ids: set[int] = set()
     for k in _holders(table, cone.relint_point()):
-        if table.facet_ids[k] is None:
+        if table.spans[k]:
             return False
         ids.update(table.facet_ids[k])
     normals = {table.normals[f] for f in ids}
@@ -426,19 +384,17 @@ def sigma_fan_cached(n: int, lam_key: int) -> Fan:
 # ---------------------------------------------------------------------------
 
 
+def _nu_coefficients(a: Iterable[int], n: int) -> tuple[int, ...]:
+    """The coefficients of nu over ``pairs(n)[0]``: 1 on each pair {0, i}
+    with i in the block, 2 on each pair inside the block."""
+    a = set(a)
+    return tuple(1 if i == 0 and j in a else 2 if {i, j} <= a else 0 for i, j in gr.pairs(n)[0])
+
+
 def nu_vector(a: Iterable[int], n: int) -> tuple[int, ...]:
     """sum of v_0i over the block plus twice the v_jk inside it."""
-    a = sorted(set(a))
-    wd = gr.weights(n)
-    dim = len(wd.p)
-    total = [0] * dim
-    for i in a:
-        for r in range(dim):
-            total[r] += wd.v[(0, i)][r]
-    for j, k in itertools.combinations(a, 2):
-        for r in range(dim):
-            total[r] += 2 * wd.v[(j, k)][r]
-    return tuple(total)
+    coeffs = _nu_coefficients(a, n)
+    return tuple(_dot(row, coeffs) for row in gr.weights(n).p)
 
 
 def nu_ray(tb: TwoBlock) -> tuple[int, ...]:
@@ -547,11 +503,7 @@ def _gkz_table(n: int) -> _ConeTable:
     for ymask in gr.y_set_masks(n):
         masks[index[_column_cone(n, ymask)._key()]].append(ymask)
     return _cone_table(
-        len(gr.weights(n).p),
-        [c.span_eqs for c in pool],
-        dict(enumerate(pool)),
-        [None] * len(pool),
-        masks,
+        len(gr.weights(n).p), [c.span_eqs for c in pool], [c.facets for c in pool], masks
     )
 
 
@@ -583,15 +535,6 @@ def _gkz_walls(n: int) -> tuple[tuple[int, ...], ...]:
         if len(kernel) == 1:
             walls.add(_canonical_subspace_basis(kernel)[0])
     return tuple(sorted(walls))
-
-
-def _tree_basis(n: int, tree: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
-    """The tree cone image's basis: the signed split images, then the
-    lineality image."""
-    wd = gr.weights(n)
-    sign = gr.tropical_sign()
-    splits = [tuple(sign * x for x in gr.split_image(wd, block)) for block in tree]
-    return splits + [gr.lineality_image(wd)]
 
 
 def _sweep_tree(
@@ -686,8 +629,9 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     rep_count = 0
     profiles: dict[frozenset[int], Cone] = {}
     first_rep: dict[tuple, tuple[int, ...]] = {}
+    sign = gr.tropical_sign()
     for tree, (r, sigma) in zip(trees, sym.tree_orbits(n)):
-        rep_basis = _tree_basis(n, trees[r])
+        rep_basis = gr.tree_basis(n, trees[r], sign)
         if r not in swept:
             reps = _sweep_tree(n, rep_basis)
             rep_count += len(reps)
@@ -695,7 +639,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
             for rep, profile in reps:
                 swept[r].setdefault(profile, rep)
         m = sym.gale_matrix(n, sigma)
-        image, basis = [sym.apply(m, b) for b in rep_basis], _tree_basis(n, tree)
+        image, basis = [sym.apply(m, b) for b in rep_basis], gr.tree_basis(n, tree, sign)
         if image[-1] != basis[-1] or sorted(image) != sorted(basis):
             raise AssertionError(f"sigma = {sigma} does not map tree {trees[r]} onto {tree}")
         perm = _pool_permutation(n, sigma)
@@ -796,17 +740,10 @@ def verify_nu_equality(n: int) -> dict:
             entry["error"] = str(err)
             certificates.append(entry)
             continue
-        coeff1 = {p: 0 for p in all_pairs}
-        for i in tb.block:
-            coeff1[(0, i)] += 1
-        for j, k in itertools.combinations(sorted(tb.block), 2):
-            coeff1[(j, k)] += 2
-        coeff2 = {p: 0 for p in all_pairs}
-        for i in tb.complement:
-            coeff2[(0, i)] += 1
-        for j, k in itertools.combinations(sorted(tb.complement), 2):
-            coeff2[(j, k)] += 2
-        diff = [coeff1[p] - coeff2[p] for p in all_pairs]
+        diff = [
+            a - b
+            for a, b in zip(_nu_coefficients(tb.block, n), _nu_coefficients(tb.complement, n))
+        ]
         urow = [0] * len(all_pairs)
         for i in range(1, n + 1):
             s = 1 if i in tb.block else -1
@@ -1011,7 +948,7 @@ def center_ideal(sigma0: Fan, nu: Sequence[int], n: int) -> CenterIdeal:
     """The toric blow-up center of a ray inside the given fan: monomials of
     degree c on the carrier, with the homogeneous-coordinate pullback."""
     wd = gr.weights(n)
-    pt = primitive_vector([int(x) for x in nu])
+    pt = primitive_vector(nu)
     if not sigma0.contains_point(pt):
         raise ValueError("ray lies outside the support of the fan")
     carrier = sigma0.carrier(pt)

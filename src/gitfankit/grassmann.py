@@ -3,10 +3,11 @@
 Pairs over {0,...,n} index the wedge coordinates; a Y-set is a subset of
 those pairs realisable as the exact support of a decomposable 2-vector, held
 throughout as a bitmask over ``pairs(n)[0]``.  The module provides the
-exchange-condition test, the Y-set listing, a support witness read off the
-class labelling, a brute-force support oracle, the weight data (Q and its
-Gale dual P), wall normals of two-block partitions and the tree-metric
-(four-point) membership tests behind the Delta-reduction.
+exchange-condition test, the Y-set listing, a support witness and the
+Y-cone's inequalities, both read off the class labelling, a brute-force
+support oracle, the weight data (Q and its Gale dual P), wall normals of
+two-block partitions and the tree-metric (four-point) membership tests
+behind the Delta-reduction.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .exact_linalg import _dot, gale_dual, solve
 
 Pair = tuple[int, int]
+Rows = tuple[tuple[int, ...], ...]
 
 
 def pairs(n: int) -> tuple[list[Pair], list[Pair]]:
@@ -159,6 +161,28 @@ def wedge_support(u: Sequence, v: Sequence) -> int:
     return mask
 
 
+def _class_labels(mask: int, n: int) -> tuple[int, ...]:
+    """The class number of each point of {0..n}, 0 for an isolated point:
+    each non-isolated point joins the first class whose first point it is
+    not joined to, else opens a new class, so classes are numbered from 1 in
+    order of first point.  For a Y-set these are the non-adjacency classes
+    (``y_set_masks``); for another set of pairs the labelling is unchecked."""
+    joined = [0] * (n + 1)
+    for k, (i, j) in enumerate(pairs(n)[0]):
+        if mask >> k & 1:
+            joined[i] |= 1 << j
+            joined[j] |= 1 << i
+    label = [0] * (n + 1)
+    first: list[int] = []
+    for i in range(n + 1):
+        if joined[i]:
+            c = next((c for c, f in enumerate(first) if not joined[i] >> f & 1), len(first))
+            if c == len(first):
+                first.append(i)
+            label[i] = c + 1
+    return tuple(label)
+
+
 def y_set_witness(mask: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vectors (u, v) over {0..n} whose wedge has the support of the mask.
 
@@ -170,19 +194,53 @@ def y_set_witness(mask: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     isolated point.  The support is checked against the mask, so a set that
     is not a Y-set raises ``ValueError``.
     """
-    members = mask_to_yset(mask, n)
-    label: dict[int, int] = {}
-    for i in sorted({i for p in members for i in p}):
-        # the class of an earlier point not joined to i, else a new class
-        label[i] = next(
-            (label[j] for j in label if (j, i) not in members),
-            max(label.values(), default=0) + 1,
-        )
-    u = tuple(1 if i in label else 0 for i in range(n + 1))
-    v = tuple(label.get(i, 0) for i in range(n + 1))
+    v = _class_labels(mask, n)
+    u = tuple(int(c > 0) for c in v)
     if wedge_support(u, v) != mask:
         raise ValueError(f"mask {mask} is not a Y-set for n={n}")
     return u, v
+
+
+def y_cone_description(mask: int, n: int) -> tuple[Rows, Rows]:
+    """Span equations and inequalities, each sorted, of the Y-cone
+    omega_J = cone(w_p; p in J) in R^n (coordinates 1..n) of the Y-set J of
+    the mask, read off its class labelling; the mask is not checked.
+
+    Let S be the non-isolated points, the classes those of ``y_set_witness``,
+    and x(A) the sum of x_i over i in A minus {0}.  Then omega_J is the set
+    of x with x_i = 0 for i not in S, x_i >= 0 for i in S, and
+    x(P) <= x(S - P) for every class P not joined to 0: only 0's own class
+    when 0 is in S, every class otherwise.  The last is implied by x >= 0
+    when P holds no point but 0, and is not listed then.  When 0 is not in
+    S and there are two classes A and B, the two class conditions are the
+    equation x(A) = x(B), listed as an equation.
+
+    Proof: every generator e_i (pair {0, i}) or e_i + e_j (pair {i, j})
+    meets each condition.  Conversely let x meet them and, by Farkas,
+    a . w_p >= 0 on every generator but a . x < 0.  As x is 0 off S and
+    x >= 0, a is negative somewhere on S.  Two points of different classes
+    are joined, and e_j is a generator for each j joined to 0, so the
+    negative entries lie in one class P not joined to 0; with m < 0 their
+    minimum, a_j >= -m for every j in S - P.  So
+    a . x >= m x(P) - m x(S - P) >= 0, a contradiction.
+
+    Hence the cone is full-dimensional exactly when there is no equation,
+    and then its facets are among the inequalities; no inequality vanishes
+    on every generator (e_i on the pairs at i; a class condition is
+    positive on a pair {0, j}, or on a pair missing P, which exists as a
+    third class does).
+    """
+    label = _class_labels(mask, n)
+    inner = label[1:]
+    eqs = {tuple(int(r == i) for r in range(n)) for i, c in enumerate(inner) if not c}
+    ineqs = {tuple(int(r == i) for r in range(n)) for i, c in enumerate(inner) if c}
+    classes = [label[0]] if label[0] else sorted(set(inner) - {0})
+    rows = [tuple(0 if not c else -1 if c == p else 1 for c in inner) for p in classes]
+    if not label[0] and len(classes) == 2:
+        eqs.add(rows[1])
+    else:
+        ineqs.update(r for r in rows if -1 in r)
+    return tuple(sorted(eqs)), tuple(sorted(ineqs))
 
 
 def brute_force_supports(n: int) -> set[int]:
@@ -308,6 +366,14 @@ def lineality_image(wd: WeightData) -> tuple[int, ...]:
     return tuple(sum(c[i] for c in cols) for i in range(len(wd.p)))
 
 
+def tree_basis(n: int, tree: Iterable[frozenset[int]], sign: int) -> list[tuple[int, ...]]:
+    """The basis of a tree cone's image under P: the split images times
+    the sign, then the lineality image."""
+    wd = weights(n)
+    splits = [tuple(sign * x for x in split_image(wd, block)) for block in tree]
+    return splits + [lineality_image(wd)]
+
+
 # ---------------------------------------------------------------------------
 # tropical membership
 # ---------------------------------------------------------------------------
@@ -336,16 +402,11 @@ def _tree_cones(n: int, sign: int):
     """Images of the trivalent tree cones under P, as polyhedral cones."""
     from .polyhedral import Cone
 
-    wd = weights(n)
-    lin = lineality_image(wd)
-    dim = len(wd.p)
+    dim = len(weights(n).p)
     cones = []
     for tree in trivalent_trees(n):
-        gens = [lin, tuple(-x for x in lin)]
-        gens.extend(
-            tuple(sign * x for x in split_image(wd, block)) for block in tree
-        )
-        cones.append(Cone.from_generators(gens, dim))
+        basis = tree_basis(n, tree, sign)
+        cones.append(Cone.from_generators(basis + [tuple(-x for x in basis[-1])], dim))
     return tuple(cones)
 
 

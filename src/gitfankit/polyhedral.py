@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Container, Iterable, Optional, Sequence
 
-from .exact_linalg import _dot, _primitive, _rref
+from .exact_linalg import _dot, _primitive, _rref, primitive_vector
 
 IVec = tuple[int, ...]
 
@@ -259,12 +259,11 @@ class Cone:
         gens: list[IVec] = []
         seen = set()
         for g in generators:
-            g = tuple(int(x) for x in g)
+            g = primitive_vector(g)
             if len(g) != ambient:
                 raise ValueError("generator has wrong dimension")
             if not any(g):
                 continue
-            g = _primitive(g)
             if g not in seen:
                 seen.add(g)
                 gens.append(g)
@@ -277,12 +276,8 @@ class Cone:
         *,
         ambient: int,
     ) -> "Cone":
-        cleaned_ineqs = tuple(
-            sorted({_primitive([int(x) for x in a]) for a in ineqs if any(a)})
-        )
-        cleaned_eqs = tuple(
-            sorted({_primitive([int(x) for x in e]) for e in eqs if any(e)})
-        )
+        cleaned_ineqs = tuple(sorted({a for a in map(primitive_vector, ineqs) if any(a)}))
+        cleaned_eqs = tuple(sorted({e for e in map(primitive_vector, eqs) if any(e)}))
         return _cone_from_ineqs(cleaned_ineqs, cleaned_eqs, ambient)
 
     # -- basic queries ------------------------------------------------------
@@ -728,7 +723,7 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
     """
     if not fan.is_simplicial:
         raise ValueError("stellar subdivision requires a simplicial fan")
-    nu = _primitive([int(x) for x in ray])
+    nu = primitive_vector(ray)
     if not any(nu):
         raise ValueError("zero ray")
     holds = [c.contains(nu) for c in fan.maximal]

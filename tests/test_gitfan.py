@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -573,7 +574,7 @@ def test_ray_sums_are_full_span_generic_reps(n):
     spans = _full_spans(n)
     checked = 0
     for tree in gr.trivalent_trees(n):
-        basis = gf._tree_basis(n, tree)
+        basis = gr.tree_basis(n, tree, gr.tropical_sign())
         k = len(basis)
         twalls = set()
         for a in gf._gkz_walls(n):
@@ -722,7 +723,8 @@ def test_y_set_pool_matches_full_pool(n, cones, spans, walls):
     # tree's sigma
     trees = gr.trivalent_trees(n)
     orbits = sym.tree_orbits(n)
-    swept = {r: gf._sweep_tree(n, gf._tree_basis(n, trees[r])) for r in {r for r, _ in orbits}}
+    sign = gr.tropical_sign()
+    swept = {r: gf._sweep_tree(n, gr.tree_basis(n, trees[r], sign)) for r in {r for r, _ in orbits}}
     images = [
         sym.apply(sym.gale_matrix(n, sigma), rep) for r, sigma in orbits for rep, _ in swept[r]
     ]
@@ -799,11 +801,7 @@ def test_walls_report_a_chamber_off_its_region(tmp_path, monkeypatch, capsys):
     table = gf._y_pool(3)
     drop = table.normals.index(wall)
     faulty = dataclasses.replace(
-        table,
-        facet_ids=tuple(
-            f if f is None else tuple(i for i in f if i != drop) for f in table.facet_ids
-        ),
-        built={},
+        table, facet_ids=tuple(tuple(i for i in f if i != drop) for f in table.facet_ids)
     )
     monkeypatch.setattr(gf, "_y_pool", lambda n: faulty)
     out = tmp_path / "walls.json"
@@ -875,11 +873,13 @@ def test_chamber_certificate_rejects_proper_faces():
                     gf._certify_chamber(face, 4)
 
 
-@pytest.mark.parametrize("n,star", [(3, False), (3, True), (4, False), (4, True)])
+@pytest.mark.parametrize("n,star", [(3, False), (3, True), (4, False), (4, True), (5, False), (5, True)])
 def test_y_table_describes_its_cones(n, star):
-    """Each cone of the Y-cone table, built from its generators, has the
-    table's span equations and facets, and is the cone of every Y-set
-    listed with it; the table lists every Y-set of its support once."""
+    """Each entry of the Y-cone table, converted from its span equations and
+    inequalities, is the cone of every Y-set listed with it: full-dimensional
+    exactly when it has no equation, with its facets among its inequalities
+    then, and each inequality positive on some generator.  The table lists
+    every Y-set of its support once."""
     table = gf._y_star_pool(n) if star else gf._y_pool(n)
     wd = gr.weights(n)
     all_pairs = gr.pairs(n)[0]
@@ -887,13 +887,14 @@ def test_y_table_describes_its_cones(n, star):
     masks = [m for m in gr.y_set_masks(n) if not (star and m & outer)]
     assert sorted(m for ms in table.masks for m in ms) == masks
     for k, ms in enumerate(table.masks):
-        cone = Cone.from_generators(table.gens[k], n)
-        assert set(cone.span_eqs) == set(table.span_eqs(k))
-        assert set(cone.facets) == set(table.facets(k))
-        assert (table.facet_ids[k] is None) == (cone.dim < n)
+        cone = Cone.from_inequalities(table.facets(k), table.span_eqs(k), ambient=n)
+        assert (cone.dim == n) == (not table.spans[k])
+        if cone.dim == n:
+            assert set(cone.facets) <= set(table.facets(k))
         for m in ms:
-            members = [p for i, p in enumerate(all_pairs) if m >> i & 1]
-            assert Cone.from_generators([wd.w[p] for p in members], n) == cone
+            gens = [wd.w[p] for i, p in enumerate(all_pairs) if m >> i & 1]
+            assert Cone.from_generators(gens, n) == cone
+            assert all(any(_dot(a, g) > 0 for g in gens) for a in table.facets(k))
 
 
 def test_chamber_certificate_needs_full_dimension_and_no_lower_holder(monkeypatch):
@@ -908,22 +909,25 @@ def test_chamber_certificate_needs_full_dimension_and_no_lower_holder(monkeypatc
     half = Cone.from_inequalities([(1, 1)], ambient=2)
     tables = {
         quadrant: gf._cone_table(
-            2, [quadrant.span_eqs, ray.span_eqs], {0: quadrant}, [None, ray.rays], [(), ()]
+            2, [(), ray.span_eqs], [quadrant.facets, ray.facets], [(), ()]
         ),
-        ray: gf._cone_table(2, [half.span_eqs], {0: half}, [None], [()]),
+        ray: gf._cone_table(2, [()], [half.facets], [()]),
     }
     for cone, chamber in ((quadrant, ray), (ray, half)):
         table = tables[cone]
         monkeypatch.setattr(gf, "_y_pool", lambda n: table)
         assert gf._intersection(table, gf._holders(table, cone.relint_point())) == chamber
         assert not gf._chamber_certified(cone, 2)
-    assert set(tables[quadrant].built) == {1}
 
 
-def test_chamber_on_a_wall_builds_its_lower_dimensional_holders():
+def _no_dd(*args, **kwargs):
+    raise AssertionError("double description conversion on the Y-cone side")
+
+
+def test_chamber_on_a_wall_reads_its_lower_dimensional_holders(monkeypatch):
     """At a point on a wall the chamber is the intersection over every
-    omega_J holding the point, lower-dimensional ones included; those are
-    built from the table on demand."""
+    omega_J holding the point, lower-dimensional ones included; the holders
+    are read off the table with no conversion."""
     n = 4
     gitfankit.clear_caches()
     wd = gr.weights(n)
@@ -931,12 +935,10 @@ def test_chamber_on_a_wall_builds_its_lower_dimensional_holders():
     region = gf._wall_regions(n, False)[0]
     wall_face = next(f for f in region.faces() if f.dim == n - 1)
     pt = wall_face.relint_point()
-    assert table.built == {}
-    holders = gf._holders(table, pt)
-    lower = [k for k in holders if table.facet_ids[k] is None]
-    # every lower-dimensional cone whose span holds pt is built, and no other
-    assert lower and set(lower) <= set(table.built)
-    assert all(table.facet_ids[k] is None for k in table.built)
+    with monkeypatch.context() as m:
+        m.setattr(polyhedral, "_dd", _no_dd)
+        holders = gf._holders(table, pt)
+    assert any(table.spans[k] for k in holders)
     acc = gf.omega(n)
     for mask in gr.y_set_masks(n):
         c = Cone.from_generators([wd.w[p] for p in sorted(gr.mask_to_yset(mask, n))], n)
@@ -946,34 +948,19 @@ def test_chamber_on_a_wall_builds_its_lower_dimensional_holders():
     assert acc.dim < n and not gf._chamber_certified(wall_face, n)
 
 
-def test_certificate_builds_only_the_full_dimensional_y_cones(monkeypatch):
-    """With the Y-cone table built, certifying the 81 regions at n = 5 runs
-    no double description and no ``chamber`` call: only the 67
-    full-dimensional Y-cones, built with the table, are ever built."""
+def test_y_tables_and_certificate_run_no_conversion(monkeypatch):
+    """Building both Y-cone tables for n = 3..5 and certifying the 81
+    regions at n = 5 run no double description and no ``chamber`` call."""
     gitfankit.clear_caches()
     regions = gf._wall_regions(5, False)
     assert len(regions) == 81
-    built = []
-    real = polyhedral._cone_from_gens
-
-    def spy(gens, ambient):
-        cone = real(gens, ambient)
-        built.append(cone.dim)
-        return cone
-
-    monkeypatch.setattr(polyhedral, "_cone_from_gens", spy)
-    table = gf._y_pool(5)
-    assert len(table.facet_ids) == 383
-    assert built == [5] * 67
-
-    def no_dd(*args, **kwargs):
-        raise AssertionError("double description conversion in the certificate")
-
-    monkeypatch.setattr(polyhedral, "_dd", no_dd)
-    monkeypatch.setattr(gf, "chamber", no_dd)
+    monkeypatch.setattr(polyhedral, "_dd", _no_dd)
+    monkeypatch.setattr(gf, "chamber", _no_dd)
+    sizes = [len(pool(n).masks) for n in (3, 4, 5) for pool in (gf._y_pool, gf._y_star_pool)]
+    assert sizes == [27, 8, 102, 37, 383, 172]
+    assert sum(not s for s in gf._y_pool(5).spans) == 67
     for region in regions:
         assert gf._certify_chamber(region, 5) is region
-    assert built == [5] * 67 and table.built == {}
 
 
 @pytest.fixture
@@ -1053,6 +1040,13 @@ def test_center_ideal_mirror_block():
         "S3^2",
         "T2*S3-T3*S2",
     }
+
+
+def test_center_ideal_scales_a_rational_ray():
+    # a third of nu has entries -1/3; truncating them gave the zero vector
+    s0 = gf.sigma_fan_cached(3, 0)
+    nu = gf.nu_vector([2, 3], 3)
+    assert gf.center_ideal(s0, [Fraction(x, 3) for x in nu], 3) == gf.center_ideal(s0, nu, 3)
 
 
 def test_center_ideal_outside_support():

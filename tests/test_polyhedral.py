@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -39,6 +40,18 @@ def test_dual_description_orthant2():
     c = cone((1, 0), (0, 1))
     assert c.facets == ((0, 1), (1, 0))
     assert c.span_eqs == ()
+
+
+def test_from_generators_scales_rational_entries():
+    # (1/2, 1) and (0.5, 1) are the ray (1, 2), not (0, 1)
+    assert Cone.from_generators([(Fraction(1, 2), 1)], 2).rays == ((1, 2),)
+    assert Cone.from_generators([(0.5, 1)], 2).rays == ((1, 2),)
+
+
+def test_from_inequalities_scales_rational_entries():
+    # (1/2, -1) is the normal (1, -2), not (0, -1)
+    assert Cone.from_inequalities([(Fraction(1, 2), -1)], ambient=2).facets == ((1, -2),)
+    assert Cone.from_inequalities([], [(Fraction(1, 3), 1)], ambient=2).span_eqs == ((1, 3),)
 
 
 def test_dual_description_halfplane():
@@ -552,6 +565,13 @@ def test_stellar_first_ray():
         ((0, 0, 1), (0, 1, 0), (1, 1, 0)),
         ((0, 0, 1), (1, 0, 0), (1, 1, 0)),
     ]
+
+
+def test_stellar_scales_a_rational_ray():
+    # the ray is scaled to (1, 2, 0), not truncated to (0, 1, 0)
+    f = stellar_subdivide(orthant_fan(3), (Fraction(1, 2), 1, 0))
+    assert f == stellar_subdivide(orthant_fan(3), (1, 2, 0))
+    assert (1, 2, 0) in f.rays
 
 
 def test_stellar_second_ray():
