@@ -21,9 +21,6 @@ def _cleared(v: Iterable) -> list[int]:
     """The vector times the lcm of its denominators: integers, same direction.
 
     Plain ints pass through unchanged (their denominator is one)."""
-    v = list(v)
-    if set(map(type, v)) <= {int}:
-        return v
     fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     den = math.lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
