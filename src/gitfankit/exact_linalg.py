@@ -3,10 +3,10 @@
 A matrix is a sequence of rows.  Rows are integer tuples everywhere inside
 the package; rows with rational entries (``Fraction`` or strings such as
 "1/2") are accepted too, and each is scaled to integers by the lcm of its
-denominators before elimination, so nothing here ever rounds.  Rank uses
-fraction-free (Bareiss) elimination; kernels and solving use one integer
-Gauss-Jordan core, whose echelon form reads off as the rational reduced row
-echelon form.  The integer cores also serve the cone conversions directly.
+denominators before elimination, so nothing here ever rounds.  Rank,
+kernels and solving use one integer Gauss-Jordan core, whose echelon form
+reads off as the rational reduced row echelon form; the core also serves the
+cone conversions directly.
 """
 
 from __future__ import annotations
@@ -45,35 +45,6 @@ def primitive_vector(v: Iterable) -> tuple[int, ...]:
     return _primitive(_cleared(v))
 
 
-def _bareiss_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows by fraction-free (Bareiss) elimination."""
-    a = [list(v) for v in vectors if any(v)]
-    if not a:
-        return 0
-    cols = len(a[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, len(a)):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == len(a):
-            break
-    return r
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    return _bareiss_rank([_cleared(r) for r in rows])
-
-
 def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Gauss-Jordan elimination of integer rows, without fractions.
 
@@ -102,6 +73,11 @@ def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[in
         if r == len(a):
             break
     return a[:r], pivots
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank over the rationals: the number of nonzero rows of the echelon form."""
+    return len(_rref([_cleared(r) for r in rows])[0])
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:

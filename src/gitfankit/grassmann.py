@@ -13,12 +13,11 @@ behind the Delta-reduction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact_linalg import _dot, gale_dual, solve
+from .exact_linalg import _dot, gale_dual
 
 Pair = tuple[int, int]
 Rows = tuple[tuple[int, ...], ...]
@@ -57,12 +56,19 @@ def _weight_column(pair: Pair, n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def weights(n: int) -> WeightData:
-    all_pairs, _ = pairs(n)
+    """The weight data of n.  Q's columns at the pairs 0i are the identity,
+    so Q is in reduced echelon form and the kernel row of an inner pair ij
+    is e_ij - e_0i - e_0j: v_ij is the unit vector of ij among the inner
+    pairs (checked here), and v_0i = -(sum of v_ij over j != i)."""
+    all_pairs, inner = pairs(n)
     cols = [_weight_column(p, n) for p in all_pairs]
     q = tuple(zip(*cols))
     p = gale_dual(q)
     w = dict(zip(all_pairs, cols))
     v = dict(zip(all_pairs, zip(*p)))
+    for k, pair in enumerate(inner):
+        if v[pair] != tuple(int(r == k) for r in range(len(inner))):
+            raise AssertionError(f"Gale column v_{pair} is not its unit vector")
     return WeightData(n, q, p, w, v)
 
 
@@ -457,44 +463,19 @@ def tropical_sign() -> int:
     return 1 if verdicts[1] else -1
 
 
-@lru_cache(maxsize=None)
-def _p_right_inverse(n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer right inverse of P up to a positive scale: the rows, one per
-    pair, of a matrix R with P R = D I, where the columns of R are the
-    preimages under P of the unit vectors and D > 0 is the lcm of their
-    denominators."""
-    p = weights(n).p
-    cols = []
-    for i in range(len(p)):
-        x = solve(p, [1 if j == i else 0 for j in range(len(p))])
-        if x is None:
-            raise AssertionError("P is surjective; solve cannot fail")
-        cols.append(x)
-    d = math.lcm(*(x.denominator for col in cols for x in col))
-    r = tuple(tuple((x * d).numerator for x in row) for row in zip(*cols))
-    for i, row in enumerate(p):
-        for j in range(len(p)):
-            if sum(a * r[k][j] for k, a in enumerate(row)) != (d if i == j else 0):
-                raise AssertionError("P R = D I failed for the right inverse of P")
-    return r
-
-
 def delta_contains(p: Sequence, wd: WeightData) -> bool:
     """Membership of a point in the projected tropical variety Delta.
 
-    Applies the calibrated four-point test to the preimage R p, where R is
-    the integer matrix with P R = D I built once per n.  The choice of
-    preimage is irrelevant because ker P is the row space of Q, which lies in
-    the tropical lineality, and the positive scale D is irrelevant because
-    the four-point test is invariant under positive scaling.
+    Applies the calibrated four-point test to the preimage w of p that is 0
+    on the pairs at 0 and p on the inner pairs: v_ij is the unit vector
+    e_ij (``weights``), so P w = p.  The choice of preimage is irrelevant
+    because ker P is the row space of Q, which lies in the tropical
+    lineality.
     """
     if len(p) != len(wd.p):
         raise ValueError("point has wrong dimension")
     s = tropical_sign()
-    return trop_contains(
-        [s * _dot(row, p) for row in _p_right_inverse(wd.n)],
-        wd.n,
-    )
+    return trop_contains([0] * wd.n + [s * x for x in p], wd.n)
 
 
 def delta_meets_relint(cone, wd: WeightData) -> bool:

@@ -4,7 +4,8 @@ A permutation sigma is the tuple (sigma(1), ..., sigma(n)), as
 ``itertools.permutations(range(1, n + 1))`` lists them, and sigma(0) = 0.  It
 permutes the pairs over {0..n}, hence the Y-sets and the trivalent trees
 (a split, stored by its block without 0, goes to the image block).  On the
-Gale side it acts by the integer matrix M_sigma with M_sigma v_p = v_sigma(p).
+Gale side it acts by M_sigma with M_sigma v_p = v_sigma(p): the permutation
+matrix of sigma on the inner pairs, whose Gale columns are unit vectors.
 """
 
 from __future__ import annotations
@@ -40,31 +41,18 @@ def apply(m: Sequence[Sequence[int]], x: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def gale_matrix(n: int, sigma: Perm) -> tuple[tuple[int, ...], ...]:
-    """M_sigma = P Pi_sigma R / D, where Pi_sigma sends the unit vector of a
-    pair to that of its image and P R = D I (``grassmann._p_right_inverse``).
+    """M_sigma, the permutation matrix of sigma on the inner pairs: column ij
+    is v_sigma(ij), the unit vector of sigma(ij).
 
-    Pi_sigma keeps ker P, the row space of Q, since it only permutes Q's
-    rows; R P e_p - D e_p lies in ker P, so M_sigma v_p = v_sigma(p).  Both
-    that and the integrality of M_sigma are checked here.
+    The Gale column v_ij is the unit vector e_ij (``grassmann.weights``)
+    and sigma fixes 0, so M_sigma v_ij = v_sigma(ij), and then
+    M_sigma v_0i = v_0sigma(i), as v_0i = -(sum of v_ij over j != i).  Both
+    are checked here for every pair.
     """
     wd = gr.weights(n)
-    r = gr._p_right_inverse(n)
-    d = sum(a * row[0] for a, row in zip(wd.p[0], r))
     perm = pair_permutation(n, sigma)
-    # (Pi_sigma R) has row perm[k] equal to row k of R
-    pi_r = [None] * len(r)
-    for k, row in enumerate(r):
-        pi_r[perm[k]] = row
-    m = []
-    for prow in wd.p:
-        row = []
-        for j in range(len(wd.p)):
-            x = sum(a * col[j] for a, col in zip(prow, pi_r))
-            if x % d:
-                raise AssertionError(f"M_sigma is not integral for sigma = {sigma}")
-            row.append(x // d)
-        m.append(tuple(row))
-    m = tuple(m)
+    # column ij is v_sigma(ij); the inner pairs follow the n pairs at 0
+    m = tuple(zip(*(wd.v[wd.pairs0[perm[k]]] for k in range(n, len(wd.pairs0)))))
     for k, p in enumerate(wd.pairs0):
         if apply(m, wd.v[p]) != wd.v[wd.pairs0[perm[k]]]:
             raise AssertionError(f"M_sigma v_p != v_sigma(p) for sigma = {sigma}, p = {p}")

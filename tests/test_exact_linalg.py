@@ -142,6 +142,43 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
+def fraction_rank(rows):
+    """Rank by plain Gaussian elimination over Fraction, with no integer
+    scaling: a reference independent of the package's echelon core."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+rational_matrices = st.integers(1, 4).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-5, 5) | small_rationals, min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices | rational_matrices)
+def test_rank_matches_fraction_elimination(rows):
+    assert rank(rows) == fraction_rank(rows)
+    # a row repeated, and a multiple of it, leave the rank unchanged
+    assert rank(rows + [rows[0], [Fraction(-2, 3) * x for x in rows[0]]]) == fraction_rank(rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_rank_nullity_and_kernel_exactness(rows):

@@ -73,13 +73,12 @@ def test_kernel_of_p_is_rowspace_of_q():
         assert rank(wd.p) + rank(wd.q) == len(pairs(n)[0])
 
 
-# Q, its Gale dual P and the right inverse R of P (P R = D I), as integer
-# rows; n=5 by the sha256 of repr() of the row tuple
+# Q and its Gale dual P, as integer rows; n=5 by the sha256 of repr() of the
+# row tuple
 WEIGHT_PINS = {
     3: (
         ((1, 0, 0, 1, 1, 0), (0, 1, 0, 1, 0, 1), (0, 0, 1, 0, 1, 1)),
         ((-1, -1, 0, 1, 0, 0), (-1, 0, -1, 0, 1, 0), (0, -1, -1, 0, 0, 1)),
-        ((-1, -1, 1), (-1, 1, -1), (1, -1, -1), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
     ),
     4: (
         (
@@ -96,34 +95,54 @@ WEIGHT_PINS = {
             (0, -1, 0, -1, 0, 0, 0, 0, 1, 0),
             (0, 0, -1, -1, 0, 0, 0, 0, 0, 1),
         ),
-        (
-            (0, 0, -2, -1, 1, 1),
-            (0, 0, 0, -1, -1, 1),
-            (0, 0, 0, -1, 1, -1),
-            (0, 0, 0, 1, -1, -1),
-            (2, 0, -2, -2, 0, 2),
-            (0, 2, -2, -2, 2, 0),
-        ) + ((0,) * 6,) * 4,
     ),
     5: (
         "746e9b4e78e0e9f2b97a5a3e9dbcb44b67a90262695120c638f2fc7dacf6e697",
         "b2f822c618c9d056b645a0d68976fb560d6c59ea7a81599682b566f41bbe52c0",
-        "cf95f8fc1b6a873a22e3b0ca9ba528d4250fa569de3c23ef6f51a7973a93e02e",
     ),
 }
 
 
 @pytest.mark.parametrize("n", sorted(WEIGHT_PINS))
 def test_weight_data_pinned(n):
-    from gitfankit.grassmann import _p_right_inverse
-
-    got = (weights(n).q, weights(n).p, _p_right_inverse(n))
+    got = (weights(n).q, weights(n).p)
     for rows in got:
         assert type(rows) is tuple
         assert all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
     if n == 5:
         got = tuple(hashlib.sha256(repr(rows).encode()).hexdigest() for rows in got)
     assert got == WEIGHT_PINS[n]
+
+
+def _scale_column(p, k, c):
+    return tuple(tuple(c * x if j == k else x for j, x in enumerate(row)) for row in p)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p, n: _scale_column(p, n, 2),
+        lambda p, n: (p[1], p[0]) + p[2:],
+    ],
+    ids=["inner-column-doubled", "rows-swapped"],
+)
+def test_weights_rejects_a_gale_dual_off_the_unit_vectors(monkeypatch, corrupt):
+    """The negative control of the check in ``weights``: a P whose inner
+    columns are not the unit vectors e_ij fails, even when its rows still
+    span ker Q (rows swapped)."""
+    import gitfankit.grassmann as gr
+
+    n = 4
+    real = gr.gale_dual
+    monkeypatch.setattr(gr, "gale_dual", lambda q: corrupt(real(q), n))
+    weights.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="not its unit vector"):
+            weights(n)
+    finally:
+        monkeypatch.undo()
+        weights.cache_clear()
+    assert weights(n).v[(1, 2)] == (1, 0, 0, 0, 0, 0)
 
 
 # -- the exchange condition ---------------------------------------------------

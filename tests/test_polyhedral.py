@@ -863,11 +863,11 @@ def test_simplicial_faces_match_from_generators():
 
 def reference_leaves(ambient, base_ineqs, walls, base_eqs=(), with_boundaries=False):
     """Cut both strict sides (and the wall) on every branch, filter afterwards."""
-    from gitfankit.exact_linalg import _bareiss_rank
+    from gitfankit.exact_linalg import rank
     from gitfankit.polyhedral import _DDState
 
     def cone_dim(state):
-        return len(state.lin) + _bareiss_rank(state.rays)
+        return len(state.lin) + rank(state.rays)
 
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))

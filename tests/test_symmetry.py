@@ -25,7 +25,8 @@ def test_gale_matrix_moves_every_column(n):
     wd = gr.weights(n)
     for sigma in itertools.permutations(range(1, n + 1)):
         m = sym.gale_matrix(n, sigma)
-        assert all(isinstance(x, int) for row in m for x in row)
+        assert all(type(x) is int and x in (0, 1) for row in m for x in row)
+        assert all(sum(row) == 1 for row in m) and all(sum(col) == 1 for col in zip(*m))
         for p in wd.pairs0:
             assert sym.apply(m, wd.v[p]) == wd.v[image_pair(sigma, p)], (sigma, p)
         perm = sym.pair_permutation(n, sigma)
