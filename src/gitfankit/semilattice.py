@@ -61,6 +61,20 @@ class FiniteSemilattice:
     whose down-set is the intersection of theirs, the join the element whose
     up-set is the intersection of theirs, and the join is absent when no
     element has that up-set.
+
+    Meets are checked on cover pairs only: two lower covers of one element,
+    and two maximal elements, the lower covers of a top 1̂ adjoined above
+    them.  The check is exact by this lemma.  Let P be a finite poset with
+    1̂ adjoined; if any two lower covers of any z in P ∪ {1̂} have a meet,
+    every pair x, y of P has one.  Induct on |↓c| for a common upper bound
+    c of x and y (1̂ is one).  If x and y are comparable, the smaller is the
+    meet.  Otherwise pick lower covers x' >= x and y' >= y of c.  If
+    x' = y', recurse with c := x'.  Else m = x' ∧ y' exists by hypothesis,
+    e = x ∧ m exists by induction (common upper bound x'), and so does
+    f = e ∧ y (common upper bound y').  Every common lower bound u of x and
+    y has u <= m, so u <= e, so u <= f; hence f = x ∧ y.  The converse is
+    trivial.  The upper covers found on the way are kept as the Hasse
+    diagram.
     """
 
     def __init__(self, labels: Sequence[Hashable], up: Sequence[int]):
@@ -73,20 +87,29 @@ class FiniteSemilattice:
         if len(up) != n or any(mask >> n for mask in up):
             raise ValueError("relation has wrong shape")
         # one pass over the bits of each up-set: transpose it into the
-        # down-sets, and note the first element i with some k above it whose
-        # up-set leaves i's (not transitive); the checks are then raised
-        # element by element, reflexivity, antisymmetry, transitivity
+        # down-sets and OR the strict up-sets of the elements above i into
+        # higher.  Transitivity fails at i when higher leaves i's up-set
+        # (intransitive notes the first such i), and i's upper covers are
+        # the members of its strict up-set outside higher.  The checks are
+        # raised element by element, reflexivity, antisymmetry,
+        # transitivity, before the covers are used.
         down = [0] * n
+        covers = []
         intransitive = n
         for i, mask in enumerate(up):
-            bit, outside = 1 << i, ~mask
-            while mask:
-                low = mask & -mask
+            bit = 1 << i
+            down[i] |= bit
+            strict = rest = mask & ~bit
+            higher = 0
+            while rest:
+                low = rest & -rest
                 k = low.bit_length() - 1
                 down[k] |= bit
-                if up[k] & outside and i < intransitive:
-                    intransitive = i
-                mask ^= low
+                higher |= up[k] ^ low
+                rest ^= low
+            if higher & ~mask and i < intransitive:
+                intransitive = i
+            covers.append(strict & ~higher)
         for i, mask in enumerate(up):
             if not mask >> i & 1:
                 raise ValueError("relation not reflexive")
@@ -97,16 +120,21 @@ class FiniteSemilattice:
         bottoms = [i for i, mask in enumerate(up) if mask == (1 << n) - 1]
         if len(bottoms) != 1:
             raise ValueError("no unique bottom element")
+        # the lower covers of each element, and last those of the adjoined top
+        lower: list[list[int]] = [[] for _ in range(n + 1)]
+        for i, mask in enumerate(covers):
+            if not mask:
+                lower[n].append(i)
+            for j in _bits(mask):
+                lower[j].append(i)
         by_down = {mask: i for i, mask in enumerate(down)}
-        for i, di in enumerate(down):
-            for dj in down[i + 1 :]:
-                if di & dj not in by_down:
-                    # down-sets of distinct elements differ, so this is dj's index
-                    j = down.index(dj, i + 1)
+        for group in lower:
+            for i, j in itertools.combinations(group, 2):
+                if down[i] & down[j] not in by_down:
                     raise ValueError(
                         f"elements {self.labels[i]!r}, {self.labels[j]!r} have no meet"
                     )
-        self._up, self._down = up, down
+        self._up, self._down, self._covers = up, down, covers
         self._by_up = {mask: i for i, mask in enumerate(up)}
         self._by_down = by_down
         self._bottom = bottoms[0]
@@ -164,14 +192,10 @@ class FiniteSemilattice:
         return None if k is None else self.labels[k]
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover relations as index pairs (lower, upper): j covers i when
-        the interval from i to j is exactly {i, j}."""
-        edges = []
-        for i, mask in enumerate(self._up):
-            for j in _bits(mask & ~(1 << i)):
-                if mask & self._down[j] == (1 << i) | (1 << j):
-                    edges.append((i, j))
-        return edges
+        """Cover relations as index pairs (lower, upper), read off the upper
+        covers that validation keeps: j covers i when j is a minimal element
+        of the strict up-set of i."""
+        return [(i, j) for i, mask in enumerate(self._covers) for j in _bits(mask)]
 
     def dump(self) -> dict:
         """Debug dump: element label strings plus Hasse edges."""

@@ -71,6 +71,9 @@ def test_fan_sigmar_equals_sigma1_n3(tmp_path, capsys):
 PINNED_PAYLOADS = {
     "fan sigmar -n 5": "34b0ab5cd49ce81df82c85923754c6268de4d26923f650afcb32151e9187c46f",
     "poset sigmar -n 4": "f1699a9c5b33f268b37053867355a4ce37bdbfc7a5bd1e73a9311985b90e3203",
+    "poset sigmar -n 5": "912999bd630c6fcae9102e078010390684271d57cc1d98b4b9fd9ba2a319e6a1",
+    "poset sigma1 -n 5": "337e5975c2a09860834b605e97a5a6c585cd0ce80655ecfa826ef583acbe18d1",
+    "poset sigma0 -n 5": "bbf84c14937c6fefacecdcd852655c0fa30b6765de3447ec0fd11ed63e85c61d",
     "fan gitfan -n 5": "9ffa13104d878ea9f924588952975b400f890e0fc18eb5ac412f2daefd062ac4",
     "fan gitfan-star -n 5": "68c28b17cd1baec00439327282bc1b652c5db12e113d40f00482c7e55d19c0b9",
     "poset gitfan -n 5": "d8fe8226127c8596ce9cc1ba2ccbe8902dd20300358347d937478820d9e977ba",

@@ -93,7 +93,9 @@ def meetless_relation():
 
 
 def test_meet_validation_rejects_meetless():
-    with pytest.raises(ValueError):
+    # the lower covers of x and of y (a, b) meet in 0, so only the maximal
+    # pair x, y, the lower covers of the adjoined top, has no meet
+    with pytest.raises(ValueError, match="^elements 'x', 'y' have no meet$"):
         FiniteSemilattice.from_relation(*meetless_relation())
 
 
@@ -862,9 +864,31 @@ def validation_outcome(build, labels, up):
     return None
 
 
+def names_a_meetless_pair(message, labels, up):
+    """Whether message names two elements whose down-sets intersect in no
+    element's down-set, the reference's test for a missing meet."""
+    n, names = len(up), [repr(label) for label in labels]
+    down = [sum(1 << i for i in range(n) if up[i] >> k & 1) for k in range(n)]
+    named = [
+        (i, j)
+        for i, j in itertools.permutations(range(n), 2)
+        if message == f"elements {names[i]}, {names[j]} have no meet"
+    ]
+    return bool(named) and all(down[i] & down[j] not in down for i, j in named)
+
+
 def test_validation_matches_reference_on_random_and_perturbed_relations(monkeypatch):
     # the seeded random relations, and every poset the fk and thm44 sweeps
-    # build with one up-set bit flipped, are accepted or rejected alike
+    # build with one up-set bit flipped, are accepted or rejected alike and
+    # for the same reason.  So are the random relations, the sweep posets
+    # and the face posets of Σ_r(4) and of the GIT fan at n = 4 with one
+    # element other than the bottom deleted: a partial order with a bottom,
+    # often without some meet.  A meet rejection may name another meetless
+    # pair than the reference's first one in index order, since the
+    # constructor checks meets on cover pairs only (exact by the lemma in
+    # the FiniteSemilattice docstring).
+    from gitfankit import gitfan as gf
+
     met = []
     real_init = FiniteSemilattice.__init__
 
@@ -878,11 +902,20 @@ def test_validation_matches_reference_on_random_and_perturbed_relations(monkeypa
     monkeypatch.undo()
     assert len(met) == 1072
     rng = random.Random(7)
-    cases = [(range(len(up)), up) for up in random_relations(rng)]
+    randoms = [(range(len(up)), up) for up in random_relations(rng)]
+    cases = list(randoms)
     for labels, up in met:
         flipped = list(up)
         flipped[rng.randrange(len(up))] ^= 1 << rng.randrange(len(up))
         cases.append((labels, flipped))
+    faces = [face_poset(fan) for fan in (gf.sigma_r(4), gf.git_fan(4))]
+    for labels, up in randoms + met + [(lat.labels, lat._up) for lat in faces]:
+        full = (1 << len(up)) - 1
+        keep = list(range(len(up)))
+        if len(keep) > 1:
+            keep.remove(rng.choice([k for k in keep if up[k] != full]))
+            masks = [sum(1 << p for p, k in enumerate(keep) if up[i] >> k & 1) for i in keep]
+            cases.append(([labels[k] for k in keep], masks))
     # the same inputs with their elements moved to random indices, so that
     # index order is no longer a linear extension of the order
     for labels, up in list(cases):
@@ -892,12 +925,33 @@ def test_validation_matches_reference_on_random_and_perturbed_relations(monkeypa
         for i, mask in enumerate(up):
             moved[perm[i]] = sum(1 << perm[k] for k in range(len(up)) if mask >> k & 1)
         cases.append((labels, moved))
-    outcomes = set()
+    outcomes = []
     for labels, up in cases:
         outcome = validation_outcome(FiniteSemilattice, labels, up)
-        assert outcome == validation_outcome(reference_validation, labels, up), (labels, up)
-        outcomes.add(outcome if outcome is None else outcome.split()[-1])
-    assert outcomes == {None, "reflexive", "antisymmetric", "transitive", "element", "meet"}
+        expected = validation_outcome(reference_validation, labels, up)
+        if expected is not None and expected.endswith("have no meet"):
+            assert outcome is not None and names_a_meetless_pair(outcome, labels, up), (labels, up)
+        else:
+            assert outcome == expected, (labels, up)
+        outcomes.append(outcome if outcome is None else outcome.split()[-1])
+    assert set(outcomes) == {None, "reflexive", "antisymmetric", "transitive", "element", "meet"}
+    assert outcomes.count("meet") > 600
+
+
+def test_meetless_pair_off_the_cover_pairs_is_caught():
+    # negative control: 0 < a, b < x, y with x < x2 < t and y < t.  x and y
+    # have no meet but are lower covers of no common element; x2 (above x)
+    # and y are the lower covers of t, and have no meet either
+    labels = ["0", "a", "b", "x", "y", "x2", "t"]
+    covers = {"0": ["a", "b"], "a": ["x", "y"], "b": ["x", "y"], "x": ["x2"], "x2": ["t"], "y": ["t"]}
+    up = [1 << k for k in range(len(labels))]
+    for i in reversed(range(len(labels))):
+        for upper in covers.get(labels[i], []):
+            up[i] |= up[labels.index(upper)]
+    assert validation_outcome(reference_validation, labels, up) == "elements 'x', 'y' have no meet"
+    outcome = validation_outcome(FiniteSemilattice, labels, up)
+    assert outcome == "elements 'y', 'x2' have no meet"
+    assert names_a_meetless_pair(outcome, labels, up)
 
 
 def test_thm44_reports_pairs_without_up_sets(monkeypatch):
