@@ -6,22 +6,30 @@ the package; rows with rational entries (``Fraction`` or strings such as
 denominators before elimination, so nothing here ever rounds.  Rank,
 kernels and solving use one integer Gauss-Jordan core, whose echelon form
 reads off as the rational reduced row echelon form; the core also serves the
-cone conversions directly.
+cone conversions directly.  ``fractions`` is imported only where a rational
+value occurs: for a non-integer entry, and for the solution of ``solve``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _cleared(v: Iterable) -> list[int]:
     """The vector times the lcm of its denominators: integers, same direction.
 
-    Plain ints pass through unchanged (their denominator is one)."""
-    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    A vector of plain ints comes back as a list of the same ints."""
+    fr = list(v)
+    if all(type(x) is int for x in fr):
+        return fr
+    from fractions import Fraction
+
+    fr = [x if isinstance(x, int) else Fraction(x) for x in fr]
     den = math.lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
 
@@ -108,6 +116,8 @@ def kernel_basis(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
 def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[tuple[Fraction, ...]]:
     """One exact solution of Mx = b, M given by its rows, with free variables
     zeroed, or None."""
+    from fractions import Fraction
+
     if len(b) != len(rows):
         raise ValueError("dimension mismatch between matrix and right-hand side")
     cols = len(rows[0]) if rows else 0

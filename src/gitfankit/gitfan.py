@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import grassmann as gr
 from . import symmetry as sym
@@ -70,8 +69,7 @@ def omega_star(n: int) -> Cone:
     return Cone.from_generators(gens, n)
 
 
-@dataclass(frozen=True)
-class _ConeTable:
+class _ConeTable(NamedTuple):
     """Cones listed by their span equations and inequalities, each distinct
     one once, with nothing built.
 
@@ -588,8 +586,7 @@ def _sweep_tree(
     return out
 
 
-@dataclass(frozen=True)
-class DeltaReduction:
+class DeltaReduction(NamedTuple):
     fan: Fan
     witnesses: dict
     tree_count: int
@@ -935,8 +932,7 @@ def _pullback_monomial(exponent: dict[Pair, int], n: int) -> dict[Monomial, int]
     return poly
 
 
-@dataclass(frozen=True)
-class CenterIdeal:
+class CenterIdeal(NamedTuple):
     carrier_pairs: tuple[Pair, ...]
     alphas: tuple[int, ...]
     c: int

@@ -13,9 +13,8 @@ behind the Delta-reduction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .exact_linalg import _dot, gale_dual
 
@@ -32,8 +31,7 @@ def pairs(n: int) -> tuple[list[Pair], list[Pair]]:
     return all_pairs, inner
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(NamedTuple):
     """Weight matrix Q = (E_n, D_n), a fixed Gale dual P, both as integer
     rows, and the column maps."""
 
@@ -270,22 +268,26 @@ def brute_force_supports(n: int) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoBlock:
-    """Two-block partition of {1..n}, stored by the block not containing 1."""
-
+class _TwoBlockFields(NamedTuple):
     n: int
     block: frozenset[int]
 
-    def __post_init__(self):
-        a = set(self.block)
-        full = set(range(1, self.n + 1))
+
+class TwoBlock(_TwoBlockFields):
+    """Two-block partition of {1..n}, stored by the block not containing 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, block: Iterable[int]) -> "TwoBlock":
+        a = set(block)
+        full = set(range(1, n + 1))
         if not a or not (full - a):
             raise ValueError("both blocks must be nonempty")
         if not a <= full:
             raise ValueError("block out of range")
         if 1 in a:
-            object.__setattr__(self, "block", frozenset(full - a))
+            block = frozenset(full - a)
+        return super().__new__(cls, n, block)
 
     @property
     def complement(self) -> frozenset[int]:

@@ -46,9 +46,8 @@ so P = F_i, i.e. P is a face of c_i, iff F_i lies in the other cone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linalg import _dot, _primitive, _rref, primitive_vector
 
@@ -238,21 +237,24 @@ def _canonical_rays(rays: Sequence[IVec], lineality: Sequence[IVec]) -> tuple[IV
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cone:
-    """Rational polyhedral cone in canonical dual form.
-
-    ``rays`` are primitive extremal rays reduced orthogonally modulo the
-    lineality space; ``facets`` are primitive irredundant inward normals
-    reduced modulo the span equations.  ``facets . x >= 0`` and
-    ``span_eqs . x = 0`` cut out the cone exactly.
-    """
-
+class _ConeFields(NamedTuple):
     ambient: int
     rays: tuple[IVec, ...]
     lineality: tuple[IVec, ...]
     facets: tuple[IVec, ...]
     span_eqs: tuple[IVec, ...]
+
+
+class Cone(_ConeFields):
+    """Rational polyhedral cone in canonical dual form.
+
+    ``rays`` are primitive extremal rays reduced orthogonally modulo the
+    lineality space; ``facets`` are primitive irredundant inward normals
+    reduced modulo the span equations.  ``facets . x >= 0`` and
+    ``span_eqs . x = 0`` cut out the cone exactly.  The fields live in a
+    named-tuple base; the class keeps an instance dict for its cached zero
+    masks.
+    """
 
     @staticmethod
     def from_generators(generators: Iterable[Sequence[int]], ambient: int) -> "Cone":
@@ -512,9 +514,9 @@ def _face_lies_in(cone: Cone, facets: Iterable[int], other: Cone) -> bool:
     ) and all(other.contains(l) and other.contains(_neg(l)) for l in cone.lineality)
 
 
-@dataclass(frozen=True)
-class Fan:
-    """Validated fan, stored through its maximal cones."""
+class Fan(NamedTuple):
+    """Validated fan, stored through its maximal cones.  Two fans are equal
+    when their maximal cones are, in any order; a fan equals no other type."""
 
     ambient: int
     maximal: tuple[Cone, ...]
@@ -568,10 +570,13 @@ class Fan:
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fan):
-            return NotImplemented
+            return False
         return self.ambient == other.ambient and sorted(
             c._key() for c in self.maximal
         ) == sorted(c._key() for c in other.maximal)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
         return hash((self.ambient, tuple(sorted(c._key() for c in self.maximal))))
@@ -779,8 +784,7 @@ def stellar_subdivide(fan: Fan, ray: Sequence[int]) -> Fan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArrangementLeaf:
+class ArrangementLeaf(NamedTuple):
     signs: tuple[int, ...]
     rays: tuple[IVec, ...]
     lineality: tuple[IVec, ...]

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 from operator import and_, itemgetter
-from typing import Collection, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact_linalg import _primitive
 from .polyhedral import Cone, Fan, fan_from_maximal, stellar_subdivide
@@ -22,13 +21,24 @@ class BuildingSetCriterionConflict(Exception):
     """The interval-product test and the two-condition test disagreed."""
 
 
-@dataclass(frozen=True)
-class BlowPair:
+class BlowPair(NamedTuple):
+    """A new element (xi, x) of a blow-up.  It equals only a pair of the same
+    class, never a plain tuple, so a pair label and a tuple label stay
+    distinct in one poset."""
+
     xi: Hashable
     x: Hashable
 
     def __repr__(self) -> str:
         return f"({self.xi!r},{self.x!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is BlowPair and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -627,7 +637,9 @@ def verify_fk_bridge(
     }
 
 
+@cache
 def _orthant_fan(dim: int) -> Fan:
+    """The fan of the positive orthant of dimension dim, built once per dim."""
     gens = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     return fan_from_maximal([Cone.from_generators(gens, dim)])
 

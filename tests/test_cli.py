@@ -399,11 +399,54 @@ def test_json_format_stdout_is_the_payload(args, monkeypatch, capsys):
     assert err.strip()
 
 
-def test_cli_import_leaves_numpy_out():
+def fresh_python(code, *args):
+    """Run code in a new interpreter that imports this checkout's package."""
     src = str(Path(gitfankit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_cli_import_leaves_numpy_out():
     code = "import sys, gitfankit.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert fresh_python(code).returncode == 0
+
+
+UNUSED_MODULES = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def test_cli_run_loads_no_unused_module(tmp_path):
+    code = f"""if True:
+        import sys
+        unused = {UNUSED_MODULES!r}
+        from gitfankit import cli
+        print([m for m in unused if m in sys.modules])
+        assert cli.main(["fan", "sigmar", "-n", "3", "-o", sys.argv[1]]) == 0
+        print([m for m in unused if m in sys.modules])
+    """
+    proc = fresh_python(code, str(tmp_path / "sigmar.json"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]"), proc.stdout
+    assert json.loads((tmp_path / "sigmar.json").read_text())["n"] == 3
+
+
+def test_rational_values_load_fraction_when_they_occur():
+    code = """if True:
+        import sys
+        from gitfankit.exact_linalg import primitive_vector, solve
+        assert "fractions" not in sys.modules
+        from fractions import Fraction
+        assert primitive_vector(["1/2", Fraction(1, 3)]) == (3, 2)
+        assert primitive_vector([2, 4, -6]) == (1, 2, -3)
+        x = solve([[2, 0], [0, 3], [2, 3]], [1, 1, 2])
+        assert x == (Fraction(1, 2), Fraction(1, 3))
+        assert all(type(v) is Fraction for v in x)
+        assert solve([[1, 1], [1, 1]], [0, 1]) is None
+    """
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 class Built(Exception):

@@ -1,6 +1,5 @@
 """GIT fans, ambient fans, nu rays, GKZ cones, Delta-reduction, centers."""
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -800,8 +799,8 @@ def test_walls_report_a_chamber_off_its_region(tmp_path, monkeypatch, capsys):
     neighbour = next(r for r in regions if tuple(-x for x in wall) in r.facets)
     table = gf._y_pool(3)
     drop = table.normals.index(wall)
-    faulty = dataclasses.replace(
-        table, facet_ids=tuple(tuple(i for i in f if i != drop) for f in table.facet_ids)
+    faulty = table._replace(
+        facet_ids=tuple(tuple(i for i in f if i != drop) for f in table.facet_ids)
     )
     monkeypatch.setattr(gf, "_y_pool", lambda n: faulty)
     out = tmp_path / "walls.json"

@@ -407,6 +407,16 @@ def test_two_block_canonicalisation():
     assert len(all_two_blocks(4)) == 7
     assert [sorted(t.block) for t in true_two_blocks(4)] == [[2, 3], [2, 4], [3, 4]]
     assert true_two_blocks(3) == []
+    tb = TwoBlock(4, {1, 2})
+    assert tb.block == frozenset({3, 4}) and tb.n == 4
+    assert tb == TwoBlock(4, frozenset({3, 4})) and hash(tb) == hash(TwoBlock(4, {1, 2}))
+    assert repr(tb) == "TwoBlock(n=4, block=frozenset({3, 4}))"
+    with pytest.raises(ValueError, match="^both blocks must be nonempty$"):
+        TwoBlock(4, set())
+    with pytest.raises(ValueError, match="^both blocks must be nonempty$"):
+        TwoBlock(3, {1, 2, 3})
+    with pytest.raises(ValueError, match="^block out of range$"):
+        TwoBlock(3, {2, 5})
 
 
 # -- trees and tropical tests -------------------------------------------------

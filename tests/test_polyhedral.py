@@ -530,7 +530,7 @@ def test_side_table_assembler_matches_all_pairs_reference(monkeypatch):
         assert got == expected, name
         if isinstance(got, Fan):
             assert got.maximal == expected.maximal, name
-        outcomes[got[0] if isinstance(got, tuple) else "fan"] += 1
+        outcomes["fan" if isinstance(got, Fan) else got[0]] += 1
     assert outcomes["pairwise intersection is not a common face"] >= 4, outcomes
     assert outcomes["cone contained in another without being a face"] >= 2, outcomes
     assert outcomes["fan"] >= 25, outcomes
@@ -1008,6 +1008,21 @@ def test_sigma_r_steps_match_pairwise_reference():
                 # must equal the double-description canonical form
                 assert c == Cone.from_generators(c.rays, fan.ambient)
         assert fan == gf.sigma_r(n)
+
+
+def test_fan_equals_only_fans_with_the_same_cones():
+    a, b = cone((1, 0), (1, 1)), cone((1, 1), (0, 1))
+    fan = Fan(2, (a, b))
+    assert fan == Fan(2, (b, a)) and not fan != Fan(2, (b, a))
+    assert hash(fan) == hash(Fan(2, (b, a)))
+    assert fan != (2, (a, b)) and not fan == (2, (a, b))
+    assert (2, (a, b)) != fan and not (2, (a, b)) == fan
+    assert fan != Fan(2, (a,))
+    assert repr(a) == (
+        "Cone(ambient=2, rays=((1, 0), (1, 1)), lineality=(), "
+        "facets=((0, 1), (1, -1)), span_eqs=())"
+    )
+    assert a._zero_masks is a._zero_masks
 
 
 def test_stellar_rejects_holders_outside_the_star():

@@ -157,6 +157,49 @@ def test_blow_up_two_cone():
     assert set(blown.labels) == expected
 
 
+def test_blow_pair_equals_only_blow_pairs():
+    pair = BlowPair("a", "b")
+    assert pair == BlowPair("a", "b") and not pair != BlowPair("a", "b")
+    assert pair != ("a", "b") and not pair == ("a", "b")
+    assert ("a", "b") != pair and not ("a", "b") == pair
+    assert pair != BlowPair("b", "a")
+    assert len({pair, ("a", "b"), BlowPair("a", "b")}) == 2
+    assert repr(BlowPair(BlowPair("a", "b"), "c")) == "(('a','b'),'c')"
+
+
+def test_blow_up_keeps_a_tuple_label_apart_from_its_pair():
+    # 0 < a, b < t, and the tuple ("a", "b") above 0 only
+    lat = FiniteSemilattice.from_relation(
+        ["0", "a", "b", "t", ("a", "b")],
+        [
+            [True, True, True, True, True],
+            [False, True, False, True, False],
+            [False, False, True, True, False],
+            [False, False, False, True, False],
+            [False, False, False, False, True],
+        ],
+    )
+    blown = blow_up(lat, "a")
+    assert set(blown.labels) == {
+        "0", "b", ("a", "b"), BlowPair("a", "0"), BlowPair("a", "b")
+    }
+    assert blown.leq(BlowPair("a", "0"), BlowPair("a", "b"))
+    assert not blown.leq(("a", "b"), BlowPair("a", "b"))
+
+
+def test_orthant_fan_is_cached_until_cleared():
+    import gitfankit
+    import gitfankit.semilattice as sl
+
+    first = sl._orthant_fan(3)
+    assert sl._orthant_fan(3) is first
+    assert first == orthant_fan(3)
+    gitfankit.clear_caches()
+    assert sl._orthant_fan.cache_info().currsize == 0
+    again = sl._orthant_fan(3)
+    assert again is not first and again == first
+
+
 def test_blow_up_atom_isomorphic():
     lat = boolean_two()
     assert poset_isomorphic(blow_up(lat, "a"), lat)
