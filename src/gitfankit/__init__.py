@@ -4,7 +4,7 @@ subdivisions and the tropical Delta-reduction, with machine verification."""
 
 import sys
 
-from .exact_linalg import gale_dual, kernel_basis, rank, solve
+from .exact_linalg import kernel_basis, rank, solve
 from .grassmann import (
     TwoBlock,
     WeightData,

@@ -95,8 +95,8 @@ def kernel_basis(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     One basis row per free column, taken in ascending column order: the
     free variable set to the lcm of the pivots, the pivot variables read off
     the integer echelon form, and the row divided by its content.  For the
-    weight matrices used downstream this reproduces the fixture Gale duals
-    exactly.  No rows give no columns, hence an empty basis.
+    weight matrix Q this is the P that ``grassmann.weights`` reads off the
+    pairs.  No rows give no columns, hence an empty basis.
     """
     cols = len(rows[0]) if rows else 0
     echelon, pivots = _rref([_cleared(r) for r in rows])
@@ -129,15 +129,3 @@ def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[tuple[Fraction, ...
         x[p] = Fraction(row[cols], row[p])
     return tuple(x)
 
-
-def gale_dual(q: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """A Gale dual P of Q, i.e. P with P Q^t = 0 spanning the kernel of Q.
-
-    Requires Q to have full row rank; rows of P are primitive integer vectors.
-    """
-    if rank(q) != len(q):
-        raise ValueError("weight matrix is rank deficient")
-    p = kernel_basis(q)
-    if any(_dot(a, b) for a in p for b in q):
-        raise AssertionError("Gale dual failed the P Q^t = 0 check")
-    return p

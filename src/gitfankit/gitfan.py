@@ -32,6 +32,7 @@ from .polyhedral import (
     Fan,
     IVec,
     _canonical_subspace_basis,
+    _neg,
     fan_from_maximal,
     is_subfan,
     stellar_subdivide,
@@ -79,10 +80,10 @@ class _ConeTable(NamedTuple):
     span equations they cut the cone out exactly, and none vanishes on the
     whole cone, so a point of the span lies in the relative interior
     exactly when every inequality is positive there.  A pool cone's
-    inequalities are its facets.  A Y-cone is full-dimensional exactly
-    when it has no span equation, and then has its facets among its
-    inequalities (``grassmann.y_cone_description``).  ``masks[k]`` lists
-    the Y-set masks cone k stands for.
+    inequalities are one GKZ wall per facet (``_gkz_pool``).  A Y-cone is
+    full-dimensional exactly when it has no span equation, and then has its
+    facets among its inequalities (``grassmann.y_cone_description``).
+    ``masks[k]`` lists the Y-set masks cone k stands for.
     """
 
     ambient: int
@@ -450,33 +451,59 @@ def _sigma_r_with_order(base: Fan, order: Sequence[TwoBlock]) -> Fan:
 def _column_cone(n: int, ymask: int) -> Cone:
     """cone(v_p; p not in the Y-set of the mask)."""
     wd = gr.weights(n)
-    all_pairs, _ = gr.pairs(n)
-    cols = [wd.v[p] for k, p in enumerate(all_pairs) if not ymask >> k & 1]
+    cols = [wd.v[p] for k, p in enumerate(wd.pairs0) if not ymask >> k & 1]
     return Cone.from_generators(cols, len(wd.p))
 
 
 @lru_cache(maxsize=None)
-def _gkz_pool(n: int) -> tuple[Cone, ...]:
-    """The distinct column cones cone(v_p; p in J) whose complement J^c is a
-    Y-set.
+def _gkz_pool(n: int) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+    """The distinct cones C = cone(v_p; p not in J) of the Y-sets J, in
+    first-found order over ``y_set_masks``: each as (span equations, facet
+    normals), read off the GKZ walls, with the masks of its Y-sets.
 
     These are the column cones whose relative interior meets Delta (the
     relint criterion: calibrated at n = 3 by ``tropical_sign``, tested for
     every column subset at n = 3, 4), so for a point of Delta they are all
     the column cones holding it in their relative interior.
+
+    The span equations are the canonical basis of the kernel of the columns
+    off J; the facet normals are the walls (``_gkz_walls``) of one sign on
+    them, signed >= 0, whose zero sets there are maximal short of all of
+    them, the first wall of each.  Proof: such a wall cuts the span L of C
+    in a hyperplane supporting C, and its zero set spans the face cut;
+    every proper face lies in a facet.  For a facet with hyperplane H in L,
+    complete a basis of H and one column off H, all columns of C, by
+    columns to a basis of R^d, and drop that one column: the rest span a
+    wall meeting L in H.  So the maximal zero sets are the facets' columns,
+    and the kept walls cut C out with the span equations.  The walls
+    meeting L in H depend on C alone, so one cone gets one description.
     """
-    seen = {}
+    wd = gr.weights(n)
+    cols = [wd.v[p] for p in wd.pairs0]
+    walls = _gkz_walls(n)
+    # per wall, the bitmasks of the columns it is positive and negative on
+    pos = [sum(1 << k for k, c in enumerate(cols) if _dot(a, c) > 0) for a in walls]
+    neg = [sum(1 << k for k, c in enumerate(cols) if _dot(a, c) < 0) for a in walls]
+    groups: dict[tuple, list[int]] = {}
     for ymask in gr.y_set_masks(n):
-        c = _column_cone(n, ymask)
-        seen.setdefault(c._key(), c)
-    return tuple(seen.values())
+        off = (1 << len(cols)) - 1 & ~ymask
+        cut: dict[int, IVec] = {}
+        for a, above, below in zip(walls, pos, neg):
+            if bool(above & off) != bool(below & off):
+                cut.setdefault(off & ~(above | below), a if above & off else _neg(a))
+        facets = sorted(a for z, a in cut.items() if not any(y != z and y & z == z for y in cut))
+        # with no column left, the zero row: its kernel basis is the unit rows
+        rows = [c for k, c in enumerate(cols) if off >> k & 1] or [(0,) * len(wd.p)]
+        eqs = _canonical_subspace_basis(kernel_basis(rows))
+        groups.setdefault((eqs, tuple(facets)), []).append(ymask)
+    return tuple((key, tuple(masks)) for key, masks in groups.items())
 
 
 @lru_cache(maxsize=None)
 def _pool_permutation(n: int, sigma: sym.Perm) -> tuple[int, ...]:
-    """Entry i is the pool index of M_sigma applied to pool cone i.
+    """Entry i is the pool index of the image of pool cone i under sigma.
 
-    M_sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J), and the
+    sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J), and the
     Y-sets are S_n-invariant, so the cone of the Y-set mask Y goes to the
     cone of sigma Y; every mask of one cone must agree on the image.
     """
@@ -493,16 +520,10 @@ def _pool_permutation(n: int, sigma: sym.Perm) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _gkz_table(n: int) -> _ConeTable:
-    """The pool as a table of cones, all built, each with the Y-set masks
-    whose column cone it is."""
-    pool = _gkz_pool(n)
-    index = {c._key(): i for i, c in enumerate(pool)}
-    masks: list[list[int]] = [[] for _ in pool]
-    for ymask in gr.y_set_masks(n):
-        masks[index[_column_cone(n, ymask)._key()]].append(ymask)
-    return _cone_table(
-        len(gr.weights(n).p), [c.span_eqs for c in pool], [c.facets for c in pool], masks
-    )
+    """The pool as a table of cones, with the Y-set masks of each."""
+    keys, masks = zip(*_gkz_pool(n))
+    eqs, facets = zip(*keys)
+    return _cone_table(len(gr.weights(n).p), eqs, facets, masks)
 
 
 def _gkz_profile(pt: Sequence[int], n: int) -> frozenset[int]:
@@ -601,21 +622,21 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     (``symmetry.tree_orbits``) is swept (``_sweep_tree``); every tree, in
     ``trivalent_trees`` order, then takes its representative's
     representatives in leaf order, mapped by its sigma: the point by
-    M_sigma, the profile by ``_pool_permutation``.  A profile not seen
-    before gets the image as its witness, which must lie in Delta, have
-    exactly the mapped profile and lie in the relative interior of the
-    profile's cone; the first witness of each cone is kept.  Representatives
-    of one profile map to one profile (``_pool_permutation`` is a
-    bijection), so only the first of each profile of a swept tree is
+    ``symmetry.gale_permutation``, the profile by ``_pool_permutation``.  A
+    profile not seen before gets the image as its witness, which must lie
+    in Delta, have exactly the mapped profile and lie in the relative
+    interior of the profile's cone; the first witness of each cone is kept.
+    Representatives of one profile map to one profile (``_pool_permutation``
+    is a bijection), so only the first of each profile of a swept tree is
     mapped: the later ones would be skipped.  ``rep_count`` counts the
     representatives swept, ``tree_count`` the trees covered.
 
     This is exact.  The Y-sets, and so the pool, are S_n-invariant, and
-    M_sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J).  M_sigma
-    maps the representative's tree basis onto sigma T's (asserted), hence
-    its tree cone image onto sigma T's, and it permutes the GKZ walls, so
-    it maps the cells of T onto the cells of sigma T.  So the cells, ray sums
-    and profiles of sigma T are the images of T's.
+    sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J).  It maps the
+    representative's tree basis onto sigma T's (asserted), hence its tree
+    cone image onto sigma T's, and it permutes the GKZ walls, so it maps
+    the cells of T onto the cells of sigma T.  So the cells, ray sums and
+    profiles of sigma T are the images of T's.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 (got {n})")
@@ -635,8 +656,8 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
             swept[r] = {}
             for rep, profile in reps:
                 swept[r].setdefault(profile, rep)
-        m = sym.gale_matrix(n, sigma)
-        image, basis = [sym.apply(m, b) for b in rep_basis], gr.tree_basis(n, tree, sign)
+        inv = sym.gale_permutation(n, sigma)
+        image, basis = [tuple(b[k] for k in inv) for b in rep_basis], gr.tree_basis(n, tree, sign)
         if image[-1] != basis[-1] or sorted(image) != sorted(basis):
             raise AssertionError(f"sigma = {sigma} does not map tree {trees[r]} onto {tree}")
         perm = _pool_permutation(n, sigma)
@@ -644,7 +665,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
             mapped = frozenset(perm[i] for i in profile)
             if mapped in profiles:
                 continue
-            w = sym.apply(m, rep)
+            w = tuple(rep[k] for k in inv)
             if not gr.delta_contains(w, wd):
                 raise AssertionError(f"the image {w} of a representative lies outside Delta")
             if _gkz_profile(w, n) != mapped:

@@ -5,9 +5,9 @@ those pairs realisable as the exact support of a decomposable 2-vector, held
 throughout as a bitmask over ``pairs(n)[0]``.  The module provides the
 exchange-condition test, the Y-set listing, a support witness and the
 Y-cone's inequalities, both read off the class labelling, a brute-force
-support oracle, the weight data (Q and its Gale dual P), wall normals of
-two-block partitions and the tree-metric (four-point) membership tests
-behind the Delta-reduction.
+support oracle, the weight data (Q and its Gale dual P, both read off the
+pairs), wall normals of two-block partitions and the tree-metric
+(four-point) membership tests behind the Delta-reduction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .exact_linalg import _dot, gale_dual
+from .exact_linalg import _dot
 
 Pair = tuple[int, int]
 Rows = tuple[tuple[int, ...], ...]
@@ -32,8 +32,8 @@ def pairs(n: int) -> tuple[list[Pair], list[Pair]]:
 
 
 class WeightData(NamedTuple):
-    """Weight matrix Q = (E_n, D_n), a fixed Gale dual P, both as integer
-    rows, and the column maps."""
+    """Weight matrix Q = (E_n, D_n), its Gale dual P, both as integer rows,
+    and the column maps."""
 
     n: int
     q: tuple[tuple[int, ...], ...]
@@ -54,20 +54,19 @@ def _weight_column(pair: Pair, n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def weights(n: int) -> WeightData:
-    """The weight data of n.  Q's columns at the pairs 0i are the identity,
-    so Q is in reduced echelon form and the kernel row of an inner pair ij
-    is e_ij - e_0i - e_0j: v_ij is the unit vector of ij among the inner
-    pairs (checked here), and v_0i = -(sum of v_ij over j != i)."""
+    """The weight data of n, read off the pairs.  Q's columns at the pairs
+    0i are the identity, so ker Q has the basis P whose row ij is
+    e_ij - e_0i - e_0j, one row per inner pair: P Q^t = 0 (checked here),
+    and the identity at the inner pairs gives P rank (n+1 choose 2) - n, the
+    dimension of ker Q.  Hence v_ij is the unit vector of ij among the inner
+    pairs, and v_0i = -(sum of v_ij over j != i)."""
     all_pairs, inner = pairs(n)
     cols = [_weight_column(p, n) for p in all_pairs]
     q = tuple(zip(*cols))
-    p = gale_dual(q)
-    w = dict(zip(all_pairs, cols))
-    v = dict(zip(all_pairs, zip(*p)))
-    for k, pair in enumerate(inner):
-        if v[pair] != tuple(int(r == k) for r in range(len(inner))):
-            raise AssertionError(f"Gale column v_{pair} is not its unit vector")
-    return WeightData(n, q, p, w, v)
+    p = tuple(tuple((x == (i, j)) - (x in ((0, i), (0, j))) for x in all_pairs) for i, j in inner)
+    if any(_dot(a, b) for a in p for b in q):
+        raise AssertionError("P Q^t != 0: P is not a Gale dual of Q")
+    return WeightData(n, q, p, dict(zip(all_pairs, cols)), dict(zip(all_pairs, zip(*p))))
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +278,13 @@ class TwoBlock(_TwoBlockFields):
     __slots__ = ()
 
     def __new__(cls, n: int, block: Iterable[int]) -> "TwoBlock":
-        a = set(block)
-        full = set(range(1, n + 1))
+        a = frozenset(block)
+        full = frozenset(range(1, n + 1))
         if not a or not (full - a):
             raise ValueError("both blocks must be nonempty")
         if not a <= full:
             raise ValueError("block out of range")
-        if 1 in a:
-            block = frozenset(full - a)
-        return super().__new__(cls, n, block)
+        return super().__new__(cls, n, full - a if 1 in a else a)
 
     @property
     def complement(self) -> frozenset[int]:

@@ -4,18 +4,17 @@ A permutation sigma is the tuple (sigma(1), ..., sigma(n)), as
 ``itertools.permutations(range(1, n + 1))`` lists them, and sigma(0) = 0.  It
 permutes the pairs over {0..n}, hence the Y-sets and the trivalent trees
 (a split, stored by its block without 0, goes to the image block).  On the
-Gale side it acts by M_sigma with M_sigma v_p = v_sigma(p): the permutation
-matrix of sigma on the inner pairs, whose Gale columns are unit vectors.
+Gale side it permutes the coordinates, which are the inner pairs: their Gale
+columns are the unit vectors, so moving coordinate ij to sigma(ij) maps v_p
+to v_sigma(p) for every pair p.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
 
 from . import grassmann as gr
-from .exact_linalg import _dot
 
 Perm = tuple[int, ...]
 
@@ -34,29 +33,24 @@ def pair_permutation(n: int, sigma: Perm) -> tuple[int, ...]:
     )
 
 
-def apply(m: Sequence[Sequence[int]], x: Sequence[int]) -> tuple[int, ...]:
-    """The matrix-vector product m x."""
-    return tuple(_dot(row, x) for row in m)
-
-
 @lru_cache(maxsize=None)
-def gale_matrix(n: int, sigma: Perm) -> tuple[tuple[int, ...], ...]:
-    """M_sigma, the permutation matrix of sigma on the inner pairs: column ij
-    is v_sigma(ij), the unit vector of sigma(ij).
+def gale_permutation(n: int, sigma: Perm) -> tuple[int, ...]:
+    """Entry i is the Gale coordinate that sigma moves to coordinate i, the
+    index of sigma^-1(ij) among the inner pairs, ij the i-th one: sigma maps
+    a point x of the Gale side to (x[k] for k in the permutation).
 
-    The Gale column v_ij is the unit vector e_ij (``grassmann.weights``)
-    and sigma fixes 0, so M_sigma v_ij = v_sigma(ij), and then
-    M_sigma v_0i = v_0sigma(i), as v_0i = -(sum of v_ij over j != i).  Both
-    are checked here for every pair.
+    As v_ij = e_ij (``grassmann.weights``), this maps v_ij to v_sigma(ij),
+    and then v_0i to v_0sigma(i), as v_0i = -(sum of v_ij over j != i) and
+    sigma fixes 0.  Both are checked here for every pair.
     """
     wd = gr.weights(n)
     perm = pair_permutation(n, sigma)
-    # column ij is v_sigma(ij); the inner pairs follow the n pairs at 0
-    m = tuple(zip(*(wd.v[wd.pairs0[perm[k]]] for k in range(n, len(wd.pairs0)))))
+    # the inner pairs follow the n pairs at 0, and sigma keeps them there
+    inverse = tuple(sorted(range(len(wd.p)), key=lambda k: perm[n + k]))
     for k, p in enumerate(wd.pairs0):
-        if apply(m, wd.v[p]) != wd.v[wd.pairs0[perm[k]]]:
-            raise AssertionError(f"M_sigma v_p != v_sigma(p) for sigma = {sigma}, p = {p}")
-    return m
+        if tuple(wd.v[p][i] for i in inverse) != wd.v[wd.pairs0[perm[k]]]:
+            raise AssertionError(f"sigma = {sigma} does not map v_{p} to v_sigma(p)")
+    return inverse
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Exact linear algebra: ranks, kernels, solving, Gale duals."""
+"""Exact linear algebra: ranks, kernels, solving."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitfankit.exact_linalg import (
-    gale_dual,
     kernel_basis,
     primitive_vector,
     rank,
@@ -72,39 +71,6 @@ def test_solve_inconsistent_absent():
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
         solve(EYE2, [1, 2, 3])
-
-
-def test_gale_identity_no_rows():
-    assert gale_dual(EYE2) == ()
-
-
-def test_gale_q3():
-    p = gale_dual(Q3)
-    assert (len(p), len(p[0])) == (3, 6)
-    assert all(dot(a, b) == 0 for a in p for b in Q3)
-
-
-def weight_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
-    cols = []
-    for i, j in pairs:
-        if i == 0:
-            cols.append([1 if r == j else 0 for r in range(1, n + 1)])
-        else:
-            cols.append([1 if r in (i, j) else 0 for r in range(1, n + 1)])
-    return tuple(tuple(c[r] for c in cols) for r in range(n))
-
-
-def test_gale_q4():
-    q = weight_matrix(4)
-    p = gale_dual(q)
-    assert (len(p), len(p[0])) == (6, 10)
-    assert all(dot(a, b) == 0 for a in p for b in q)
-
-
-def test_gale_rank_deficient_rejected():
-    with pytest.raises(ValueError):
-        gale_dual([[1, 1], [2, 2]])
 
 
 def test_primitive_vector():

@@ -655,7 +655,7 @@ def test_delta_contains_matches_solve_reference(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_gkz_profile_matches_pool_scan(n):
-    pool = gf._gkz_pool(n)
+    pool = _pool_cones(n)
     data = gf._delta_reduction_data(n)
     points = list(data.witnesses.values()) + _delta_test_points(n, random.Random(200 + n))
     for point in points:
@@ -663,6 +663,12 @@ def test_gkz_profile_matches_pool_scan(n):
             i for i, c in enumerate(pool) if c.contains(point, "relative_interior")
         )
         assert gf._gkz_profile(point, n) == expected, point
+
+
+def _pool_cones(n):
+    """The pool cones by double description, a reference independent of
+    the walls: the column cone of the first Y-set mask of each entry."""
+    return [gf._column_cone(n, masks[0]) for masks in gf._gkz_table(n).masks]
 
 
 @functools.lru_cache(maxsize=None)
@@ -710,8 +716,8 @@ def test_y_set_pool_matches_full_pool(n, cones, spans, walls):
     subsets; the full pool has the pinned number of spans, and the walls
     are the normals of its codim-one cones."""
     full = _full_gkz_pool(n)
-    pool = gf._gkz_pool(n)
-    assert len(pool) == cones
+    pool = _pool_cones(n)
+    assert len(pool) == len(gf._gkz_pool(n)) == cones
     assert set(c._key() for c in pool) < set(c._key() for c in full)
     assert len({c.span_eqs for c in full}) == spans
     normals = {c.span_eqs[0] for c in full if len(c.span_eqs) == 1}
@@ -725,7 +731,9 @@ def test_y_set_pool_matches_full_pool(n, cones, spans, walls):
     sign = gr.tropical_sign()
     swept = {r: gf._sweep_tree(n, gr.tree_basis(n, trees[r], sign)) for r in {r for r, _ in orbits}}
     images = [
-        sym.apply(sym.gale_matrix(n, sigma), rep) for r, sigma in orbits for rep, _ in swept[r]
+        tuple(rep[k] for k in sym.gale_permutation(n, sigma))
+        for r, sigma in orbits
+        for rep, _ in swept[r]
     ]
     assert len(images) == {3: 30, 4: 990}[n]
     points = set(images) | set(gf._delta_reduction_data(n).witnesses.values())
@@ -733,6 +741,54 @@ def test_y_set_pool_matches_full_pool(n, cones, spans, walls):
         from_pool = {pool[i]._key() for i in gf._gkz_profile(point, n)}
         from_full = {c._key() for c in full if c.contains(point, "relative_interior")}
         assert from_pool == from_full, point
+
+
+@pytest.mark.parametrize("n, ysets", [(3, 37), (4, 172), (5, 814)])
+def test_pool_read_off_the_walls_matches_double_description(n, ysets):
+    """For every Y-set J, the description ``_gkz_pool`` reads off the walls
+    cuts out the column cone built by double description, with the same
+    span equations and as many facets, and every facet is positive on some
+    column off J (so the relint test is strict on each)."""
+    wd = gr.weights(n)
+    cols = [wd.v[p] for p in wd.pairs0]
+    seen = 0
+    for (eqs, facets), masks in gf._gkz_pool(n):
+        cone = Cone.from_inequalities(facets, eqs, ambient=len(wd.p))
+        for ymask in masks:
+            seen += 1
+            ref = gf._column_cone(n, ymask)
+            assert cone == ref and eqs == ref.span_eqs, ymask
+            assert len(facets) == len(ref.facets), ymask
+            off = [c for k, c in enumerate(cols) if not ymask >> k & 1]
+            assert all(any(_dot(a, c) > 0 for c in off) for a in facets), ymask
+            assert all(_dot(a, c) >= 0 for a in facets for c in off), ymask
+    assert seen == ysets == len(gr.y_set_masks(n))
+
+
+def test_gkz_table_runs_no_conversion(monkeypatch):
+    """Building the GKZ pool and its table for n = 3..5, walls included,
+    runs no double description."""
+    gitfankit.clear_caches()
+    monkeypatch.setattr(polyhedral, "_dd", _no_dd)
+    sizes = [len(gf._gkz_table(n).masks) for n in (3, 4, 5)]
+    assert sizes == [25, 140, 734]
+    assert [sum(map(len, gf._gkz_table(n).masks)) for n in (3, 4, 5)] == [37, 172, 814]
+    monkeypatch.undo()
+    gitfankit.clear_caches()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pool_without_a_wall_misses_a_facet(n, monkeypatch):
+    """The negative control of the pool read off the walls: with the first
+    wall dropped, some description no longer cuts out its column cone."""
+    walls = gf._gkz_walls(n)
+    monkeypatch.setattr(gf, "_gkz_walls", lambda m: walls[1:])
+    pool = gf._gkz_pool.__wrapped__(n)
+    dim = len(gr.weights(n).p)
+    assert any(
+        Cone.from_inequalities(facets, eqs, ambient=dim) != gf._column_cone(n, masks[0])
+        for (eqs, facets), masks in pool
+    )
 
 
 def _generic_rep_reference(vecs, spans, dim):

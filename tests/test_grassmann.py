@@ -5,7 +5,7 @@ import itertools
 import random
 import pytest
 
-from gitfankit.exact_linalg import rank
+from gitfankit.exact_linalg import kernel_basis, rank
 from gitfankit.grassmann import (
     TwoBlock,
     all_splits,
@@ -114,30 +114,35 @@ def test_weight_data_pinned(n):
     assert got == WEIGHT_PINS[n]
 
 
-def _scale_column(p, k, c):
-    return tuple(tuple(c * x if j == k else x for j, x in enumerate(row)) for row in p)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_weights_p_is_the_kernel_basis_of_q(n):
+    """P, read off the pairs, is the basis of ker Q that ``kernel_basis``
+    computes, and its inner columns are the unit vectors."""
+    wd = weights(n)
+    assert kernel_basis(wd.q) == wd.p
+    d = len(pairs(n)[1])
+    assert [wd.v[p] for p in pairs(n)[1]] == [tuple(int(r == k) for r in range(d)) for k in range(d)]
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda p, n: _scale_column(p, n, 2),
-        lambda p, n: (p[1], p[0]) + p[2:],
+        lambda pair, col: tuple(2 * x for x in col) if pair == (1, 2) else col,
+        lambda pair, col: col[1:] + col[:1] if pair == (0, 1) else col,
     ],
-    ids=["inner-column-doubled", "rows-swapped"],
+    ids=["inner-column-doubled", "outer-column-moved"],
 )
-def test_weights_rejects_a_gale_dual_off_the_unit_vectors(monkeypatch, corrupt):
-    """The negative control of the check in ``weights``: a P whose inner
-    columns are not the unit vectors e_ij fails, even when its rows still
-    span ker Q (rows swapped)."""
+def test_weights_rejects_a_q_off_its_gale_dual(monkeypatch, corrupt):
+    """The negative control of the check P Q^t = 0 in ``weights``: with one
+    column of Q corrupted, the P read off the pairs is no Gale dual of it."""
     import gitfankit.grassmann as gr
 
     n = 4
-    real = gr.gale_dual
-    monkeypatch.setattr(gr, "gale_dual", lambda q: corrupt(real(q), n))
+    real = gr._weight_column
+    monkeypatch.setattr(gr, "_weight_column", lambda pair, m: corrupt(pair, real(pair, m)))
     weights.cache_clear()
     try:
-        with pytest.raises(AssertionError, match="not its unit vector"):
+        with pytest.raises(AssertionError, match="P Q\\^t != 0"):
             weights(n)
     finally:
         monkeypatch.undo()
@@ -417,6 +422,22 @@ def test_two_block_canonicalisation():
         TwoBlock(3, {1, 2, 3})
     with pytest.raises(ValueError, match="^block out of range$"):
         TwoBlock(3, {2, 5})
+
+
+@pytest.mark.parametrize("kind", [set, frozenset, list, tuple, iter])
+def test_two_block_stores_a_frozenset_of_any_iterable(kind):
+    """Whatever iterable holds the block, with or without 1 and with
+    repeats, the stored block is the frozenset of the side without 1."""
+    from gitfankit.gitfan import nu_ray
+
+    for given, block in [([3, 4], {3, 4}), ([3, 3, 4], {3, 4}), ([1, 2], {3, 4}), ([2], {2})]:
+        tb = TwoBlock(4, kind(given))
+        assert type(tb.block) is frozenset and tb.block == frozenset(block)
+        ref = TwoBlock(4, frozenset(block))
+        assert tb == ref and hash(tb) == hash(ref)
+    tb = TwoBlock(4, kind([3, 4]))
+    assert tb.complement == frozenset({1, 2}) and tb.is_true
+    assert nu_ray(tb) == nu_ray(TwoBlock(4, frozenset({3, 4})))
 
 
 # -- trees and tropical tests -------------------------------------------------

@@ -20,17 +20,60 @@ def image_tree(sigma, tree):
     return {frozenset(sigma[i - 1] for i in block) for block in tree}
 
 
+def apply(m, x):
+    """The matrix-vector product m x."""
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
+
+
+def pool_cones(n):
+    """The pool cones by double description, a reference independent of
+    the walls: the column cone of the first Y-set mask of each entry."""
+    return [gf._column_cone(n, masks[0]) for masks in gf._gkz_table(n).masks]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_gale_matrix_moves_every_column(n):
+    """sigma's permutation of the Gale coordinates, read as the matrix
+    M_sigma with (M_sigma x)_i = x[inv[i]], is a permutation matrix, moves
+    v_p to v_sigma(p) for every pair, and agrees with the permutation on
+    every column and on a generic point."""
     wd = gr.weights(n)
+    d = len(wd.p)
+    point = tuple(range(1, d + 1))
     for sigma in itertools.permutations(range(1, n + 1)):
-        m = sym.gale_matrix(n, sigma)
+        inv = sym.gale_permutation(n, sigma)
+        assert sorted(inv) == list(range(d))
+        m = tuple(tuple(int(inv[i] == k) for k in range(d)) for i in range(d))
         assert all(type(x) is int and x in (0, 1) for row in m for x in row)
         assert all(sum(row) == 1 for row in m) and all(sum(col) == 1 for col in zip(*m))
         for p in wd.pairs0:
-            assert sym.apply(m, wd.v[p]) == wd.v[image_pair(sigma, p)], (sigma, p)
+            assert apply(m, wd.v[p]) == wd.v[image_pair(sigma, p)], (sigma, p)
+            assert tuple(wd.v[p][k] for k in inv) == wd.v[image_pair(sigma, p)], (sigma, p)
+        assert tuple(point[k] for k in inv) == apply(m, point)
         perm = sym.pair_permutation(n, sigma)
         assert [wd.pairs0[k] for k in perm] == [image_pair(sigma, p) for p in wd.pairs0]
+
+
+def test_gale_permutation_rejects_a_wrong_pair_permutation(monkeypatch):
+    """The negative control of the check in ``gale_permutation``: a pair
+    permutation that swaps two inner pairs of sigma's image moves some v_0i
+    off v_0sigma(i)."""
+    real = sym.pair_permutation
+    sigma = (2, 1, 3, 4)
+
+    def swapped(n, s):
+        perm = list(real(n, s))
+        perm[n], perm[n + 2] = perm[n + 2], perm[n]
+        return tuple(perm)
+
+    sym.gale_permutation.cache_clear()
+    monkeypatch.setattr(sym, "pair_permutation", swapped)
+    try:
+        with pytest.raises(AssertionError, match="does not map"):
+            sym.gale_permutation(4, sigma)
+    finally:
+        monkeypatch.undo()
+        sym.gale_permutation.cache_clear()
 
 
 @pytest.mark.parametrize("n, orbits", [(3, 1), (4, 2), (5, 3)])
@@ -58,16 +101,17 @@ def test_each_sigma_maps_its_representative_onto_its_tree(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_pool_permutation_is_the_image_of_each_cone(n):
-    """Each sigma of ``tree_orbits`` permutes the pool indices, and M_sigma
-    maps pool cone i onto pool cone perm[i]."""
-    pool = gf._gkz_pool(n)
+    """Each sigma of ``tree_orbits`` permutes the pool indices, and sigma's
+    permutation of the Gale coordinates maps pool cone i onto pool cone
+    perm[i]."""
+    pool = pool_cones(n)
     dim = len(gr.weights(n).p)
     for sigma in sorted({s for _, s in sym.tree_orbits(n)}):
         perm = gf._pool_permutation(n, sigma)
         assert sorted(perm) == list(range(len(pool)))
-        m = sym.gale_matrix(n, sigma)
+        inv = sym.gale_permutation(n, sigma)
         for i, c in enumerate(pool):
-            image = Cone.from_generators([sym.apply(m, g) for g in c.generators()], dim)
+            image = Cone.from_generators([tuple(g[k] for k in inv) for g in c.generators()], dim)
             assert image == pool[perm[i]], (sigma, i)
 
 
