@@ -461,10 +461,24 @@ def _gkz_pool(n: int) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
     first-found order over ``y_set_masks``: each as (span equations, facet
     normals), read off the GKZ walls, with the masks of its Y-sets.
 
-    These are the column cones whose relative interior meets Delta (the
-    relint criterion: calibrated at n = 3 by ``tropical_sign``, tested for
-    every column subset at n = 3, 4), so for a point of Delta they are all
-    the column cones holding it in their relative interior.
+    These are the column cones whose relative interior meets Delta, so for
+    a point of Delta they are all the column cones holding it in their
+    relative interior.  This relint criterion (relint cone(v_p; p in S)
+    meets Delta iff the complement J of S is a Y-set) is proved here; it is
+    also tested for every column subset at n = 3, 4 against
+    ``delta_meets_relint``.  Reduction: relint cone(v_p; p in S) is
+    {P y : y > 0 on S, y = 0 on J}.  Delta is P(s T) for the max-convention
+    four-point set T and s = ``tropical_sign()`` = -1 (calibrated at n = 3),
+    and ker P, the row space of Q, lies in T's lineality, so the relint
+    meets Delta iff some y >= 0 with zero set exactly J meets the
+    min-convention four-point condition.  Only if: for disjoint ij, kl in J,
+    y_ij + y_kl = 0 is the least of the three pairings, so it is attained
+    twice, and a second pairing lies in J: that is the exchange condition.
+    If: lift ``y_set_witness``'s (u, v) to [u + t 1 ; v + t b] over Q[t],
+    b_i = i^2, and let y_p be the order at t = 0 of its minor at p.  It is
+    0 exactly on J, as the t^0 term is the minor of u and v, and at most 2,
+    as the t^2 term is b_j - b_i != 0; the orders of a Plucker vector meet
+    the min-convention tropical Plucker relations.
 
     The span equations are the canonical basis of the kernel of the columns
     off J; the facet normals are the walls (``_gkz_walls``) of one sign on
@@ -559,23 +573,41 @@ def _gkz_walls(n: int) -> tuple[tuple[int, ...], ...]:
 def _sweep_tree(
     n: int, basis: Sequence[tuple[int, ...]]
 ) -> list[tuple[tuple[int, ...], frozenset[int]]]:
-    """The ray sums of the cells the GKZ walls cut from the closed tree cone
-    of the basis, in leaf order, each with its GKZ profile.
+    """The ray sums of the full-dimensional regions the GKZ walls cut from
+    the closed tree cone of the basis, in leaf order, each with its GKZ
+    profile.
 
     The GKZ walls, pulled back to the tree coordinates, cut the closed tree
-    cone (split coordinates >= 0, the lineality coordinate free) into cells.
-    A GKZ wall equal to some t_i = 0 stays a wall: its zero side, on that
-    facet, has another GKZ sign vector than the interior next to it.
+    cone T (split coordinates >= 0, the lineality coordinate free) into
+    regions.  A region's representative is the sum of its rays and
+    lineality vectors, which lies in its interior: it is asserted to have
+    exactly the region's signs on the walls.  Every column span is a flat of
+    the column matroid, hence the intersection of the GKZ walls that contain
+    it, so a point with the region's signs lies in a column span exactly
+    when the whole open region does; the GKZ profile, read off the spans and
+    facet signs of the pool cones, is then one profile sigma_R on int R, and
+    B int R lies in relint sigma_R.  The tree cone image lies inside Delta,
+    so every representative is asserted to lie in Delta.
 
-    A cell's representative is the sum of its rays and lineality vectors,
-    which lies in its relative interior: it is asserted to have exactly the
-    cell's signs on the walls.  Every column span is a flat of the column
-    matroid, hence the intersection of the GKZ walls that contain it, so a
-    point with the cell's signs lies in a column span exactly when the whole
-    cell does; the GKZ profile, read off the spans and facet signs of the
-    pool cones, is then one profile on the whole relative interior.  The
-    tree cone image lies inside Delta, so every representative is asserted
-    to lie in Delta.
+    The regions lose no maximal cone.  Take x in Delta in the relative
+    interior of a maximal cone sigma' of the Delta-reduction.  Then x = B t
+    with t in the closed tree cone T of some tree, and the closed regions
+    tile T, so t lies in some region R.  The cone sigma_R holds B int R, a
+    subset of Delta, in its relative interior, so it is a cone of the
+    reduction, and it holds x = B t, as t lies in the closure of int R.  In
+    a fan the cone holding x in its relative interior is a face of every
+    cone holding x, so sigma' is a face of sigma_R, and sigma' = sigma_R as
+    sigma' is maximal.
+
+    Nor do they change a witness.  The cells of T (regions and their
+    faces, signs in {+, -, 0}) come out of a sweep with boundaries in
+    lexicographic sign order with + < - < 0.  Take a cell c whose profile
+    sigma is maximal.  A region whose closure holds c keeps c's nonzero
+    signs and is nonzero where c is 0, so it comes before c, and by the
+    argument above its profile is sigma.  So in each tree the first cell
+    of each maximal profile is a region, and the regions give the same
+    first representatives.  The other cells only added profiles that are
+    not maximal, which ``fan_from_maximal`` pruned.
     """
     from .polyhedral import arrangement_leaves
 
@@ -595,11 +627,11 @@ def _sweep_tree(
     k = len(basis)
     orthant = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)]
     out = []
-    for leaf in arrangement_leaves(k, orthant, walls, with_boundaries=True):
+    for leaf in arrangement_leaves(k, orthant, walls):
         vecs = leaf.rays + leaf.lineality
         t = tuple(sum(v[j] for v in vecs) for j in range(k))
         if tuple((x > 0) - (x < 0) for x in (_dot(a, t) for a in walls)) != leaf.signs:
-            raise AssertionError(f"the ray sum {t} of a cell misses the cell's wall signs")
+            raise AssertionError(f"the ray sum {t} of a region misses its wall signs")
         rep = tuple(sum(t[j] * basis[j][i] for j in range(k)) for i in range(dim))
         if not gr.delta_contains(rep, wd):
             raise AssertionError(f"tree cone representative {rep} lies outside Delta")
@@ -611,7 +643,7 @@ class DeltaReduction(NamedTuple):
     fan: Fan
     witnesses: dict
     tree_count: int
-    rep_count: int
+    rep_count: int  # full-dimensional regions swept, over the orbit trees
 
 
 @lru_cache(maxsize=None)
@@ -629,14 +661,14 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     Representatives of one profile map to one profile (``_pool_permutation``
     is a bijection), so only the first of each profile of a swept tree is
     mapped: the later ones would be skipped.  ``rep_count`` counts the
-    representatives swept, ``tree_count`` the trees covered.
+    regions swept, ``tree_count`` the trees covered.
 
     This is exact.  The Y-sets, and so the pool, are S_n-invariant, and
     sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J).  It maps the
     representative's tree basis onto sigma T's (asserted), hence its tree
     cone image onto sigma T's, and it permutes the GKZ walls, so it maps
-    the cells of T onto the cells of sigma T.  So the cells, ray sums and
-    profiles of sigma T are the images of T's.
+    the regions of T onto the regions of sigma T.  So the regions, ray sums
+    and profiles of sigma T are the images of T's.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 (got {n})")
@@ -680,9 +712,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
 
 def delta_reduction(n: int) -> Fan:
     """The Delta-reduction of the GKZ fan: maximal GKZ cones whose relative
-    interiors meet the projected tropical variety, closed under faces.  At
-    n >= 5 it rests on the relint criterion (``_gkz_pool``), verified for
-    n <= 4 only."""
+    interiors meet the projected tropical variety, closed under faces."""
     return _delta_reduction_data(n).fan
 
 
@@ -800,8 +830,7 @@ def verify_delta_subfan(n: int) -> dict:
     the iterated stellar subdivision, with cone-by-cone certificates.  As
     Sigma_r is simplicial, a Delta cone is a face of a maximal cone m iff it
     is pointed with its rays among m's; ``is_subfan`` must agree with this
-    scan.  At n >= 5 the Delta side rests on the relint criterion
-    (``_gkz_pool``), verified for n <= 4 only."""
+    scan."""
     data = _delta_reduction_data(n)
     sr = sigma_r(n)
     if not sr.is_simplicial:
@@ -837,9 +866,7 @@ def verify_delta_subfan(n: int) -> dict:
 
 def verify_ray_classification(n: int) -> dict:
     """Rays of the Delta-reduction against the predicted candidates, plus the
-    contraction check on the lambda0 ambient fan.  At n >= 5 the Delta side
-    rests on the relint criterion (``_gkz_pool``), verified for n <= 4 only.
-    """
+    contraction check on the lambda0 ambient fan."""
     data = _delta_reduction_data(n)
     wd = gr.weights(n)
     candidates: dict[tuple[int, ...], str] = {}

@@ -805,20 +805,14 @@ def arrangement_leaves(
     walls: Sequence[IVec],
     *,
     base_eqs: Sequence[IVec] = (),
-    with_boundaries: bool = False,
 ) -> list[ArrangementLeaf]:
-    """Enumerate sign classes of a wall arrangement inside a base cone.
+    """Enumerate the full-dimensional closed regions of a wall arrangement
+    inside a base cone, each with its signs in {+1,-1}, in lexicographic sign
+    order with + before -.
 
-    With ``with_boundaries`` false only full-dimensional closed regions are
-    returned (signs in {+1,-1}); with it true every realised face is returned
-    (signs in {+1,0,-1}), where realised means the closed class is not stuck
-    inside a wall carrying a strict sign.
-
-    A branch is decided by the wall's signs on the parent's cone before any
-    cut: a strict side the wall never reaches would be flattened (or, for
-    regions, lose dimension) and is skipped.  A strict cut keeps the span, so
-    earlier strict signs are re-checked only after a zero cut that lowers the
-    dimension; pruning there drops exactly the subtrees that emit nothing.
+    A branch is decided by the wall's signs on the parent's region before
+    the cut: a strict side the wall never reaches would lose dimension and
+    is skipped, and a wall that vanishes on the region takes both sides.
     """
     root = _DDState(ambient)
     for e in base_eqs:
@@ -835,7 +829,7 @@ def arrangement_leaves(
             return
         w = walls[depth]
         pos, neg = _sides(state, w)
-        if not with_boundaries and not (pos or neg):
+        if not (pos or neg):
             # the wall vanishes on the region: both closed sides are all of it
             pos = neg = True
         for sign, reached in ((1, pos), (-1, neg)):
@@ -843,14 +837,6 @@ def arrangement_leaves(
                 child = state.copy()
                 child.insert(w if sign > 0 else _neg(w))
                 recurse(child, depth + 1, signs + (sign,))
-        if with_boundaries:
-            child = state.copy()
-            child.insert_equation(w)
-            if (pos or neg) and any(
-                s and not _sides(child, walls[j])[s < 0] for j, s in enumerate(signs)
-            ):
-                return
-            recurse(child, depth + 1, signs + (0,))
 
     recurse(root, 0, ())
     return leaves

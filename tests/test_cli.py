@@ -84,6 +84,9 @@ PINNED_PAYLOADS = {
     "fan sigma1 -n 5": "d804c466cdba5eb1784e8104d941354fed65645c51567c52ec024443a6642360",
     "ysets -n 6": "52c5fae7cfbf3531fd4894e8d703a67030a7f9d4bd1dd43e91ce2af8cb46c601",
     "ysets -n 3 --oracle": "e4bdcc4051973b85579deae69a3012017101e647b43fdd7451d14640eb8f38fa",
+    "verify delta-subfan -n 5 --force": "5362a3cd7c48e858371630d9cb4af5468edc63fdd49ee6a6e319d24fcca178c0",
+    "verify rays -n 5 --force": "8164dfb78c9e6494f066e934c7910de5b006ceeceecc5a11a4f1a7c8f1123728",
+    "fan delta -n 5 --force": "c2fd4925955e6bf30fb7cdfa6c1965a43b5d90706579f102b0ad30c766638d50",
 }
 
 

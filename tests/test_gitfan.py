@@ -16,6 +16,7 @@ from gitfankit.exact_linalg import kernel_basis, primitive_vector, solve
 from gitfankit.grassmann import TwoBlock
 from gitfankit import polyhedral
 from gitfankit.polyhedral import Cone, _dot, is_subfan
+from test_polyhedral import cell_leaves
 
 
 def test_omega_star_inside_omega():
@@ -459,13 +460,13 @@ def test_delta_witnesses_in_relint():
         assert gr.delta_contains(wit, wd)
 
 
-# (trees covered, representatives swept, maximal cones) and the sorted
-# witnesses: the images of the cells' ray sums that first reached each
-# maximal cone's profile
+# (trees covered, regions swept, maximal cones) and the sorted witnesses:
+# the images of the regions' ray sums that first reached each maximal
+# cone's profile
 DELTA_PINS = {
-    3: ((3, 10, 5), [(-2, -4, -4), (-2, -2, 2), (-2, 2, -2), (2, -2, -2), (6, 2, 2)]),
+    3: ((3, 4, 5), [(-2, -4, -4), (-2, -2, 2), (-2, 2, -2), (2, -2, -2), (6, 2, 2)]),
     4: (
-        (15, 120, 17),
+        (15, 31, 17),
         [
             (-6, -6, -2, -2, -6, -6), (-6, -2, -6, -6, -2, -6), (-4, -4, -2, 2, -4, -4),
             (-4, -4, 2, -2, -4, -4), (-4, -2, -4, -4, 2, -4), (-4, 2, -4, -4, -2, -4),
@@ -488,13 +489,31 @@ def test_delta_reduction_counts(n):
         assert c.contains(data.witnesses[(c.facets, c.span_eqs)], "relative_interior")
 
 
+def _tree_walls(n, basis):
+    """The GKZ walls pulled back to the tree coordinates of the basis, each
+    primitive with its first nonzero entry positive."""
+    twalls = set()
+    for a in gf._gkz_walls(n):
+        ta = tuple(_dot(a, b) for b in basis)
+        if any(ta):
+            ta = primitive_vector(ta)
+            twalls.add(ta if next(x for x in ta if x) > 0 else tuple(-x for x in ta))
+    return twalls
+
+
+def _orthant(k):
+    """The split coordinates >= 0; the last, lineality, coordinate is free."""
+    return [tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)]
+
+
 def _full_span_delta_reference(n):
-    """The sweep before it was restricted to the closed tree cone: the
-    coordinate hyperplanes t_i = 0 join the walls, no base cone is given, so
-    the whole span of each tree cone image is swept, and ``delta_contains``
-    filters the representatives.  Each representative is the explicit
-    genericity search over every column span of the full pool.  Returns the
-    first representative of each profile, in the order found."""
+    """The sweep before it was restricted to the regions of the closed tree
+    cone: the coordinate hyperplanes t_i = 0 join the walls, no base cone is
+    given, so every cell of the whole span of each tree cone image is swept
+    (``cell_leaves``), and ``delta_contains`` filters the representatives.
+    Each representative is the explicit genericity search over every column
+    span of the full pool.  Returns the first representative of each
+    profile, in the order found."""
     wd = gr.weights(n)
     dim = len(wd.p)
     sign = gr.tropical_sign()
@@ -504,18 +523,8 @@ def _full_span_delta_reference(n):
     for tree in gr.trivalent_trees(n):
         basis = [tuple(sign * x for x in gr.split_image(wd, b)) for b in tree] + [lin]
         k = len(basis)
-        twalls = set()
-        for a in gf._gkz_walls(n):
-            ta = tuple(sum(x * y for x, y in zip(a, b)) for b in basis)
-            if any(ta):
-                ta = primitive_vector(ta)
-                if next(x for x in ta if x) < 0:
-                    ta = tuple(-x for x in ta)
-                twalls.add(ta)
-        for i in range(len(tree)):
-            twalls.add(tuple(1 if j == i else 0 for j in range(k)))
-        leaves = polyhedral.arrangement_leaves(k, [], sorted(twalls), with_boundaries=True)
-        for leaf in leaves:
+        twalls = _tree_walls(n, basis) | set(_orthant(k))
+        for leaf in cell_leaves(k, [], sorted(twalls)):
             vecs = [_image(basis, v) for v in leaf.rays + leaf.lineality]
             rep = _generic_rep_reference(vecs, spans, dim)
             if gr.delta_contains(rep, wd):
@@ -530,16 +539,23 @@ def _image(basis, t):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_tree_cone_sweep_matches_full_span_reference(n, monkeypatch):
-    """The orbit sweep of the closed tree cones finds the profiles the
-    all-trees full-span sweep finds, with the same first representative,
-    hence the same fan and witnesses; every point it tries lies in Delta:
-    each representative swept and each new profile's witness."""
+    """The orbit sweep of the regions of the closed tree cones finds the
+    maximal profiles the all-trees full-span sweep of every cell finds, in
+    the same order and with the same first representative, hence the same
+    fan and witnesses; every point it tries lies in Delta: each region's
+    representative and each new profile's witness."""
     reference = _full_span_delta_reference(n)
+    cones = {profile: gf._profile_cone(profile, rep, n) for profile, rep in reference.items()}
     by_key = {}
-    for profile, rep in reference.items():
-        sigma = gf._profile_cone(profile, rep, n)
-        by_key.setdefault((sigma.facets, sigma.span_eqs), (sigma, rep))
+    for profile, sigma in cones.items():
+        by_key.setdefault((sigma.facets, sigma.span_eqs), (sigma, reference[profile]))
     ref_fan = polyhedral.fan_from_maximal(c for c, _ in by_key.values())
+    maximal = {(c.facets, c.span_eqs) for c in ref_fan.maximal}
+    restricted = {
+        profile: rep
+        for profile, rep in reference.items()
+        if (cones[profile].facets, cones[profile].span_eqs) in maximal
+    }
 
     tried = []
     real_contains = gr.delta_contains
@@ -552,13 +568,13 @@ def test_tree_cone_sweep_matches_full_span_reference(n, monkeypatch):
     monkeypatch.setattr(gr, "delta_contains", recording_contains)
     data = gf._delta_reduction_data.__wrapped__(n)
     assert data.rep_count == DELTA_PINS[n][0][1]
-    assert len(tried) == data.rep_count + len(reference)
+    assert len(tried) == data.rep_count + len(restricted)
     assert all(hit for _, hit in tried)
     first_rep = {}
     for rep, _ in tried:
         first_rep.setdefault(gf._gkz_profile(rep, n), rep)
-    assert first_rep == reference
-    assert list(first_rep) == list(reference)
+    assert first_rep == restricted
+    assert list(first_rep) == list(restricted)
     assert data.fan == ref_fan
     assert data.witnesses == {
         (c.facets, c.span_eqs): by_key[(c.facets, c.span_eqs)][1] for c in ref_fan.maximal
@@ -567,22 +583,15 @@ def test_tree_cone_sweep_matches_full_span_reference(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_ray_sums_are_full_span_generic_reps(n):
-    """On every cell of every tree, the sweep's representative, the ray sum,
-    is the representative the explicit genericity search over every column
-    span of the full pool picks."""
+    """On every region of every tree, the sweep's representative, the ray
+    sum, is the representative the explicit genericity search over every
+    column span of the full pool picks."""
     spans = _full_spans(n)
     checked = 0
     for tree in gr.trivalent_trees(n):
         basis = gr.tree_basis(n, tree, gr.tropical_sign())
         k = len(basis)
-        twalls = set()
-        for a in gf._gkz_walls(n):
-            ta = tuple(_dot(a, b) for b in basis)
-            if any(ta):
-                ta = primitive_vector(ta)
-                twalls.add(ta if next(x for x in ta if x) > 0 else tuple(-x for x in ta))
-        orthant = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)]
-        leaves = polyhedral.arrangement_leaves(k, orthant, sorted(twalls), with_boundaries=True)
+        leaves = polyhedral.arrangement_leaves(k, _orthant(k), sorted(_tree_walls(n, basis)))
         expected = [
             _generic_rep_reference([_image(basis, v) for v in leaf.rays + leaf.lineality],
                                    spans, len(basis[0]))
@@ -590,12 +599,12 @@ def test_ray_sums_are_full_span_generic_reps(n):
         ]
         assert [rep for rep, _ in gf._sweep_tree(n, basis)] == expected
         checked += len(expected)
-    assert checked == {3: 30, 4: 990}[n]
+    assert checked == {3: 12, 4: 264}[n]
 
 
 def test_sweep_rejects_a_cell_whose_ray_sum_misses_its_signs(monkeypatch):
-    """Negative control: a cell whose signs disagree with its ray sum stops
-    the Delta-reduction."""
+    """Negative control: a region whose signs disagree with its ray sum
+    stops the Delta-reduction."""
     real_leaves = polyhedral.arrangement_leaves
 
     def flipped_leaves(*args, **kwargs):
@@ -605,7 +614,7 @@ def test_sweep_rejects_a_cell_whose_ray_sum_misses_its_signs(monkeypatch):
         return [polyhedral.ArrangementLeaf(signs, leaf.rays, leaf.lineality)] + leaves[1:]
 
     monkeypatch.setattr(polyhedral, "arrangement_leaves", flipped_leaves)
-    with pytest.raises(AssertionError, match="misses the cell's wall signs"):
+    with pytest.raises(AssertionError, match="misses its wall signs"):
         gf._delta_reduction_data.__wrapped__(3)
 
 
@@ -710,10 +719,10 @@ def test_gkz_walls_n5():
 
 @pytest.mark.parametrize("n, cones, spans, walls", [(3, 25, 17, 9), (4, 140, 356, 57)])
 def test_y_set_pool_matches_full_pool(n, cones, spans, walls):
-    """On every tree's representatives and on every witness, the
-    column cones holding the point in their relative interior are the same
-    whether read from the Y-set pool or from the pool over all column
-    subsets; the full pool has the pinned number of spans, and the walls
+    """On the ray sum of every cell of every tree (``cell_leaves``, the
+    regions and all their faces) and on every witness, the column cones
+    holding the point in their relative interior are the same whether read
+    from the Y-set pool or from the pool over all column subsets; the full pool has the pinned number of spans, and the walls
     are the normals of its codim-one cones."""
     full = _full_gkz_pool(n)
     pool = _pool_cones(n)
@@ -724,16 +733,21 @@ def test_y_set_pool_matches_full_pool(n, cones, spans, walls):
     expected = {a if next(x for x in a if x) > 0 else tuple(-x for x in a) for a in normals}
     assert gf._gkz_walls(n) == tuple(sorted(expected)) and len(expected) == walls
 
-    # every representative of every tree: the swept ones mapped by each
+    # every cell of every tree: the orbit trees' ray sums mapped by each
     # tree's sigma
     trees = gr.trivalent_trees(n)
     orbits = sym.tree_orbits(n)
     sign = gr.tropical_sign()
-    swept = {r: gf._sweep_tree(n, gr.tree_basis(n, trees[r], sign)) for r in {r for r, _ in orbits}}
+    swept = {}
+    for r in {r for r, _ in orbits}:
+        basis = gr.tree_basis(n, trees[r], sign)
+        k = len(basis)
+        leaves = cell_leaves(k, _orthant(k), sorted(_tree_walls(n, basis)))
+        swept[r] = [_image(basis, [sum(x) for x in zip(*l.rays + l.lineality)]) for l in leaves]
     images = [
         tuple(rep[k] for k in sym.gale_permutation(n, sigma))
         for r, sigma in orbits
-        for rep, _ in swept[r]
+        for rep in swept[r]
     ]
     assert len(images) == {3: 30, 4: 990}[n]
     points = set(images) | set(gf._delta_reduction_data(n).witnesses.values())

@@ -304,6 +304,41 @@ def test_every_y_set_has_a_labelling_witness(n):
         assert wedge_support(u, v) == mask
 
 
+def lifted_witness_orders(mask, n):
+    """The orders y_p at t = 0 of the minors of [u + t 1 ; v + t b] over
+    Q[t], b_i = i^2, with (u, v) the witness of the Y-set mask: the minor
+    at ij is (u_i v_j - u_j v_i) + (u_i b_j + v_j - u_j b_i - v_i) t +
+    (b_j - b_i) t^2.  None where the minor is the zero polynomial."""
+    u, v = y_set_witness(mask, n)
+    b = [i * i for i in range(n + 1)]
+    orders = []
+    for i, j in pairs(n)[0]:
+        coeffs = (u[i] * v[j] - u[j] * v[i], u[i] * b[j] + v[j] - u[j] * b[i] - v[i], b[j] - b[i])
+        orders.append(next((e for e, c in enumerate(coeffs) if c), None))
+    return orders
+
+
+@pytest.mark.parametrize("n, count", [(2, 8), (3, 37), (4, 172), (5, 814), (6, 4013)])
+def test_lifted_witness_certifies_the_relint_criterion(n, count):
+    """The "if" half of the relint criterion (``gitfan._gkz_pool``), Y-set by
+    Y-set: the orders y of the lifted witness are at most 2, vanish exactly
+    on the Y-set, and -y passes the max-convention four-point test, so y >=
+    0 meets the min-convention one with zero set exactly J.  Negative
+    control: y itself fails the max-convention test for some Y-set."""
+    unflipped_fails = 0
+    masks = y_set_masks(n)
+    assert len(masks) == count
+    for mask in masks:
+        y = lifted_witness_orders(mask, n)
+        assert all(e is not None and e <= 2 for e in y), mask
+        assert sum(1 << k for k, e in enumerate(y) if e == 0) == mask
+        assert trop_contains([-e for e in y], n), mask
+        unflipped_fails += not trop_contains(y, n)
+    if n == 3:
+        assert unflipped_fails == 23
+    assert unflipped_fails > 0 or n == 2
+
+
 def test_witness_succeeds_on_y_sets_alone_n4():
     """Negative control: of the 1,024 sets of pairs at n = 4 a witness
     verifies for the 172 Y-sets and for no other."""

@@ -470,8 +470,8 @@ def assembler_inputs(build, *args):
 
 
 def side_table_inputs():
-    """Named cone lists: GIT fan regions, Delta(4)'s profile cones, the
-    sigma ambient fans, random simplicial fans (maximal cones, all faces,
+    """Named cone lists: GIT fan regions, Delta(4)'s profile cones and all
+    its faces, the sigma ambient fans, random simplicial fans (maximal cones, all faces,
     and two fans overlaid), and collections that are not fans."""
     from gitfankit.semilattice import random_simplicial_fan
 
@@ -482,8 +482,9 @@ def side_table_inputs():
         for key in (0, 1):
             cases += [(f"sigma-{n}-{key}", c) for c in assembler_inputs(gf.sigma_fan_cached, n, key)]
     (profiles,) = assembler_inputs(gf._delta_reduction_data, 4)
-    assert len(profiles) == 63
+    assert len(profiles) == 17
     cases.append(("delta-4-profiles", profiles))
+    cases.append(("delta-4-faces", list(gf.delta_reduction(4).cones().values())))
     for seed in range(6):
         rng = random.Random(seed)
         ambient = 2 + seed % 3
@@ -709,9 +710,49 @@ def test_arrangement_regions_quadrants():
     assert len(leaves) == 2
 
 
+def cell_leaves(ambient, base_ineqs, walls, base_eqs=()):
+    """Every realised cell of a wall arrangement inside a base cone, signs in
+    {+1,0,-1}, in lexicographic sign order with + < - < 0: the full-
+    dimensional regions of ``arrangement_leaves`` and all their faces, where
+    realised means the closed class is not stuck inside a wall carrying a
+    strict sign.  A strict side the wall never reaches is skipped; a strict
+    cut keeps the span, so earlier strict signs are re-checked only after a
+    zero cut that lowers the dimension."""
+    from gitfankit.polyhedral import ArrangementLeaf, _DDState, _neg, _sides
+
+    root = _DDState(ambient)
+    for e in base_eqs:
+        root.insert_equation(e)
+    for a in base_ineqs:
+        root.insert(a)
+    leaves = []
+
+    def recurse(state, depth, signs):
+        if depth == len(walls):
+            leaves.append(ArrangementLeaf(signs, tuple(state.rays), tuple(state.lin)))
+            return
+        w = walls[depth]
+        pos, neg = _sides(state, w)
+        for sign, reached in ((1, pos), (-1, neg)):
+            if reached:
+                child = state.copy()
+                child.insert(w if sign > 0 else _neg(w))
+                recurse(child, depth + 1, signs + (sign,))
+        child = state.copy()
+        child.insert_equation(w)
+        if (pos or neg) and any(
+            s and not _sides(child, walls[j])[s < 0] for j, s in enumerate(signs)
+        ):
+            return
+        recurse(child, depth + 1, signs + (0,))
+
+    recurse(root, 0, ())
+    return leaves
+
+
 def test_arrangement_faces_count():
     # one line through the plane: 2 regions, the line itself realised as a face
-    leaves = arrangement_leaves(2, [], [(1, -1)], with_boundaries=True)
+    leaves = cell_leaves(2, [], [(1, -1)])
     signs = sorted(l.signs for l in leaves)
     assert signs == [(-1,), (0,), (1,)]
 
@@ -720,7 +761,7 @@ def test_arrangement_faces_braid_count():
     # x=y, x=z, y=z in 3-space: 6 chambers, 6 walls, 1 common line; the
     # all-zero class is the line x=y=z and the mixed zero patterns are empty
     walls = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
-    leaves = arrangement_leaves(3, [], walls, with_boundaries=True)
+    leaves = cell_leaves(3, [], walls)
     by_zeros = {}
     for l in leaves:
         by_zeros.setdefault(l.signs.count(0), []).append(l.signs)
@@ -734,7 +775,7 @@ def test_arrangement_faces_braid_count():
 
 def test_zero_cone_leaf_representative_is_ambient_zero():
     # a leaf's representative is the relative interior point of its cone
-    leaves = arrangement_leaves(2, [], [(1, 0), (0, 1)], with_boundaries=True)
+    leaves = cell_leaves(2, [], [(1, 0), (0, 1)])
     zero = [l for l in leaves if l.signs == (0, 0)]
     assert len(zero) == 1 and not zero[0].rays and not zero[0].lineality
     assert Cone.from_generators(zero[0].rays, 2).relint_point() == (0, 0)
@@ -913,6 +954,9 @@ def reference_leaves(ambient, base_ineqs, walls, base_eqs=(), with_boundaries=Fa
 
 @pytest.mark.parametrize("with_boundaries", [False, True])
 def test_arrangement_leaves_match_unpruned_reference(with_boundaries):
+    """The regions of ``arrangement_leaves`` and, with boundaries, the cells
+    of the test-local ``cell_leaves`` against the unpruned recursion."""
+    sweep = cell_leaves if with_boundaries else arrangement_leaves
     rng = random.Random(41 + with_boundaries)
     seen = {"base_ineqs": 0, "base_eqs": 0, "wall vanishing on base": 0, "none": 0}
     for _ in range(70):
@@ -932,7 +976,7 @@ def test_arrangement_leaves_match_unpruned_reference(with_boundaries):
         seen["base_eqs"] += bool(eqs)
         seen["none"] += not ineqs and not eqs
         seen["wall vanishing on base"] += any(any(e) and w == tuple(2 * x for x in e) for e in eqs for w in walls)
-        got = arrangement_leaves(dim, ineqs, walls, base_eqs=eqs, with_boundaries=with_boundaries)
+        got = sweep(dim, ineqs, walls, base_eqs=eqs)
         assert [(l.signs, l.rays, l.lineality) for l in got] == reference_leaves(
             dim, ineqs, walls, eqs, with_boundaries
         )
