@@ -39,13 +39,13 @@ GUARDS: dict[str, tuple[int, float]] = {
     "sigma0": (3, 5),
     "sigma1": (3, 5),
     "sigmar": (3, 5),
-    "delta": (3, 4),
+    "delta": (3, 5),
     "walls": (2, 5),
     "star-subfan": (3, 5),
     "fk-bridge": (2, math.inf),
     "thm44": (2, math.inf),
-    "delta-subfan": (3, 4),
-    "rays": (3, 4),
+    "delta-subfan": (3, 5),
+    "rays": (3, 5),
     "nu-equality": (3, 5),
 }
 

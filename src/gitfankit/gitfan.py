@@ -514,25 +514,6 @@ def _gkz_pool(n: int) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
 
 
 @lru_cache(maxsize=None)
-def _pool_permutation(n: int, sigma: sym.Perm) -> tuple[int, ...]:
-    """Entry i is the pool index of the image of pool cone i under sigma.
-
-    sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J), and the
-    Y-sets are S_n-invariant, so the cone of the Y-set mask Y goes to the
-    cone of sigma Y; every mask of one cone must agree on the image.
-    """
-    table = _gkz_table(n)
-    index = {ymask: i for i, masks in enumerate(table.masks) for ymask in masks}
-    perm = sym.pair_permutation(n, sigma)
-    out: dict[int, int] = {}
-    for ymask, i in index.items():
-        image = index.get(sum(1 << perm[k] for k in range(len(perm)) if ymask >> k & 1))
-        if image is None or out.setdefault(i, image) != image:
-            raise AssertionError(f"sigma = {sigma} does not permute the GKZ pool")
-    return tuple(out[i] for i in range(len(out)))
-
-
-@lru_cache(maxsize=None)
 def _gkz_table(n: int) -> _ConeTable:
     """The pool as a table of cones, with the Y-set masks of each."""
     keys, masks = zip(*_gkz_pool(n))
@@ -651,62 +632,72 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     """Maximal GKZ cones met by Delta, each with its first-found witness.
 
     The tree cone images cover Delta.  Only the first tree of each S_n orbit
-    (``symmetry.tree_orbits``) is swept (``_sweep_tree``); every tree, in
-    ``trivalent_trees`` order, then takes its representative's
-    representatives in leaf order, mapped by its sigma: the point by
-    ``symmetry.gale_permutation``, the profile by ``_pool_permutation``.  A
-    profile not seen before gets the image as its witness, which must lie
-    in Delta, have exactly the mapped profile and lie in the relative
-    interior of the profile's cone; the first witness of each cone is kept.
-    Representatives of one profile map to one profile (``_pool_permutation``
-    is a bijection), so only the first of each profile of a swept tree is
-    mapped: the later ones would be skipped.  ``rep_count`` counts the
-    regions swept, ``tree_count`` the trees covered.
+    (``symmetry.tree_orbits``) is swept (``_sweep_tree``), and the first
+    representative of each profile there gets its profile cone by
+    conversion (``_profile_cone``).  Every tree, in ``trivalent_trees``
+    order, then takes these pairs in leaf order, each moved by its sigma's
+    permutation of the Gale coordinates (``symmetry.gale_permutation``): the
+    point as a vector, the cone by ``Cone.permuted``.  Every image must lie
+    in the relative interior of its moved cone, checked before the cone is
+    looked up, so that a wrong move cannot hide behind a cone already seen.
+    A cone not seen before gets the image as its witness, which must lie in
+    Delta.  ``rep_count`` counts the regions swept, ``tree_count`` the trees
+    covered.
 
-    This is exact.  The Y-sets, and so the pool, are S_n-invariant, and
-    sigma maps cone(v_p; p in J) onto cone(v_p; p in sigma J).  It maps the
-    representative's tree basis onto sigma T's (asserted), hence its tree
-    cone image onto sigma T's, and it permutes the GKZ walls, so it maps
-    the regions of T onto the regions of sigma T.  So the regions, ray sums
-    and profiles of sigma T are the images of T's.
+    This is exact.  sigma maps every v_p to v_sigma(p) (checked in
+    ``gale_permutation``) and every Y-set to a Y-set (checked here on the
+    adjacent transpositions, which generate S_n), so it maps each pool cone
+    cone(v_p; p not in J) onto the pool cone of sigma J, and its relative
+    interior onto that cone's relative interior.  Hence the profile of
+    sigma x is sigma applied to the profile of x, and the profile cone of
+    sigma x is sigma applied to the profile cone of x.  Deduplicating by
+    cone key is deduplicating by profile, as a profile is constant on the
+    relative interior of its cone.  sigma maps the representative's tree
+    basis onto sigma T's (asserted), hence its tree cone image onto sigma
+    T's, and it permutes the GKZ walls, so it maps the regions of T onto
+    the regions of sigma T: the regions, ray sums and profiles of sigma T
+    are the images of T's.  So only the first representative of each
+    profile of a swept tree need be moved: the later ones would be skipped.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 (got {n})")
+    masks = set(gr.y_set_masks(n))
+    for i in range(1, n):
+        swap = sym.pair_permutation(n, (*range(1, i), i + 1, i, *range(i + 2, n + 1)))
+        if {sum(1 << s for k, s in enumerate(swap) if m >> k & 1) for m in masks} != masks:
+            raise AssertionError(f"the Y-sets are not invariant under ({i} {i + 1})")
     wd = gr.weights(n)
     trees = gr.trivalent_trees(n)
-    # per swept tree: its first representative of each profile
-    swept: dict[int, dict[frozenset[int], tuple[int, ...]]] = {}
+    # per swept tree: the first representative of each profile, with its cone
+    swept: dict[int, list[tuple[tuple[int, ...], Cone]]] = {}
     rep_count = 0
-    profiles: dict[frozenset[int], Cone] = {}
-    first_rep: dict[tuple, tuple[int, ...]] = {}
+    # per cone key: the cone and its first witness
+    cones: dict[tuple, tuple[Cone, tuple[int, ...]]] = {}
     sign = gr.tropical_sign()
     for tree, (r, sigma) in zip(trees, sym.tree_orbits(n)):
         rep_basis = gr.tree_basis(n, trees[r], sign)
         if r not in swept:
             reps = _sweep_tree(n, rep_basis)
             rep_count += len(reps)
-            swept[r] = {}
+            first: dict[frozenset[int], tuple[int, ...]] = {}
             for rep, profile in reps:
-                swept[r].setdefault(profile, rep)
+                first.setdefault(profile, rep)
+            swept[r] = [(rep, _profile_cone(profile, rep, n)) for profile, rep in first.items()]
         inv = sym.gale_permutation(n, sigma)
         image, basis = [tuple(b[k] for k in inv) for b in rep_basis], gr.tree_basis(n, tree, sign)
         if image[-1] != basis[-1] or sorted(image) != sorted(basis):
             raise AssertionError(f"sigma = {sigma} does not map tree {trees[r]} onto {tree}")
-        perm = _pool_permutation(n, sigma)
-        for profile, rep in swept[r].items():
-            mapped = frozenset(perm[i] for i in profile)
-            if mapped in profiles:
-                continue
-            w = tuple(rep[k] for k in inv)
-            if not gr.delta_contains(w, wd):
-                raise AssertionError(f"the image {w} of a representative lies outside Delta")
-            if _gkz_profile(w, n) != mapped:
-                raise AssertionError(f"the image {w} of a representative has another GKZ profile")
-            sigma_cone = profiles[mapped] = _profile_cone(mapped, w, n)
-            first_rep.setdefault(sigma_cone._key(), w)
+        for rep, cone in swept[r]:
+            w, c = tuple(rep[k] for k in inv), cone.permuted(inv)
+            if not c.contains(w, "relative_interior"):
+                raise AssertionError(f"the image {w} misses its moved cone's relative interior")
+            if c._key() not in cones:
+                if not gr.delta_contains(w, wd):
+                    raise AssertionError(f"the image {w} of a representative lies outside Delta")
+                cones[c._key()] = (c, w)
 
-    fan = fan_from_maximal(profiles.values())
-    witnesses = {c._key(): first_rep[c._key()] for c in fan.maximal}
+    fan = fan_from_maximal(c for c, _ in cones.values())
+    witnesses = {c._key(): cones[c._key()][1] for c in fan.maximal}
     return DeltaReduction(fan, witnesses, len(trees), rep_count)
 
 
@@ -830,7 +821,11 @@ def verify_delta_subfan(n: int) -> dict:
     the iterated stellar subdivision, with cone-by-cone certificates.  As
     Sigma_r is simplicial, a Delta cone is a face of a maximal cone m iff it
     is pointed with its rays among m's; ``is_subfan`` must agree with this
-    scan."""
+    scan.
+
+    The Sigma_r checked is ``sigma_r(n)``, subdivided in ``nu_order(n)``.
+    At n = 5 the order of the subdivisions changes the fan, so there the
+    claim is proved for that order only."""
     data = _delta_reduction_data(n)
     sr = sigma_r(n)
     if not sr.is_simplicial:

@@ -278,9 +278,26 @@ class Cone(_ConeFields):
         *,
         ambient: int,
     ) -> "Cone":
-        cleaned_ineqs = tuple(sorted({a for a in map(primitive_vector, ineqs) if any(a)}))
-        cleaned_eqs = tuple(sorted({e for e in map(primitive_vector, eqs) if any(e)}))
+        ineqs, eqs = list(map(primitive_vector, ineqs)), list(map(primitive_vector, eqs))
+        for kind, rows in (("inequality", ineqs), ("equation", eqs)):
+            if any(len(a) != ambient for a in rows):
+                raise ValueError(f"{kind} has wrong dimension")
+        cleaned_ineqs = tuple(sorted({a for a in ineqs if any(a)}))
+        cleaned_eqs = tuple(sorted({e for e in eqs if any(e)}))
         return _cone_from_ineqs(cleaned_ineqs, cleaned_eqs, ambient)
+
+    def permuted(self, perm: Sequence[int]) -> "Cone":
+        """The image under the coordinate permutation x -> (x[k] for k in
+        perm), with no conversion.  The map is orthogonal, so moved rays stay
+        primitive and reduced modulo the moved lineality, and moved facets
+        modulo the moved span equations: both are re-sorted, and the two
+        subspace bases re-read in canonical form."""
+        rays, lin, facets, eqs = (
+            [tuple(v[k] for k in perm) for v in vectors]
+            for vectors in (self.rays, self.lineality, self.facets, self.span_eqs)
+        )
+        return Cone(self.ambient, tuple(sorted(rays)), _canonical_subspace_basis(lin),
+                    tuple(sorted(facets)), _canonical_subspace_basis(eqs))
 
     # -- basic queries ------------------------------------------------------
 

@@ -7,6 +7,11 @@ permutes the pairs over {0..n}, hence the Y-sets and the trivalent trees
 Gale side it permutes the coordinates, which are the inner pairs: their Gale
 columns are the unit vectors, so moving coordinate ij to sigma(ij) maps v_p
 to v_sigma(p) for every pair p.
+
+S_n reaches the Delta sweep through the Gale coordinates alone: points and
+cones move by ``gale_permutation`` (``Cone.permuted``).  The pair
+permutations serve ``gale_permutation`` and the check that the Y-sets are
+S_n-invariant.
 """
 
 from __future__ import annotations

@@ -84,9 +84,11 @@ PINNED_PAYLOADS = {
     "fan sigma1 -n 5": "d804c466cdba5eb1784e8104d941354fed65645c51567c52ec024443a6642360",
     "ysets -n 6": "52c5fae7cfbf3531fd4894e8d703a67030a7f9d4bd1dd43e91ce2af8cb46c601",
     "ysets -n 3 --oracle": "e4bdcc4051973b85579deae69a3012017101e647b43fdd7451d14640eb8f38fa",
-    "verify delta-subfan -n 5 --force": "5362a3cd7c48e858371630d9cb4af5468edc63fdd49ee6a6e319d24fcca178c0",
-    "verify rays -n 5 --force": "8164dfb78c9e6494f066e934c7910de5b006ceeceecc5a11a4f1a7c8f1123728",
-    "fan delta -n 5 --force": "c2fd4925955e6bf30fb7cdfa6c1965a43b5d90706579f102b0ad30c766638d50",
+    "verify delta-subfan -n 5": "5362a3cd7c48e858371630d9cb4af5468edc63fdd49ee6a6e319d24fcca178c0",
+    "verify rays -n 5": "8164dfb78c9e6494f066e934c7910de5b006ceeceecc5a11a4f1a7c8f1123728",
+    "fan delta -n 5": "c2fd4925955e6bf30fb7cdfa6c1965a43b5d90706579f102b0ad30c766638d50",
+    "verify all -n 4 --seed 2024": "4ba14b8b7bc1802f2fd4a72687ebfde33f2a7c9233f31a387d3aadf55466865e",
+    "poset delta -n 5": "95526714d36f4ba67427ecc10db75703e0f95b51c43ac51494545a58b345985b",
 }
 
 
@@ -99,7 +101,7 @@ def test_payload_pinned(command, tmp_path, capsys):
 
 
 def test_fan_delta_guard(capsys):
-    code, _, err = run(["fan", "delta", "-n", "5"], capsys)
+    code, _, err = run(["fan", "delta", "-n", "6"], capsys)
     assert code == 2
 
 
@@ -161,7 +163,7 @@ def test_verify_fk_bridge_seeded(capsys):
 
 
 def test_verify_guard(capsys):
-    code, _, err = run(["verify", "delta-subfan", "-n", "5"], capsys)
+    code, _, err = run(["verify", "delta-subfan", "-n", "6"], capsys)
     assert code == 2
 
 
@@ -366,16 +368,19 @@ def test_verify_all_names_skipped_claims(monkeypatch, capsys):
     lines = [l for l in out.splitlines() if "skipped" in l]
     assert lines == [
         "star-subfan: skipped (n=2 outside 3..5)",
-        "delta-subfan: skipped (n=2 outside 3..4)",
-        "rays: skipped (n=2 outside 3..4)",
+        "delta-subfan: skipped (n=2 outside 3..5)",
+        "rays: skipped (n=2 outside 3..5)",
         "nu-equality: skipped (n=2 outside 3..5)",
     ]
-    code, out, _ = run(["verify", "all", "-n", "5"], capsys)
+    code, out, _ = run(["verify", "all", "-n", "6"], capsys)
     assert code == 0
     lines = [l for l in out.splitlines() if "skipped" in l]
     assert lines == [
-        "delta-subfan: skipped (n=5 outside 3..4; --force lifts the maximum)",
-        "rays: skipped (n=5 outside 3..4; --force lifts the maximum)",
+        "walls: skipped (n=6 outside 2..5; --force lifts the maximum)",
+        "star-subfan: skipped (n=6 outside 3..5; --force lifts the maximum)",
+        "delta-subfan: skipped (n=6 outside 3..5; --force lifts the maximum)",
+        "rays: skipped (n=6 outside 3..5; --force lifts the maximum)",
+        "nu-equality: skipped (n=6 outside 3..5; --force lifts the maximum)",
     ]
     assert len(out.splitlines()) == 7
 

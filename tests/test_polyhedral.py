@@ -54,6 +54,20 @@ def test_from_inequalities_scales_rational_entries():
     assert Cone.from_inequalities([], [(Fraction(1, 3), 1)], ambient=2).span_eqs == ((1, 3),)
 
 
+@pytest.mark.parametrize("row", [(1, 0, 5), (1,)])
+def test_from_inequalities_rejects_an_inequality_of_wrong_length(row):
+    # a row is never truncated or padded to the ambient dimension: (1, 0, 5)
+    # and (1,) are not the half-plane x0 >= 0
+    with pytest.raises(ValueError, match="inequality has wrong dimension"):
+        Cone.from_inequalities([row], ambient=2)
+
+
+@pytest.mark.parametrize("row", [(1, 0, 5), (1,)])
+def test_from_inequalities_rejects_an_equation_of_wrong_length(row):
+    with pytest.raises(ValueError, match="equation has wrong dimension"):
+        Cone.from_inequalities([(0, 1)], [row], ambient=2)
+
+
 def test_dual_description_halfplane():
     c = cone((1, 0), (-1, 0), (0, 1))
     assert c.facets == ((0, 1),)

@@ -1,6 +1,7 @@
-"""The S_n action on pairs, Gale columns, trivalent trees and the GKZ pool."""
+"""The S_n action on pairs, Gale columns, trivalent trees and the cones of Delta."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -23,12 +24,6 @@ def image_tree(sigma, tree):
 def apply(m, x):
     """The matrix-vector product m x."""
     return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
-
-
-def pool_cones(n):
-    """The pool cones by double description, a reference independent of
-    the walls: the column cone of the first Y-set mask of each entry."""
-    return [gf._column_cone(n, masks[0]) for masks in gf._gkz_table(n).masks]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -99,26 +94,60 @@ def test_each_sigma_maps_its_representative_onto_its_tree(n):
         assert min(orbit) == r <= t
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_pool_permutation_is_the_image_of_each_cone(n):
-    """Each sigma of ``tree_orbits`` permutes the pool indices, and sigma's
-    permutation of the Gale coordinates maps pool cone i onto pool cone
-    perm[i]."""
-    pool = pool_cones(n)
-    dim = len(gr.weights(n).p)
-    for sigma in sorted({s for _, s in sym.tree_orbits(n)}):
-        perm = gf._pool_permutation(n, sigma)
-        assert sorted(perm) == list(range(len(pool)))
+def moved(x, inv):
+    return tuple(x[k] for k in inv)
+
+
+@pytest.mark.parametrize("cones, perms", [
+    # tree cone images: lineality and span equations
+    (lambda: gr._tree_cones(4, gr.tropical_sign()), "gale"),
+    # every face of Delta(4): pointed, with span equations
+    (lambda: sorted({f for c in gf.delta_reduction(4).maximal for f in c.faces()}), "gale"),
+    # the GIT fan on the weight side, under every permutation of its coordinates
+    (lambda: gf.git_fan(4).maximal, "all"),
+], ids=["tree-cones-4", "delta-4-faces", "git-fan-4"])
+def test_permuted_cone_is_the_cone_of_its_permuted_generators(cones, perms):
+    """``Cone.permuted`` equals the double description of the permuted
+    generators, for every sigma's Gale permutation at n = 4 or every
+    coordinate permutation."""
+    cones = cones()
+    dim = cones[0].ambient
+    if perms == "gale":
+        perms = [sym.gale_permutation(4, s) for s in itertools.permutations(range(1, 5))]
+    else:
+        perms = list(itertools.permutations(range(dim)))
+    for inv in perms:
+        for c in cones:
+            expected = Cone.from_generators([moved(g, inv) for g in c.generators()], dim)
+            assert c.permuted(inv) == expected, (inv, c)
+
+
+def orbit_images(n):
+    """Per tree, in order: its orbit representative's first region ray sum
+    of each profile, and that profile's cone, both moved by the tree's
+    sigma; the loop of ``_delta_reduction_data`` without its checks."""
+    trees = gr.trivalent_trees(n)
+    swept = {}
+    images = []
+    for r, sigma in sym.tree_orbits(n):
+        if r not in swept:
+            first = {}
+            for rep, profile in gf._sweep_tree(n, gr.tree_basis(n, trees[r], gr.tropical_sign())):
+                first.setdefault(profile, rep)
+            swept[r] = [(rep, gf._profile_cone(p, rep, n)) for p, rep in first.items()]
         inv = sym.gale_permutation(n, sigma)
-        for i, c in enumerate(pool):
-            image = Cone.from_generators([tuple(g[k] for k in inv) for g in c.generators()], dim)
-            assert image == pool[perm[i]], (sigma, i)
+        images += [(moved(rep, inv), c.permuted(inv)) for rep, c in swept[r]]
+    return images
 
 
-def test_pool_permutation_is_a_bijection_n5():
-    size = len(gf._gkz_pool(5))
-    for sigma in {s for _, s in sym.tree_orbits(5)}:
-        assert sorted(gf._pool_permutation(5, sigma)) == list(range(size))
+@pytest.mark.parametrize("n, count", [(3, 9), (4, 63), (5, 600)])
+def test_every_moved_cone_is_the_profile_cone_of_its_image(n, count):
+    """Each moved cone is the intersection of the pool cones holding its
+    moved point in their relative interior, built by double description."""
+    images = orbit_images(n)
+    assert len(images) == count
+    for w, c in images:
+        assert c == gf._profile_cone(gf._gkz_profile(w, n), w, n), w
 
 
 def first_moved_tree(n):
@@ -126,21 +155,52 @@ def first_moved_tree(n):
     return next(t for t, (_, s) in enumerate(sym.tree_orbits(n)) if s != identity)
 
 
-def test_corrupted_pool_permutation_is_internal_failure(monkeypatch, capsys):
+def test_an_unmoved_cone_fails_the_relint_check(monkeypatch, capsys):
+    """The negative control of the move: a cone left in place for one sigma
+    misses the moved point, before it could be skipped as seen."""
     from gitfankit.cli import main
 
     gitfankit.clear_caches()
-    sigma = sym.tree_orbits(4)[first_moved_tree(4)][1]
-    real = gf._pool_permutation
-
-    def corrupted(n, s):
-        perm = real(n, s)
-        return perm[1:] + perm[:1] if s == sigma else perm
-
-    monkeypatch.setattr(gf, "_pool_permutation", corrupted)
+    inv = sym.gale_permutation(4, sym.tree_orbits(4)[first_moved_tree(4)][1])
+    real = Cone.permuted
+    monkeypatch.setattr(Cone, "permuted", lambda c, perm: c if perm == inv else real(c, perm))
     assert main(["verify", "delta-subfan", "-n", "4"]) == 3
-    assert "another GKZ profile" in capsys.readouterr().err
+    assert "misses its moved cone's relative interior" in capsys.readouterr().err
     gitfankit.clear_caches()
+
+
+def test_y_sets_short_of_an_orbit_fail_the_invariance_check(monkeypatch):
+    """The negative control of the Y-set check: with one mask dropped whose
+    orbit is not a point, some adjacent transposition moves the set."""
+    masks = gr.y_set_masks(4)
+    swap = sym.pair_permutation(4, (2, 1, 3, 4))
+    dropped = next(
+        m for m in masks if sum(1 << swap[k] for k in range(len(swap)) if m >> k & 1) != m
+    )
+    monkeypatch.setattr(gr, "y_set_masks", lambda n: tuple(m for m in masks if m != dropped))
+    with pytest.raises(AssertionError, match="Y-sets are not invariant"):
+        gf._delta_reduction_data.__wrapped__(4)
+    gitfankit.clear_caches()
+
+
+@pytest.mark.parametrize("n, calls, counts", [
+    (3, (3, 4), (3, 4, 5, 6)),
+    (4, (9, 31), (15, 31, 17, 13)),
+    (5, (18, 1313), (105, 1313, 86, 25)),
+], ids=["3", "4", "5"])
+def test_one_conversion_per_swept_profile(n, calls, counts, monkeypatch):
+    """``_profile_cone`` runs once per profile of a swept tree and
+    ``_gkz_profile`` once per region; (trees, regions, maximal cones, rays)
+    are pinned, Delta(5)'s 86 cones and 25 rays among them."""
+    made = Counter()
+    for name in ("_profile_cone", "_gkz_profile"):
+        real = getattr(gf, name)
+        monkeypatch.setattr(
+            gf, name, lambda *a, real=real, name=name: made.update([name]) or real(*a)
+        )
+    data = gf._delta_reduction_data.__wrapped__(n)
+    assert (made["_profile_cone"], made["_gkz_profile"]) == calls
+    assert (data.tree_count, data.rep_count, len(data.fan.maximal), len(data.fan.rays)) == counts
 
 
 def test_sigma_off_its_tree_is_rejected(monkeypatch):
