@@ -495,19 +495,38 @@ def _gkz_pool(n: int) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
     wd = gr.weights(n)
     cols = [wd.v[p] for p in wd.pairs0]
     walls = _gkz_walls(n)
-    # per wall, the bitmasks of the columns it is positive and negative on
-    pos = [sum(1 << k for k, c in enumerate(cols) if _dot(a, c) > 0) for a in walls]
-    neg = [sum(1 << k for k, c in enumerate(cols) if _dot(a, c) < 0) for a in walls]
+    # per column, the bitmasks of the walls positive, negative and zero on it
+    signs = [[_dot(a, c) for a in walls] for c in cols]
+    pos = [sum(1 << w for w, x in enumerate(row) if x > 0) for row in signs]
+    neg = [sum(1 << w for w, x in enumerate(row) if x < 0) for row in signs]
+    zero = [(1 << len(walls)) - 1 & ~(p | q) for p, q in zip(pos, neg)]
     groups: dict[tuple, list[int]] = {}
     for ymask in gr.y_set_masks(n):
         off = (1 << len(cols)) - 1 & ~ymask
+        ks = [k for k in range(len(cols)) if off >> k & 1]
+        above = below = 0
+        for k in ks:
+            above |= pos[k]
+            below |= neg[k]
+        # the walls of one sign on the columns off J, nonzero on some, taken
+        # a zero set at a time: the first such wall, and with it every wall
+        # zero on exactly the same columns off J
         cut: dict[int, IVec] = {}
-        for a, above, below in zip(walls, pos, neg):
-            if bool(above & off) != bool(below & off):
-                cut.setdefault(off & ~(above | below), a if above & off else _neg(a))
+        rest = above ^ below
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            same, z = rest, 0
+            for k in ks:
+                if zero[k] >> w & 1:
+                    same &= zero[k]
+                    z |= 1 << k
+                else:
+                    same &= ~zero[k]
+            rest &= ~same
+            cut[z] = walls[w] if above >> w & 1 else _neg(walls[w])
         facets = sorted(a for z, a in cut.items() if not any(y != z and y & z == z for y in cut))
         # with no column left, the zero row: its kernel basis is the unit rows
-        rows = [c for k, c in enumerate(cols) if off >> k & 1] or [(0,) * len(wd.p)]
+        rows = [cols[k] for k in ks] or [(0,) * len(wd.p)]
         eqs = _canonical_subspace_basis(kernel_basis(rows))
         groups.setdefault((eqs, tuple(facets)), []).append(ymask)
     return tuple((key, tuple(masks)) for key, masks in groups.items())

@@ -644,38 +644,55 @@ def _orthant_fan(dim: int) -> Fan:
     return fan_from_maximal([Cone.from_generators(gens, dim)])
 
 
-def _sorted_families(lattice: FiniteSemilattice) -> list[tuple]:
-    """All sorted families (ordered, distinct, larger-first) of nonbottom
-    elements, in depth-first preorder: each family comes after its prefix."""
-    elems = [x for x in lattice.labels if x != lattice.bottom]
-    out: list[tuple] = []
+def _coordinate_automorphisms(lattice: FiniteSemilattice, dim: int) -> list[tuple[int, ...]]:
+    """The index maps of the dim! coordinate permutations on a face poset
+    labelled by ray tuples, the identity first: g[i] is the index of the
+    i-th label with the coordinates of its rays permuted.  Each map is
+    checked to be an automorphism: it carries the up-set mask of every
+    element onto the up-set mask of its image (it is injective, as the
+    permutation of the rays is)."""
+    index, up = lattice._index, lattice._up
+    maps = []
+    for perm in itertools.permutations(range(dim)):
+        g = tuple(
+            index.get(tuple(sorted(tuple(ray[p] for p in perm) for ray in label)))
+            for label in lattice.labels
+        )
+        if None in g or any(
+            sum(1 << g[k] for k in _bits(mask)) != up[g[i]] for i, mask in enumerate(up)
+        ):
+            raise ValueError(f"coordinate permutation {perm} is not an automorphism")
+        maps.append(g)
+    return maps
 
-    def extend(prefix: tuple) -> None:
-        out.append(prefix)
-        for e in elems:
-            if e in prefix:
+
+def _sorted_families(
+    lattice: FiniteSemilattice, maps: Sequence[Sequence[int]]
+) -> list[tuple[tuple[int, ...], int]]:
+    """One sorted family (ordered, distinct, larger-first) of nonbottom
+    element indices per orbit of the index maps, which must form a group:
+    the one least among its images.  They come in depth-first preorder,
+    each after its prefix, with the number of maps that fix them.
+
+    The least families are closed under prefixes: if g F' < F' for a prefix
+    F' of F, then g F < F.  So the walk extends only least families.  If F
+    is least, g F > F for every g that moves F, so F + (e,) is least iff
+    g e >= e for every g that fixes F."""
+    up, bottom = lattice._up, lattice._index[lattice.bottom]
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def extend(family: tuple[int, ...], fixing: list) -> None:
+        for e in range(len(up)):
+            if e == bottom or any(up[p] >> e & 1 for p in family):
                 continue
-            if any(lattice.lt(p, e) for p in prefix):
+            if any(g[e] < e for g in fixing):
                 continue
-            extend(prefix + (e,))
+            grown, fixed = family + (e,), [g for g in fixing if g[e] == e]
+            out.append((grown, len(fixed)))
+            extend(grown, fixed)
 
-    extend(())
-    return [f for f in out if f]
-
-
-def _sorted_family_blow_ups(
-    lattice: FiniteSemilattice,
-) -> Iterator[tuple[tuple, FiniteSemilattice]]:
-    """Each sorted family with its iterated blow-up, built from its prefix's.
-
-    The families come in depth-first preorder, so the current family's
-    prefixes are on a stack: ``chain[k]`` is the blow-up along family[:k].
-    """
-    chain = [lattice]
-    for family in _sorted_families(lattice):
-        del chain[len(family):]
-        chain.append(blow_up(chain[-1], family[-1]))
-        yield family, chain[-1]
+    extend((), list(maps))
+    return out
 
 
 def verify_blowup_join_criterion(max_dim: int = 3) -> dict:
@@ -683,33 +700,76 @@ def verify_blowup_join_criterion(max_dim: int = 3) -> dict:
     implies the (xi, 0)-join exists in the iterated blow-up.
 
     The face posets are :func:`ray_face_poset`s, so a failure certificate
-    names its family and subset by ray tuples."""
+    names its family and subset by ray tuples.  ``max_dim`` must be at
+    least 2: a sweep of no poset proves nothing.
+
+    The sweep runs up to the symmetry of the orthant.  S_dim permutes the
+    coordinates, hence the rays, hence the faces; each permutation's map
+    on the face poset L is checked to be an automorphism, and the list of
+    building sets, computed in full, to be invariant under it.  One sorted
+    family F per orbit is walked (``_sorted_families``), its blow-up built
+    from its prefix's, and each checked (F, c) counts |S_dim| / #{g : g F =
+    F}, the size of its orbit.  A failing (F, c) is reported as each of its
+    images (g F, g c), in the order of the full sweep: families in
+    depth-first preorder, then subsets as ``itertools.combinations`` yields
+    them.  So the report is the full sweep's.
+
+    Proof that (g F, g c) has the verdict of (F, c).  An isomorphism
+    phi: M -> M' of finite meet-semilattices gives an isomorphism
+    Bl_xi(M) -> Bl_{phi xi}(M') by x |-> phi x and (xi, x) |-> (phi xi,
+    phi x), because ``blow_up`` reads only the order: x survives iff
+    x is not >= xi, (xi, x) exists iff x and xi have a common upper bound,
+    and the order of the survivors and pairs is read off the order of M.
+    Starting from g on L, induction along F gives Bl_F(L) -> Bl_{gF}(L),
+    which maps each survivor x to g x and each (xi, 0) to (g xi, 0).
+    Isomorphisms keep joins, so the (xi, 0)-joins over c exist iff those
+    over g c do.  Sortedness, ``is_building_set`` and ``is_nested`` depend
+    on the order alone, so g F is sorted, a building superset B of F
+    (c nested in B) gives the building superset g B of g F (g c nested in
+    g B), and back by g^-1.
+    """
+    if max_dim < 2:
+        raise ValueError(f"need max_dim >= 2 (got {max_dim}): a sweep of no poset proves nothing")
     checked = 0
     failures = []
     for dim in range(2, max_dim + 1):
         lattice = ray_face_poset(_orthant_fan(dim))
-        elems = [x for x in lattice.labels if x != lattice.bottom]
+        labels, bottom, index = lattice.labels, lattice.bottom, lattice._index
+        maps = _coordinate_automorphisms(lattice, dim)
+        elems = [x for x in labels if x != bottom]
         building_sets = [
             frozenset(s)
             for r in range(1, len(elems) + 1)
             for s in itertools.combinations(elems, r)
             if is_building_set(lattice, s)
         ]
+        for g in maps:
+            if {frozenset(labels[g[index[x]]] for x in b) for b in building_sets} != set(building_sets):
+                raise ValueError(f"the building sets of the {dim}-orthant are not invariant")
         # a (building set, subset) verdict repeats across every family that
         # holds the subset, so each one is decided once per lattice
         nested = cache(partial(is_nested, lattice))
-        for family, blown in _sorted_family_blow_ups(lattice):
-            fam_set = frozenset(family)
-            supersets = [b for b in building_sets if fam_set <= b]
-            bottom = lattice.bottom
+        failing = set()
+        # chain[k] is the blow-up along family[:k]: the walk is depth first
+        chain = [lattice]
+        for family, fixed in _sorted_families(lattice, maps):
+            del chain[len(family):]
+            chain.append(blow_up(chain[-1], labels[family[-1]]))
+            members = [labels[i] for i in family]
+            supersets = [b for b in building_sets if b.issuperset(members)]
             for r in range(1, len(family) + 1):
-                for c in itertools.combinations(family, r):
-                    if not any(nested(b, frozenset(c)) for b in supersets):
+                for c in itertools.combinations(range(len(family)), r):
+                    subset = frozenset(members[p] for p in c)
+                    if not any(nested(b, subset) for b in supersets):
                         continue
-                    checked += 1
-                    targets = [BlowPair(xi, bottom) for xi in c]
-                    if blown.join(targets) is None:
-                        failures.append({"dim": dim, "family": repr(family), "subset": repr(c)})
+                    checked += len(maps) // fixed
+                    if chain[-1].join(BlowPair(members[p], bottom) for p in c) is None:
+                        failing.update((tuple(g[i] for i in family), c) for g in maps)
+        for family, c in sorted(failing, key=lambda fc: (fc[0], len(fc[1]), fc[1])):
+            members = [labels[i] for i in family]
+            failures.append(
+                {"dim": dim, "family": repr(tuple(members)), "subset": repr(tuple(members[p] for p in c))}
+            )
     return {
         "claim": "thm44",
         "checked": checked,

@@ -779,6 +779,35 @@ def test_pool_read_off_the_walls_matches_double_description(n, ysets):
     assert seen == ysets == len(gr.y_set_masks(n))
 
 
+def _per_wall_gkz_pool(n):
+    """The pool read off the walls one wall at a time: for each Y-set, each
+    wall's signs on the columns off it, the first wall of each zero set."""
+    wd = gr.weights(n)
+    cols = [wd.v[p] for p in wd.pairs0]
+    walls = gf._gkz_walls(n)
+    pos = [sum(1 << k for k, c in enumerate(cols) if _dot(a, c) > 0) for a in walls]
+    neg = [sum(1 << k for k, c in enumerate(cols) if _dot(a, c) < 0) for a in walls]
+    groups = {}
+    for ymask in gr.y_set_masks(n):
+        off = (1 << len(cols)) - 1 & ~ymask
+        cut = {}
+        for a, above, below in zip(walls, pos, neg):
+            if bool(above & off) != bool(below & off):
+                cut.setdefault(off & ~(above | below), a if above & off else tuple(-x for x in a))
+        facets = sorted(a for z, a in cut.items() if not any(y != z and y & z == z for y in cut))
+        rows = [c for k, c in enumerate(cols) if off >> k & 1] or [(0,) * len(wd.p)]
+        eqs = polyhedral._canonical_subspace_basis(kernel_basis(rows))
+        groups.setdefault((eqs, tuple(facets)), []).append(ymask)
+    return tuple((key, tuple(masks)) for key, masks in groups.items())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pool_by_zero_sets_matches_the_per_wall_loop(n):
+    """Visiting each zero set once gives the pool of the per-wall sign test:
+    the same cones, descriptions, masks and order."""
+    assert gf._gkz_pool(n) == _per_wall_gkz_pool(n)
+
+
 def test_gkz_table_runs_no_conversion(monkeypatch):
     """Building the GKZ pool and its table for n = 3..5, walls included,
     runs no double description."""

@@ -351,11 +351,71 @@ def test_poset_isomorphic_rejects_size_mismatch():
     assert not poset_isomorphic(boolean_two(), orthant_poset(3))
 
 
+def reference_sorted_families(lattice):
+    """All sorted families (ordered, distinct, larger-first) of nonbottom
+    elements, as labels, in depth-first preorder: each family comes after
+    its prefix."""
+    elems = [x for x in lattice.labels if x != lattice.bottom]
+    out = []
+
+    def extend(prefix):
+        out.append(prefix)
+        for e in elems:
+            if e in prefix:
+                continue
+            if any(lattice.lt(p, e) for p in prefix):
+                continue
+            extend(prefix + (e,))
+
+    extend(())
+    return [f for f in out if f]
+
+
+def reference_sorted_family_blow_ups(lattice):
+    """Each sorted family with its iterated blow-up, built from its prefix's:
+    ``chain[k]`` is the blow-up along family[:k]."""
+    import gitfankit.semilattice as sl
+
+    chain = [lattice]
+    for family in reference_sorted_families(lattice):
+        del chain[len(family):]
+        chain.append(sl.blow_up(chain[-1], family[-1]))
+        yield family, chain[-1]
+
+
+def reference_thm44(max_dim=3):
+    """The full thm44 sweep, one blow-up per sorted family: the reference
+    for the sweep up to the symmetry of the orthant."""
+    import gitfankit.semilattice as sl
+
+    checked = 0
+    failures = []
+    for dim in range(2, max_dim + 1):
+        lattice = ray_face_poset(sl._orthant_fan(dim))
+        elems = [x for x in lattice.labels if x != lattice.bottom]
+        building_sets = [
+            frozenset(s)
+            for r in range(1, len(elems) + 1)
+            for s in itertools.combinations(elems, r)
+            if is_building_set(lattice, s)
+        ]
+        for family, blown in reference_sorted_family_blow_ups(lattice):
+            supersets = [b for b in building_sets if frozenset(family) <= b]
+            for r in range(1, len(family) + 1):
+                for c in itertools.combinations(family, r):
+                    if not any(is_nested(lattice, b, c) for b in supersets):
+                        continue
+                    checked += 1
+                    if blown.join([BlowPair(xi, lattice.bottom) for xi in c]) is None:
+                        failures.append({"dim": dim, "family": repr(family), "subset": repr(c)})
+    return {"claim": "thm44", "checked": checked, "result": not failures, "certificates": failures}
+
+
 def test_sorted_building_families_give_nested_complex():
     # exhaustive on the orthant face posets: whenever the underlying set of a
     # sorted family is a building set, the iterated blow-up is isomorphic to
     # the nested-set complex of that set
-    from gitfankit.semilattice import _inclusion_masks, _orthant_fan, _sorted_families
+    from gitfankit.semilattice import _inclusion_masks, _orthant_fan
 
     def nested_complex_poset(lat, s):
         # the nested subsets of s (the empty set and singletons included),
@@ -374,7 +434,7 @@ def test_sorted_building_families_give_nested_complex():
         building_cache: dict = {}
         complex_cache: dict = {}
         checked = 0
-        for family in _sorted_families(lat):
+        for family in reference_sorted_families(lat):
             key = frozenset(family)
             if key not in building_cache:
                 building_cache[key] = is_building_set(lat, key)
@@ -388,10 +448,8 @@ def test_sorted_building_families_give_nested_complex():
         assert checked > 0
 
 
-def test_blow_up_stack_matches_iterated_blow_up(monkeypatch):
-    # thm44 builds each family's blow-up from its prefix's: along every sorted
-    # family of the orthant face posets it must equal the left fold from the
-    # lattice, element for element and mask for mask, with one blow-up each
+def counted_blow_ups(monkeypatch):
+    """A list that collects the element of every later blow_up call."""
     import gitfankit.semilattice as sl
 
     calls = []
@@ -401,18 +459,105 @@ def test_blow_up_stack_matches_iterated_blow_up(monkeypatch):
         calls.append(xi)
         return real_blow_up(lattice, xi)
 
-    for dim in (2, 3):
+    monkeypatch.setattr(sl, "blow_up", counting_blow_up)
+    return calls
+
+
+def test_blow_up_stack_matches_iterated_blow_up(monkeypatch):
+    # the reference sweep builds each family's blow-up from its prefix's:
+    # along every sorted family of the orthant face posets it must equal the
+    # left fold from the lattice, element for element and mask for mask,
+    # with one blow-up each
+    import gitfankit.semilattice as sl
+
+    calls = counted_blow_ups(monkeypatch)
+    built = {dim: list(reference_sorted_family_blow_ups(face_poset(sl._orthant_fan(dim)))) for dim in (2, 3)}
+    monkeypatch.undo()
+    assert len(calls) == 670
+    for dim, pairs in built.items():
         lat = face_poset(sl._orthant_fan(dim))
-        families = sl._sorted_families(lat)
-        monkeypatch.setattr(sl, "blow_up", counting_blow_up)
-        built = list(sl._sorted_family_blow_ups(lat))
-        monkeypatch.setattr(sl, "blow_up", real_blow_up)
-        assert [f for f, _ in built] == families
-        for family, blown in built:
-            ref = reduce(real_blow_up, family, lat)
+        assert [f for f, _ in pairs] == reference_sorted_families(lat)
+        for family, blown in pairs:
+            ref = reduce(blow_up, family, lat)
             assert blown.labels == ref.labels, family
             assert blown._up == ref._up, family
-    assert len(calls) == 670
+
+
+def test_thm44_builds_one_blow_up_per_orbit(monkeypatch):
+    # 120 blow-ups, one per S_dim orbit of sorted families at dim 2 and 3,
+    # where the full sweep builds 670
+    calls = counted_blow_ups(monkeypatch)
+    assert verify_blowup_join_criterion()["checked"] == 7982
+    assert len(calls) == 120
+
+
+@pytest.mark.parametrize("dim, families, orbits", [(2, 9, 5), (3, 661, 115)])
+def test_sorted_families_are_the_least_of_their_orbits(dim, families, orbits):
+    # with the identity alone the walk gives every sorted family of the
+    # reference in its order; with S_dim, the families least among their
+    # images, each with its stabilizer size, and the orbits cover all
+    import gitfankit.semilattice as sl
+
+    lat = ray_face_poset(sl._orthant_fan(dim))
+    maps = sl._coordinate_automorphisms(lat, dim)
+    assert len(maps) == len(set(maps)) == len(list(itertools.permutations(range(dim))))
+    every = [tuple(lat._index[x] for x in f) for f in reference_sorted_families(lat)]
+    assert sl._sorted_families(lat, maps[:1]) == [(f, 1) for f in every]
+    assert len(every) == families
+    reps = sl._sorted_families(lat, maps)
+    images = {f: {tuple(g[i] for i in f) for g in maps} for f in every}
+    assert reps == [
+        (f, sum(tuple(g[i] for i in f) == f for g in maps)) for f in every if f == min(images[f])
+    ]
+    assert len(reps) == orbits
+    assert sum(len(maps) // fixed for _, fixed in reps) == families
+
+
+@pytest.mark.parametrize("max_dim", [2, 3])
+def test_thm44_equals_the_full_sweep(max_dim):
+    assert verify_blowup_join_criterion(max_dim) == reference_thm44(max_dim)
+
+
+@pytest.mark.parametrize("max_dim", [1, 0, -2])
+def test_thm44_refuses_an_empty_sweep(max_dim):
+    # no orthant below dimension 2 is swept, so the sweep would pass
+    # without checking anything
+    with pytest.raises(ValueError, match="max_dim >= 2"):
+        verify_blowup_join_criterion(max_dim)
+
+
+def test_a_coordinate_permutation_off_the_order_is_refused(monkeypatch):
+    # negative control: the 2-orthant's face labels ordered as a chain, so
+    # that swapping the coordinates swaps two elements of different ranks
+    import gitfankit.semilattice as sl
+
+    labels = ray_face_poset(sl._orthant_fan(2)).labels
+    chain = FiniteSemilattice(labels, [(1 << 4) - (1 << k) for k in range(4)])
+    with pytest.raises(ValueError, match=r"permutation \(1, 0\) is not an automorphism"):
+        sl._coordinate_automorphisms(chain, 2)
+    monkeypatch.setattr(sl, "ray_face_poset", lambda fan: chain)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        verify_blowup_join_criterion(2)
+
+
+def test_building_sets_short_of_an_orbit_fail_the_invariance_check(monkeypatch):
+    # negative control: one building set of a nontrivial orbit, the three
+    # rays of the 3-orthant with its 2-face on the first two, is dropped
+    import gitfankit.semilattice as sl
+
+    lat = ray_face_poset(sl._orthant_fan(3))
+    rays = [x for x in lat.labels if len(x) == 1]
+    dropped = frozenset(rays + [rays[0] + rays[1], tuple(sorted(sum(rays, ())))])
+    assert is_building_set(lat, dropped)
+    real = sl.is_building_set
+
+    def short(lattice, s):
+        return frozenset(s) != dropped and real(lattice, s)
+
+    monkeypatch.setattr(sl, "is_building_set", short)
+    with pytest.raises(ValueError, match="building sets of the 3-orthant are not invariant"):
+        verify_blowup_join_criterion(3)
+    assert verify_blowup_join_criterion(2)["result"]
 
 
 def test_harmonious_closure_all_pairs_harmonious():
@@ -654,7 +799,7 @@ def test_poset_isomorphic_matches_brute_force_on_small_posets(monkeypatch):
 
     monkeypatch.setattr(FiniteSemilattice, "__init__", recording_init)
     verify_fk_bridge(seed=5, samples=25)
-    verify_blowup_join_criterion()
+    reference_thm44()
     rng = random.Random(7)
     for up in random_relations(rng):
         with contextlib.suppress(ValueError):
@@ -921,8 +1066,9 @@ def names_a_meetless_pair(message, labels, up):
 
 
 def test_validation_matches_reference_on_random_and_perturbed_relations(monkeypatch):
-    # the seeded random relations, and every poset the fk and thm44 sweeps
-    # build with one up-set bit flipped, are accepted or rejected alike and
+    # the seeded random relations, and every poset the fk sweep and the
+    # full thm44 sweep (one blow-up per sorted family) build with one up-set
+    # bit flipped, are accepted or rejected alike and
     # for the same reason.  So are the random relations, the sweep posets
     # and the face posets of Σ_r(4) and of the GIT fan at n = 4 with one
     # element other than the bottom deleted: a partial order with a bottom,
@@ -941,7 +1087,7 @@ def test_validation_matches_reference_on_random_and_perturbed_relations(monkeypa
 
     monkeypatch.setattr(FiniteSemilattice, "__init__", recording_init)
     verify_fk_bridge()
-    verify_blowup_join_criterion()
+    reference_thm44()
     monkeypatch.undo()
     assert len(met) == 1072
     rng = random.Random(7)
@@ -1016,3 +1162,6 @@ def test_thm44_reports_pairs_without_up_sets(monkeypatch):
     rep = verify_blowup_join_criterion()
     assert rep["result"] is False and rep["certificates"]
     assert all(set(c) == {"dim", "family", "subset"} for c in rep["certificates"])
+    # the failures of the orbit representatives expand to the full sweep's,
+    # in its order
+    assert rep == reference_thm44()
