@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
         t0 = time.perf_counter()
         try:
             rep = _run_claim(claim, n, args.seed, args.jobs)
-        except (FanAxiomViolation, AssertionError) as err:
+        except (FanAxiomViolation, AssertionError, ValueError) as err:
             print(f"internal validation failure in {claim}: {err}", file=sys.stderr)
             return EXIT_INTERNAL
         elapsed = time.perf_counter() - t0
@@ -357,7 +357,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as err:
         print(err, file=sys.stderr)
         return EXIT_USAGE
-    except (FanAxiomViolation, AssertionError) as err:
+    # the inputs were validated above, so a ValueError from the library is
+    # internal too
+    except (FanAxiomViolation, AssertionError, ValueError) as err:
         print(f"internal validation failure: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1007,9 +1007,9 @@ def center_ideal(sigma0: Fan, nu: Sequence[int], n: int) -> CenterIdeal:
     degree c on the carrier, with the homogeneous-coordinate pullback."""
     wd = gr.weights(n)
     pt = primitive_vector(nu)
-    if not sigma0.contains_point(pt):
-        raise ValueError("ray lies outside the support of the fan")
     carrier = sigma0.carrier(pt)
+    if carrier is None:
+        raise ValueError("ray lies outside the support of the fan")
     ray_to_pair = {primitive_vector(wd.v[p]): p for p in gr.pairs(n)[0]}
     try:
         carrier_pairs = tuple(sorted(ray_to_pair[r] for r in carrier.rays))

@@ -7,10 +7,14 @@ cones coincide with mathematical equality, so fans compare by sorted cone
 lists.
 
 The conversion engine is a double description method over plain Python
-integers with the combinatorial adjacency test, run in both directions
-(generators -> facets via the dual cone, facets -> generators directly).
-Faces need no conversion: they are read from facet-ray incidence bitmasks.
-Neither does stellar subdivision: the facets of its simplicial pieces are
+integers with the combinatorial adjacency test, run once per cone and in one
+direction only: generators -> facets via the dual cone.  The rays and
+lineality of a generated cone are read off the generators' zero sets over
+the facets just found (``_maximal_zero_sets``), and a cone cut out by
+inequalities is the polar of the cone its rows generate, with the two
+descriptions swapped.  Faces need no conversion: they are read from
+facet-ray incidence bitmasks by the same incidence rule.  Neither does
+stellar subdivision: the facets of its simplicial pieces are
 combinations of the star cone's facets, and each star cone is certified by
 the signs those facets take on its rays and on the new ray (they must be its
 dual basis, positive at the new ray exactly on the carrier) instead of
@@ -182,13 +186,9 @@ class _DDState:
         self.insert(_neg(a))
 
 
-def _dd(
-    dim: int, ineqs: Iterable[Sequence[int]], eqs: Iterable[Sequence[int]] = ()
-) -> tuple[list[IVec], list[IVec]]:
-    """V-description (lineality, rays) of {x : ineqs.x >= 0, eqs.x = 0}."""
+def _dd(dim: int, ineqs: Iterable[Sequence[int]]) -> tuple[list[IVec], list[IVec]]:
+    """V-description (lineality, rays) of {x : ineqs.x >= 0}."""
     st = _DDState(dim)
-    for e in eqs:
-        st.insert_equation(e)
     for a in ineqs:
         st.insert(a)
     return st.lin, st.rays
@@ -404,8 +404,9 @@ class Cone(_ConeFields):
 
         It keeps this cone's lineality; its span equations add the normals
         tight on the mask; its facets come from the normals whose cut of the
-        mask is maximal among the proper cuts (normals with equal cuts reduce
-        to the same vector modulo the face's span).
+        mask is maximal among the proper cuts, by ``_maximal_zero_sets``
+        (normals with equal cuts reduce to the same vector modulo the face's
+        span).
 
         A face of a pointed simplicial cone is simplicial, and its facets are
         its dual basis: the u_s in its span with u_s.r_t = delta_st, a
@@ -426,13 +427,7 @@ class Cone(_ConeFields):
             rows, _ = _rref([[_dot(r, t) for t in rays] + list(r) for r in rays])
             facets = tuple(sorted(row[k:] for row in rows))
             return Cone(self.ambient, rays, (), facets, span_eqs)
-        cuts: dict[int, IVec] = {}
-        for a, z in zip(self.facets, zeros):
-            if mask & z != mask:
-                cuts.setdefault(mask & z, a)
-        ridges = [
-            a for c, a in cuts.items() if not any(c != o and c & o == c for o in cuts)
-        ]
+        ridges = _maximal_zero_sets(self.facets, [mask & z for z in zeros], mask)
         facets = _canonical_rays(ridges, span_eqs)
         return Cone(self.ambient, rays, self.lineality, facets, span_eqs)
 
@@ -448,35 +443,58 @@ def _face_masks(nrays: int, zeros: Sequence[int]) -> set[int]:
     return masks
 
 
-@lru_cache(maxsize=200_000)
-def _cone_from_gens(gens: tuple[IVec, ...], ambient: int) -> Cone:
-    if not gens:
-        eye = tuple(
-            tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient)
-        )
-        return Cone(ambient, (), (), (), eye)
-    # dual cone {u : u.g >= 0} gives facets (its rays) and span eqs (its lineality)
+def _maximal_zero_sets(
+    vectors: Sequence[IVec], zeros: Sequence[int], full: int
+) -> list[IVec]:
+    """The incidence rule: among the vectors whose zero mask is not ``full``,
+    the first with each inclusion-maximal mask.
+
+    Over the facets of C = cone(gens), a generator g lies in the relative
+    interior of the face cut by the facets in its mask; the mask is full
+    exactly when that face is the lineality L.  The rays of C modulo L span
+    its minimal faces above L, the faces with maximal tight sets.  Each is
+    generated by the generators it holds, so one of them has its tight set
+    as mask; and the face cut by a maximal mask holds a ray face, whose
+    generator's mask contains it, so is that face.  Hence the vectors kept
+    are one generator per ray, equal to it modulo L up to a positive scale.
+    Over the rays of a face, the facets with maximal cuts are its ridges.
+    """
+    first: dict[int, IVec] = {}
+    for v, z in zip(vectors, zeros):
+        if z != full:
+            first.setdefault(z, v)
+    return [v for z, v in first.items() if not any(z != o and z & o == z for o in first)]
+
+
+def _generated_cone(gens: tuple[IVec, ...], ambient: int) -> Cone:
+    """cone(gens) by one conversion.  The dual cone {u : u.g >= 0} gives the
+    facets (its rays) and span equations (its lineality); the generators
+    vanishing on every facet span the lineality, and the rays are read off
+    the generators' zero sets over the facets."""
     lin_d, rays_d = _dd(ambient, gens)
     span_eqs = _canonical_subspace_basis(lin_d)
     facets = _canonical_rays(rays_d, span_eqs)
-    lin_p, rays_p = _dd(ambient, facets, span_eqs)
-    lineality = _canonical_subspace_basis(lin_p)
-    rays = _canonical_rays(rays_p, lineality)
+    full = (1 << len(facets)) - 1
+    zeros = [sum(1 << j for j, a in enumerate(facets) if _dot(a, g) == 0) for g in gens]
+    lineality = _canonical_subspace_basis([g for g, z in zip(gens, zeros) if z == full])
+    rays = _canonical_rays(_maximal_zero_sets(gens, zeros, full), lineality)
     return Cone(ambient, rays, lineality, facets, span_eqs)
+
+
+_cone_from_gens = lru_cache(maxsize=200_000)(_generated_cone)
 
 
 @lru_cache(maxsize=200_000)
 def _cone_from_ineqs(
     ineqs: tuple[IVec, ...], eqs: tuple[IVec, ...], ambient: int
 ) -> Cone:
-    lin_p, rays_p = _dd(ambient, ineqs, eqs)
-    lineality = _canonical_subspace_basis(lin_p)
-    rays = _canonical_rays(rays_p, lineality)
-    gens = set(rays)
-    for l in lineality:
-        gens.add(l)
-        gens.add(_neg(l))
-    return _cone_from_gens(tuple(sorted(gens)), ambient)
+    """The polar of the cone the rows generate, ineqs and +/- eqs: its rays
+    and lineality are that cone's facets and span equations, and the other
+    way round.  The DD cuts by the equations first, which drops the
+    dimension before any inequality."""
+    rows = tuple(r for e in eqs for r in (e, _neg(e))) + ineqs
+    dual = _generated_cone(rows, ambient)
+    return Cone(ambient, dual.facets, dual.span_eqs, dual.rays, dual.lineality)
 
 
 # ---------------------------------------------------------------------------

@@ -561,10 +561,7 @@ def _fk_bridge_trial(args: tuple[int, int, int, int]) -> Optional[dict]:
     nu = random_interior_ray(rng, fan)
     subdivided = stellar_subdivide(fan, nu)
     poset = ray_face_poset(fan)
-    carrier = fan.carrier(nu)
-    if carrier.is_zero():
-        return None
-    blown = blow_up(poset, carrier.rays)
+    blown = blow_up(poset, fan.carrier(nu).rays)
     # the canonical map: a survivor stays, (tau, x) goes to the face x + nu
     ray = _primitive(nu)
     images = [

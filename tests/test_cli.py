@@ -152,6 +152,34 @@ def test_centers_assertion_is_internal_failure(monkeypatch, capsys):
     assert "Traceback" not in err + out
 
 
+@pytest.mark.parametrize(
+    "args, module, attr",
+    [
+        (["verify", "thm44", "-n", "3"], "semilattice", "blow_up"),
+        (["verify", "fk-bridge", "-n", "3"], "semilattice", "blow_up"),
+        (["fan", "sigmar", "-n", "4"], "gitfan", "stellar_subdivide"),
+        (["poset", "gitfan", "-n", "3"], "semilattice", "face_poset"),
+        (["centers", "-n", "3", "-A", "2,3"], "gitfan", "center_ideal"),
+    ],
+    ids=["verify-thm44", "verify-fk-bridge", "fan-sigmar", "poset-gitfan", "centers"],
+)
+def test_library_value_error_is_internal_failure(args, module, attr, monkeypatch, capsys):
+    # the CLI validates its inputs before it calls the library, so a
+    # ValueError raised inside a run is internal: exit 3, one stderr line
+    import importlib
+
+    def refused(*args, **kwargs):
+        raise ValueError("refused")
+
+    gitfankit.clear_caches()
+    monkeypatch.setattr(importlib.import_module(f"gitfankit.{module}"), attr, refused)
+    code, out, err = run(args, capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal validation failure") and "refused" in err
+    assert "Traceback" not in err + out
+
+
 def test_verify_walls_n4(capsys):
     code, out, _ = run(["verify", "walls", "-n", "4"], capsys)
     assert code == 0

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gitfankit import gitfan as gf
 from gitfankit import polyhedral
+from gitfankit.exact_linalg import primitive_vector
 from gitfankit.polyhedral import (
     Cone,
     Fan,
@@ -134,6 +135,9 @@ def test_roundtrip_through_inequalities(case):
             gens.append(tuple(-x for x in g))
     c = Cone.from_generators(gens, d)
     assert Cone.from_inequalities(c.facets, c.span_eqs, ambient=d) == c
+    # the polar of the cone the facets and +/- span equations generate
+    neg_eqs = [tuple(-x for x in e) for e in c.span_eqs]
+    assert swapped(Cone.from_generators(c.facets + c.span_eqs + tuple(neg_eqs), d)) == c
     assert is_canonical_basis(c.lineality) and is_canonical_basis(c.span_eqs)
 
 
@@ -148,6 +152,248 @@ def test_roundtrip_random_cones():
         c = Cone.from_generators(gens, dim)
         assert c == Cone.from_generators(c.generators(), dim)
         assert all(c.contains(g) for g in gens)
+        assert_fields_equal(c, reference_from_generators(gens, dim))
+        eqs = gens[:1] if rng.random() < 0.3 else []
+        assert_fields_equal(
+            Cone.from_inequalities(gens[1:], eqs, ambient=dim),
+            reference_from_inequalities(gens[1:], eqs, dim),
+        )
+
+
+# -- one conversion per cone, against the two- and three-conversion
+# constructors it replaced, kept here as references --------------------------
+
+
+def swapped(c):
+    """The polar's fields: rays and facets trade places, and so do the
+    lineality and the span equations."""
+    return Cone(c.ambient, c.facets, c.span_eqs, c.rays, c.lineality)
+
+
+def reference_dd(dim, ineqs, eqs=()):
+    st = polyhedral._DDState(dim)
+    for e in eqs:
+        st.insert_equation(e)
+    for a in ineqs:
+        st.insert(a)
+    return st.lin, st.rays
+
+
+def reference_from_generators(generators, ambient):
+    """Facets by a DD of the dual cone, then rays by a second DD of the facets."""
+    gens = sorted({primitive_vector(g) for g in generators if any(g)})
+    if not gens:
+        eye = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+        return Cone(ambient, (), (), (), eye)
+    lin_d, rays_d = reference_dd(ambient, gens)
+    span_eqs = polyhedral._canonical_subspace_basis(lin_d)
+    facets = polyhedral._canonical_rays(rays_d, span_eqs)
+    lin_p, rays_p = reference_dd(ambient, facets, span_eqs)
+    lineality = polyhedral._canonical_subspace_basis(lin_p)
+    rays = polyhedral._canonical_rays(rays_p, lineality)
+    return Cone(ambient, rays, lineality, facets, span_eqs)
+
+
+def reference_from_inequalities(ineqs, eqs, ambient):
+    """Rays by a DD of the rows, then the round trip through the generators."""
+    ineqs = sorted({primitive_vector(a) for a in ineqs if any(a)})
+    eqs = sorted({primitive_vector(e) for e in eqs if any(e)})
+    lin_p, rays_p = reference_dd(ambient, ineqs, eqs)
+    lineality = polyhedral._canonical_subspace_basis(lin_p)
+    rays = polyhedral._canonical_rays(rays_p, lineality)
+    gens = list(rays) + list(lineality) + [tuple(-x for x in l) for l in lineality]
+    return reference_from_generators(gens, ambient)
+
+
+def assert_fields_equal(c, ref):
+    for field in Cone._fields:
+        assert getattr(c, field) == getattr(ref, field), (field, c, ref)
+
+
+def rows_of(drawn, scales):
+    """Integer rows with optional -g partners, each also given as a rational
+    multiple of itself when its scale is above 1."""
+    rows = []
+    for (g, with_negative), k in zip(drawn, scales):
+        rows.append(tuple(Fraction(x, k) for x in g) if k > 1 else tuple(g))
+        if with_negative:
+            rows.append(tuple(-x for x in g))
+    return rows
+
+
+constructor_cases = generator_sets.flatmap(
+    lambda case: st.tuples(
+        st.just(case),
+        st.lists(st.integers(1, 3), min_size=len(case[1]), max_size=len(case[1])),
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=case[0], max_size=case[0]), max_size=2
+        ),
+        st.booleans(),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constructor_cases)
+def test_constructors_match_the_reference(case):
+    (d, drawn), scales, eqs, redundant = case
+    rows = rows_of(drawn, scales)
+    if redundant:
+        # a duplicate, a positive multiple and a sum of two rows
+        first, last = rows[0], rows[-1]
+        rows += [first, tuple(2 * x for x in first), tuple(x + y for x, y in zip(first, last))]
+    assert_fields_equal(Cone.from_generators(rows, d), reference_from_generators(rows, d))
+    assert_fields_equal(
+        Cone.from_inequalities(rows, eqs, ambient=d), reference_from_inequalities(rows, eqs, d)
+    )
+
+
+def constructor_edge_cases():
+    """(kind, cone, reference cone) for the cases a random draw rarely hits."""
+    eye = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    minus_eye = [tuple(-x for x in e) for e in eye]
+    redundant = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    plane = [(1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 1, 0), (-1, 0, 1, 0)]
+    cases = [
+        ("zero cone", ([], 3), None),
+        ("zero cone", None, ([], eye, 3)),
+        ("zero cone", None, (eye + minus_eye, [], 3)),
+        ("whole space", (eye + minus_eye, 3), None),
+        ("whole space", None, ([], [], 3)),
+        ("full-dimensional", (eye, 3), None),
+        ("full-dimensional", None, (eye, [], 3)),
+        ("redundant rows", (redundant, 3), None),
+        ("redundant rows", None, ([(1, 0), (0, 1), (1, 1), (2, 2), (1, 0)], [], 2)),
+        ("lower-dimensional", (plane, 4), None),
+        (
+            "lower-dimensional",
+            None,
+            ([(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 1, 1, 1), (0, 0, 1, -1)], 4),
+        ),
+        ("lineality", ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 1)], 3), None),
+        ("lineality", None, ([(0, 0, 1)], [], 3)),
+        ("rational", ([(Fraction(1, 2), 1, 0), (0, Fraction(2, 3), 1)], 3), None),
+        ("rational", None, ([(Fraction(1, 2), -1, 0)], [(0, 0, Fraction(1, 3))], 3)),
+    ]
+    for kind, gens_case, ineqs_case in cases:
+        if gens_case:
+            yield kind, Cone.from_generators(*gens_case), reference_from_generators(*gens_case)
+        else:
+            ineqs, eqs, ambient = ineqs_case
+            yield (
+                kind,
+                Cone.from_inequalities(ineqs, eqs, ambient=ambient),
+                reference_from_inequalities(ineqs, eqs, ambient),
+            )
+
+
+def test_constructors_match_the_reference_on_edge_cases():
+    kinds = Counter()
+    for kind, c, ref in constructor_edge_cases():
+        assert_fields_equal(c, ref)
+        kinds[kind] += 1
+        if kind == "zero cone":
+            assert c.is_zero() and c.dim == 0
+        if kind == "whole space":
+            assert not c.facets and not c.span_eqs and len(c.lineality) == c.ambient
+        if kind == "lineality":
+            assert c.lineality
+        if kind == "lower-dimensional":
+            assert c.span_eqs
+    assert min(kinds.values()) >= 2, kinds
+
+
+def counted_dd(monkeypatch):
+    """A list that grows by one entry per ``_dd`` run."""
+    runs = []
+    dd = polyhedral._dd
+
+    def counted(*args):
+        runs.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(polyhedral, "_dd", counted)
+    return runs
+
+
+def cache_misses():
+    return sum(
+        fn.cache_info().misses
+        for fn in (polyhedral._cone_from_gens, polyhedral._cone_from_ineqs)
+    )
+
+
+def test_each_cache_miss_runs_one_conversion(monkeypatch):
+    import gitfankit
+
+    gitfankit.clear_caches()
+    runs = counted_dd(monkeypatch)
+    rng = random.Random(17)
+    builds = 0
+    for _ in range(60):
+        dim = rng.randint(2, 5)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 6))]
+        for build in (
+            lambda: Cone.from_generators(gens, dim),
+            lambda: Cone.from_inequalities(gens, gens[:1], ambient=dim),
+            lambda: Cone.from_generators(gens, dim),
+        ):
+            before, misses = len(runs), cache_misses()
+            build()
+            builds += 1
+            # a hit runs no conversion, a miss runs exactly one
+            assert len(runs) - before == cache_misses() - misses <= 1
+    assert len(runs) == cache_misses() < builds
+
+
+def test_dropping_maximality_from_the_incidence_rule_breaks_the_constructors(monkeypatch):
+    import gitfankit
+
+    gens = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    ineqs = [(1, 0), (0, 1), (1, 1)]
+    ref_g, ref_i = reference_from_generators(gens, 3), reference_from_inequalities(ineqs, [], 2)
+
+    def every_zero_set(vectors, zeros, full):
+        first = {}
+        for v, z in zip(vectors, zeros):
+            if z != full:
+                first.setdefault(z, v)
+        return list(first.values())
+
+    gitfankit.clear_caches()
+    assert Cone.from_generators(gens, 3) == ref_g
+    assert Cone.from_inequalities(ineqs, ambient=2) == ref_i
+    gitfankit.clear_caches()
+    monkeypatch.setattr(polyhedral, "_maximal_zero_sets", every_zero_set)
+    try:
+        # (1, 1, 0) becomes a ray, and the redundant row x + y >= 0 a facet
+        assert Cone.from_generators(gens, 3).rays != ref_g.rays
+        assert Cone.from_inequalities(ineqs, ambient=2).facets != ref_i.facets
+    finally:
+        # the cached cones were built by the broken rule
+        gitfankit.clear_caches()
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["verify", "all", "-n", "4", "--seed", "2024", "--jobs", "1"], 227),
+        (["fan", "sigmar", "-n", "4"], 15),
+        (["poset", "gitfan", "-n", "5"], 82),
+    ],
+    ids=["verify-all-4", "fan-sigmar-4", "poset-gitfan-5"],
+)
+def test_conversion_budget(argv, runs, monkeypatch, tmp_path, capsys):
+    # one conversion per cone built; the two- and three-conversion
+    # constructors ran 343, 31 and 164 here
+    import gitfankit
+    from gitfankit.cli import main
+
+    gitfankit.clear_caches()
+    counted = counted_dd(monkeypatch)
+    assert main(argv + ["-o", str(tmp_path / "payload.json")]) == 0
+    capsys.readouterr()
+    assert len(counted) == cache_misses() == runs
 
 
 # -- membership ---------------------------------------------------------------
