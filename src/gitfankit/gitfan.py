@@ -468,12 +468,14 @@ def _gkz_pool(n: int) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
     also tested for every column subset at n = 3, 4 against
     ``delta_meets_relint``.  Reduction: relint cone(v_p; p in S) is
     {P y : y > 0 on S, y = 0 on J}.  Delta is P(s T) for the max-convention
-    four-point set T and s = ``tropical_sign()`` = -1 (calibrated at n = 3),
-    and ker P, the row space of Q, lies in T's lineality, so the relint
-    meets Delta iff some y >= 0 with zero set exactly J meets the
-    min-convention four-point condition.  Only if: for disjoint ij, kl in J,
-    y_ij + y_kl = 0 is the least of the three pairings, so it is attained
-    twice, and a second pairing lies in J: that is the exchange condition.
+    four-point set T and s = ``tropical_sign()`` = -1: the proof below is
+    the min convention's, and the opposite sign breaks the criterion at
+    n = 3 on S = {12} (checked by ``tropical_sign``).  As ker P, the row
+    space of Q, lies in T's lineality, the relint meets Delta iff some
+    y >= 0 with zero set exactly J meets the min-convention four-point
+    condition.  Only if: for disjoint ij, kl in J, y_ij + y_kl = 0 is the
+    least of the three pairings, so it is attained twice, and a second
+    pairing lies in J: that is the exchange condition.
     If: lift ``y_set_witness``'s (u, v) to [u + t 1 ; v + t b] over Q[t],
     b_i = i^2, and let y_p be the order at t = 0 of its minor at p.  It is
     0 exactly on J, as the t^0 term is the minor of u and v, and at most 2,
@@ -692,9 +694,8 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
     rep_count = 0
     # per cone key: the cone and its first witness
     cones: dict[tuple, tuple[Cone, tuple[int, ...]]] = {}
-    sign = gr.tropical_sign()
     for tree, (r, sigma) in zip(trees, sym.tree_orbits(n)):
-        rep_basis = gr.tree_basis(n, trees[r], sign)
+        rep_basis = gr.tree_basis(n, trees[r])
         if r not in swept:
             reps = _sweep_tree(n, rep_basis)
             rep_count += len(reps)
@@ -703,7 +704,7 @@ def _delta_reduction_data(n: int) -> DeltaReduction:
                 first.setdefault(profile, rep)
             swept[r] = [(rep, _profile_cone(profile, rep, n)) for profile, rep in first.items()]
         inv = sym.gale_permutation(n, sigma)
-        image, basis = [tuple(b[k] for k in inv) for b in rep_basis], gr.tree_basis(n, tree, sign)
+        image, basis = [tuple(b[k] for k in inv) for b in rep_basis], gr.tree_basis(n, tree)
         if image[-1] != basis[-1] or sorted(image) != sorted(basis):
             raise AssertionError(f"sigma = {sigma} does not map tree {trees[r]} onto {tree}")
         for rep, cone in swept[r]:

@@ -371,10 +371,10 @@ def lineality_image(wd: WeightData) -> tuple[int, ...]:
     return tuple(sum(c[i] for c in cols) for i in range(len(wd.p)))
 
 
-def tree_basis(n: int, tree: Iterable[frozenset[int]], sign: int) -> list[tuple[int, ...]]:
-    """The basis of a tree cone's image under P: the split images times
-    the sign, then the lineality image."""
-    wd = weights(n)
+def tree_basis(n: int, tree: Iterable[frozenset[int]]) -> list[tuple[int, ...]]:
+    """The basis of a tree cone's image in Delta: the split images times
+    ``tropical_sign()``, then the lineality image."""
+    wd, sign = weights(n), tropical_sign()
     splits = [tuple(sign * x for x in split_image(wd, block)) for block in tree]
     return splits + [lineality_image(wd)]
 
@@ -403,73 +403,63 @@ def trop_contains(w: Sequence, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _tree_cones(n: int, sign: int):
-    """Images of the trivalent tree cones under P, as polyhedral cones."""
+def _tree_cones(n: int):
+    """The trivalent tree cones of Delta, as polyhedral cones."""
     from .polyhedral import Cone
 
-    dim = len(weights(n).p)
-    cones = []
-    for tree in trivalent_trees(n):
-        basis = tree_basis(n, tree, sign)
-        cones.append(Cone.from_generators(basis + [tuple(-x for x in basis[-1])], dim))
-    return tuple(cones)
+    bases = [tree_basis(n, tree) for tree in trivalent_trees(n)]
+    return tuple(Cone.from_generators(b + [tuple(-x for x in b[-1])], len(b[0])) for b in bases)
 
 
-def _relint_meets_delta(cone, n: int, sign: int) -> bool:
-    """Exact test that relint(cone) intersects Delta under the given sign.
+def _relint_meets_delta(cone, n: int) -> bool:
+    """Exact test that relint(cone) intersects Delta.
 
     For each tree cone D, the convex set C = cone /\\ D meets relint(cone)
     iff every facet of the cone is strictly positive on some generator of C.
     """
-    for d in _tree_cones(n, sign):
-        c = cone.intersect(d)
-        gens = c.generators()
-        ok = True
-        for facet in cone.facets:
-            if not any(_dot(facet, gen) > 0 for gen in gens):
-                ok = False
-                break
-        if ok:
+    for d in _tree_cones(n):
+        gens = cone.intersect(d).generators()
+        if all(any(_dot(facet, gen) > 0 for gen in gens) for facet in cone.facets):
             return True
     return False
 
 
 @lru_cache(maxsize=None)
 def tropical_sign() -> int:
-    """Calibrate the four-point convention at n=3 against the Y-set criterion:
-    relint(cone(v_eta; eta in J)) meets Delta iff the complement of J is a
-    Y-set.  Exactly one orientation of the tropical variety satisfies this;
-    the winning sign is applied globally by the Delta membership tests."""
-    from .polyhedral import Cone
+    """The orientation s of Delta = P(s T), T the max-convention four-point
+    set: s = -1.  ``gitfan._gkz_pool`` proves the relint criterion
+    (relint cone(v_p; p in S) meets Delta iff the complement of S is a
+    Y-set) in the min convention, that is for s = -1, on every subset at
+    every n; so one subset on which the opposite sign breaks it fixes s.
 
-    wd = weights(3)
+    Checked here, with no cone conversion, on S = {12} at n = 3: its
+    complement, K4 minus the edge 12, is complete tripartite ({1, 2}, {0},
+    {3}), so a Y-set, and relint cone(v_12) is the open ray through
+    v_12 = e_12, which meets the cone Delta iff e_12 does.  The preimage of
+    s e_12 that ``delta_contains`` takes is s on the pair 12 and 0
+    elsewhere, with pairings 0, 0 and s on the one quadruple: it passes the
+    four-point test for s = -1 and fails it for s = +1.  The tests keep the
+    full calibration over all 64 subsets at n = 3.
+    """
     all_pairs, _ = pairs(3)
-    full = (1 << len(all_pairs)) - 1
-    verdicts = {}
-    for sign in (1, -1):
-        ok = True
-        for mask in range(1 << len(all_pairs)):
-            subset = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
-            sigma = Cone.from_generators([wd.v[p] for p in subset], len(wd.p))
-            if _relint_meets_delta(sigma, 3, sign) != is_y_set(full ^ mask, 3):
-                ok = False
-                break
-        verdicts[sign] = ok
-    if verdicts[1] == verdicts[-1]:
-        raise AssertionError(
-            f"tropical sign calibration inconclusive: {verdicts}"
-        )
-    return 1 if verdicts[1] else -1
+    k = all_pairs.index((1, 2))
+    if not is_y_set((1 << len(all_pairs)) - 1 - (1 << k), 3):
+        raise AssertionError("the complement of {12} is not a Y-set at n=3")
+    wd = weights(3)
+    verdicts = {s: trop_contains([0] * 3 + [s * x for x in wd.v[(1, 2)]], 3) for s in (1, -1)}
+    if verdicts != {1: False, -1: True}:
+        raise AssertionError(f"relint cone(v_12) meets Delta under the wrong sign: {verdicts}")
+    return -1
 
 
 def delta_contains(p: Sequence, wd: WeightData) -> bool:
     """Membership of a point in the projected tropical variety Delta.
 
-    Applies the calibrated four-point test to the preimage w of p that is 0
-    on the pairs at 0 and p on the inner pairs: v_ij is the unit vector
-    e_ij (``weights``), so P w = p.  The choice of preimage is irrelevant
-    because ker P is the row space of Q, which lies in the tropical
-    lineality.
+    Applies the four-point test, oriented by ``tropical_sign()``, to the
+    preimage w of p that is 0 on the pairs at 0 and p on the inner pairs:
+    v_ij is the unit vector e_ij (``weights``), so P w = p.  The choice of
+    preimage is irrelevant because ker P is the row space of Q, which lies
+    in the tropical lineality.
     """
     if len(p) != len(wd.p):
         raise ValueError("point has wrong dimension")
@@ -484,4 +474,4 @@ def delta_meets_relint(cone, wd: WeightData) -> bool:
     dimension than Delta: a single interior representative may miss the
     tree-cone images even when the relative interior crosses them.
     """
-    return _relint_meets_delta(cone, wd.n, tropical_sign())
+    return _relint_meets_delta(cone, wd.n)

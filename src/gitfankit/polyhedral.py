@@ -292,6 +292,8 @@ class Cone(_ConeFields):
         primitive and reduced modulo the moved lineality, and moved facets
         modulo the moved span equations: both are re-sorted, and the two
         subspace bases re-read in canonical form."""
+        if sorted(perm) != list(range(self.ambient)):
+            raise ValueError(f"{tuple(perm)} is not a permutation of range({self.ambient})")
         rays, lin, facets, eqs = (
             [tuple(v[k] for k in perm) for v in vectors]
             for vectors in (self.rays, self.lineality, self.facets, self.span_eqs)
@@ -326,15 +328,15 @@ class Cone(_ConeFields):
 
     def contains(self, point: Sequence[int], mode: str = "closed") -> bool:
         """Membership test; ``mode`` is "closed" or "relative_interior"."""
+        if mode not in ("closed", "relative_interior"):
+            raise ValueError(f"unknown mode {mode!r}")
         if len(point) != self.ambient:
             raise ValueError("point has wrong dimension")
         if any(_dot(e, point) != 0 for e in self.span_eqs):
             return False
         if mode == "closed":
             return all(_dot(a, point) >= 0 for a in self.facets)
-        if mode == "relative_interior":
-            return all(_dot(a, point) > 0 for a in self.facets)
-        raise ValueError(f"unknown mode {mode!r}")
+        return all(_dot(a, point) > 0 for a in self.facets)
 
     def relint_point(self) -> IVec:
         """Sum of the primitive rays: a canonical relative interior point."""

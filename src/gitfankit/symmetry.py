@@ -31,6 +31,8 @@ def _image(sigma: Perm, i: int) -> int:
 @lru_cache(maxsize=None)
 def pair_permutation(n: int, sigma: Perm) -> tuple[int, ...]:
     """Entry k is the index of the image of the k-th canonical pair."""
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{n}")
     all_pairs, _ = gr.pairs(n)
     index = {p: k for k, p in enumerate(all_pairs)}
     return tuple(

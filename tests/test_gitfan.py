@@ -589,7 +589,7 @@ def test_ray_sums_are_full_span_generic_reps(n):
     spans = _full_spans(n)
     checked = 0
     for tree in gr.trivalent_trees(n):
-        basis = gr.tree_basis(n, tree, gr.tropical_sign())
+        basis = gr.tree_basis(n, tree)
         k = len(basis)
         leaves = polyhedral.arrangement_leaves(k, _orthant(k), sorted(_tree_walls(n, basis)))
         expected = [
@@ -737,10 +737,9 @@ def test_y_set_pool_matches_full_pool(n, cones, spans, walls):
     # tree's sigma
     trees = gr.trivalent_trees(n)
     orbits = sym.tree_orbits(n)
-    sign = gr.tropical_sign()
     swept = {}
     for r in {r for r, _ in orbits}:
-        basis = gr.tree_basis(n, trees[r], sign)
+        basis = gr.tree_basis(n, trees[r])
         k = len(basis)
         leaves = cell_leaves(k, _orthant(k), sorted(_tree_walls(n, basis)))
         swept[r] = [_image(basis, [sum(x) for x in zip(*l.rays + l.lineality)]) for l in leaves]

@@ -5,6 +5,9 @@ import itertools
 import random
 import pytest
 
+import gitfankit
+import gitfankit.grassmann as gr
+from gitfankit import polyhedral
 from gitfankit.exact_linalg import kernel_basis, rank
 from gitfankit.grassmann import (
     TwoBlock,
@@ -135,8 +138,6 @@ def test_weights_p_is_the_kernel_basis_of_q(n):
 def test_weights_rejects_a_q_off_its_gale_dual(monkeypatch, corrupt):
     """The negative control of the check P Q^t = 0 in ``weights``: with one
     column of Q corrupted, the P read off the pairs is no Gale dual of it."""
-    import gitfankit.grassmann as gr
-
     n = 4
     real = gr._weight_column
     monkeypatch.setattr(gr, "_weight_column", lambda pair, m: corrupt(pair, real(pair, m)))
@@ -519,8 +520,90 @@ def test_trop_generic_fails_with_unique_max():
     assert rejected > 10
 
 
+def _signed_tree_cones(n, sign):
+    """The tree cones of Delta under the given orientation: the split images
+    times the sign, with the lineality image and its negative."""
+    wd = weights(n)
+    lin = lineality_image(wd)
+    neg = tuple(-x for x in lin)
+    return [
+        Cone.from_generators(
+            [tuple(sign * x for x in split_image(wd, b)) for b in tree] + [lin, neg], len(wd.p)
+        )
+        for tree in trivalent_trees(n)
+    ]
+
+
+def _relint_meets(cone, tree_cones):
+    """relint(cone) meets one of the tree cones: their intersection has,
+    for every facet of the cone, a generator strictly inside it."""
+    for d in tree_cones:
+        gens = cone.intersect(d).generators()
+        if all(any(_dot(f, g) > 0 for g in gens) for f in cone.facets):
+            return True
+    return False
+
+
+def _sign_disagreements(n, sign):
+    """The column subsets (as masks) on which the orientation disagrees
+    with the Y-set criterion for relative interiors."""
+    wd = weights(n)
+    all_pairs = pairs(n)[0]
+    full = (1 << len(all_pairs)) - 1
+    cones = _signed_tree_cones(n, sign)
+    out = []
+    for mask in range(1 << len(all_pairs)):
+        members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
+        sigma = Cone.from_generators([wd.v[p] for p in members], len(wd.p))
+        if _relint_meets(sigma, cones) != is_y_set(full ^ mask, n):
+            out.append(mask)
+    return out
+
+
 def test_tropical_sign_calibrated():
     assert tropical_sign() == -1
+
+
+def test_full_calibration_picks_tropical_sign():
+    """The calibration over all 64 column subsets at n = 3, under both
+    signs: exactly one sign agrees with the Y-set criterion everywhere, and
+    it is ``tropical_sign()``; its tree cones are the package's."""
+    agree = [s for s in (1, -1) if not _sign_disagreements(3, s)]
+    assert agree == [tropical_sign()]
+    for n in (3, 4):
+        assert tuple(_signed_tree_cones(n, tropical_sign())) == gr._tree_cones(n)
+
+
+def test_tropical_sign_runs_no_conversion(monkeypatch):
+    """With every cache empty, the check builds no cone."""
+
+    def no_dd(*args, **kwargs):
+        raise AssertionError("tropical_sign ran a double-description conversion")
+
+    gitfankit.clear_caches()
+    monkeypatch.setattr(polyhedral, "_dd", no_dd)
+    try:
+        assert tropical_sign() == -1
+    finally:
+        monkeypatch.undo()
+        tropical_sign.cache_clear()
+
+
+def test_tropical_sign_rejects_the_min_convention(monkeypatch):
+    """Negative control: under a min-convention four-point test the
+    subset {12} takes the opposite sign, and the check raises."""
+
+    def min_contains(w, n):
+        return trop_contains([-x for x in w], n)
+
+    tropical_sign.cache_clear()
+    monkeypatch.setattr(gr, "trop_contains", min_contains)
+    try:
+        with pytest.raises(AssertionError, match="wrong sign"):
+            tropical_sign()
+    finally:
+        monkeypatch.undo()
+        tropical_sign.cache_clear()
 
 
 def test_delta_preimage_invariance():
@@ -566,20 +649,11 @@ def test_relint_criterion(n):
         assert delta_meets_relint(sigma, wd) == is_y_set(complement, n), members
 
 
-def test_opposite_tropical_sign_fails_at_n4():
-    """The n=3 sign calibration is not vacuous at n=4: under the opposite
-    sign some column subset disagrees with the Y-set criterion."""
-    from gitfankit.grassmann import _relint_meets_delta
-
-    wd = weights(4)
-    all_pairs = pairs(4)[0]
-    for mask in range(1 << len(all_pairs)):
-        members = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
-        sigma = Cone.from_generators([wd.v[p] for p in members], len(wd.p))
-        complement = mask ^ ((1 << len(all_pairs)) - 1)
-        if _relint_meets_delta(sigma, 4, -tropical_sign()) != is_y_set(complement, 4):
-            return
-    pytest.fail("the opposite sign agrees with the Y-set criterion on every subset")
+@pytest.mark.parametrize("n", [3, 4])
+def test_opposite_tropical_sign_fails(n):
+    """The orientation is not vacuous: with the split images not negated,
+    some column subset disagrees with the Y-set criterion."""
+    assert _sign_disagreements(n, -tropical_sign())
 
 
 def test_delta_contains_lineality_and_splits():

@@ -71,6 +71,14 @@ def test_gale_permutation_rejects_a_wrong_pair_permutation(monkeypatch):
         sym.gale_permutation.cache_clear()
 
 
+@pytest.mark.parametrize("sigma", [(1, 1, 2), (1, 2), (1, 2, 3, 4)])
+def test_gale_permutation_rejects_a_non_permutation(sigma):
+    """At n = 3, a repeated point, a short tuple and a tuple of 1..4 are no
+    permutations of 1..3."""
+    with pytest.raises(ValueError, match="is not a permutation of 1..3"):
+        sym.gale_permutation(3, sigma)
+
+
 @pytest.mark.parametrize("n, orbits", [(3, 1), (4, 2), (5, 3)])
 def test_tree_orbit_counts(n, orbits):
     reps = {r for r, _ in sym.tree_orbits(n)}
@@ -100,7 +108,7 @@ def moved(x, inv):
 
 @pytest.mark.parametrize("cones, perms", [
     # tree cone images: lineality and span equations
-    (lambda: gr._tree_cones(4, gr.tropical_sign()), "gale"),
+    (lambda: gr._tree_cones(4), "gale"),
     # every face of Delta(4): pointed, with span equations
     (lambda: sorted({f for c in gf.delta_reduction(4).maximal for f in c.faces()}), "gale"),
     # the GIT fan on the weight side, under every permutation of its coordinates
@@ -132,7 +140,7 @@ def orbit_images(n):
     for r, sigma in sym.tree_orbits(n):
         if r not in swept:
             first = {}
-            for rep, profile in gf._sweep_tree(n, gr.tree_basis(n, trees[r], gr.tropical_sign())):
+            for rep, profile in gf._sweep_tree(n, gr.tree_basis(n, trees[r])):
                 first.setdefault(profile, rep)
             swept[r] = [(rep, gf._profile_cone(p, rep, n)) for p, rep in first.items()]
         inv = sym.gale_permutation(n, sigma)
