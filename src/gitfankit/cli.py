@@ -25,8 +25,6 @@ from . import grassmann as gr
 from . import semilattice as sl
 from .polyhedral import Fan, FanAxiomViolation
 
-DEFAULT_SEED = 2024
-
 # (minimum n, maximum n) of every command, fan and claim.  Below the minimum
 # n is outside the domain; the maximum keeps runs at desk scale, and --force
 # lifts only the maximum.
@@ -305,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("-n", type=int, required=True, help="number of marked points")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--output", "-o", help="write the JSON payload to a file")
         p.add_argument("--format", choices=["json", "text"], default="text")
         p.add_argument("--force", action="store_true", help="override size guards")
@@ -324,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification claims")
     p.add_argument("claim", choices=[*CLAIMS, "all"])
     common(p)
+    p.add_argument("--seed", type=int, default=2024, help="seed of the randomised sweeps")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("centers", help="blow-up center ideal of a block")

@@ -83,9 +83,17 @@ def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[in
     return a[:r], pivots
 
 
+def _matrix(rows: Iterable[Sequence]) -> list[list[int]]:
+    """The rows cleared to integers; ``ValueError`` if their lengths differ."""
+    out = [_cleared(r) for r in rows]
+    if len({len(r) for r in out}) > 1:
+        raise ValueError("rows of unequal length")
+    return out
+
+
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals: the number of nonzero rows of the echelon form."""
-    return len(_rref([_cleared(r) for r in rows])[0])
+    return len(_rref(_matrix(rows))[0])
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
@@ -99,7 +107,7 @@ def kernel_basis(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     pairs.  No rows give no columns, hence an empty basis.
     """
     cols = len(rows[0]) if rows else 0
-    echelon, pivots = _rref([_cleared(r) for r in rows])
+    echelon, pivots = _rref(_matrix(rows))
     den = math.lcm(*(row[p] for row, p in zip(echelon, pivots)))
     basis = []
     for free in range(cols):
@@ -121,7 +129,7 @@ def solve(rows: Sequence[Sequence], b: Sequence) -> Optional[tuple[Fraction, ...
     if len(b) != len(rows):
         raise ValueError("dimension mismatch between matrix and right-hand side")
     cols = len(rows[0]) if rows else 0
-    echelon, pivots = _rref([_cleared([*r, bi]) for r, bi in zip(rows, b)])
+    echelon, pivots = _rref(_matrix([*r, bi] for r, bi in zip(rows, b)))
     if cols in pivots:
         return None
     x = [Fraction(0)] * cols

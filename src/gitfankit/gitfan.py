@@ -384,9 +384,11 @@ def sigma_fan_cached(n: int, lam_key: int) -> Fan:
 
 
 def _nu_coefficients(a: Iterable[int], n: int) -> tuple[int, ...]:
-    """The coefficients of nu over ``pairs(n)[0]``: 1 on each pair {0, i}
-    with i in the block, 2 on each pair inside the block."""
+    """The coefficients of nu over ``pairs(n)[0]`` of a block a, a nonempty
+    proper part of 1..n: 1 on each pair {0, i} with i in a, 2 inside a."""
     a = set(a)
+    if not a or not a < set(range(1, n + 1)):
+        raise ValueError(f"block {sorted(a)} is not a proper nonempty part of 1..{n}")
     return tuple(1 if i == 0 and j in a else 2 if {i, j} <= a else 0 for i, j in gr.pairs(n)[0])
 
 

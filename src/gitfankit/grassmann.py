@@ -296,12 +296,7 @@ class TwoBlock(_TwoBlockFields):
 
 
 def all_two_blocks(n: int) -> list[TwoBlock]:
-    out = []
-    rest = list(range(2, n + 1))
-    for r in range(1, n):
-        for a in itertools.combinations(rest, r):
-            out.append(TwoBlock(n, frozenset(a)))
-    return out
+    return [TwoBlock(n, a) for r in range(1, n) for a in itertools.combinations(range(2, n + 1), r)]
 
 
 def true_two_blocks(n: int) -> list[TwoBlock]:
@@ -326,31 +321,25 @@ def two_block_hyperplane(block: Union[TwoBlock, Iterable[int]], n: int = 0) -> t
 # ---------------------------------------------------------------------------
 
 
-def all_splits(n: int) -> list[frozenset[int]]:
-    """Splits of the leaf set {0..n} with both sides of size >= 2, stored by
-    the block not containing 0."""
-    out = []
-    rest = list(range(1, n + 1))
-    for r in range(2, n):
-        out.extend(frozenset(c) for c in itertools.combinations(rest, r))
-    return sorted(out, key=lambda b: (len(b), sorted(b)))
-
-
-def splits_compatible(b1: frozenset[int], b2: frozenset[int]) -> bool:
-    return b1 <= b2 or b2 <= b1 or not (b1 & b2)
-
-
 def trivalent_trees(n: int) -> list[tuple[frozenset[int], ...]]:
-    """Trivalent trees on the n+1 leaves {0..n} as maximal compatible split sets."""
-    splits = all_splits(n)
-    need = n - 2
-    if need == 0:
-        return [()]
-    out = []
-    for combo in itertools.combinations(splits, need):
-        if all(splits_compatible(a, b) for a, b in itertools.combinations(combo, 2)):
-            out.append(combo)
-    return out
+    """The (2n - 3)!! trivalent trees on the leaves {0..n}, as their splits
+    (blocks without 0) sorted by (size, sorted block), in the order of those
+    lists.  Each tree on {0..m} comes from exactly one on {0..m-1}: attach m
+    to one of its 2m - 3 edges, each named by its side A away from 0 ({a}
+    for leaf a, {1..m-1} for leaf 0, else its split); m joins every split
+    strictly containing A, and A + {m} (for leaf 0, {1..m-1}) is new."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    trees: list[tuple[frozenset[int], ...]] = [()]
+    for m in range(3, n + 1):
+        leaf0 = frozenset(range(1, m))
+        trees = [
+            (*(s | {m} if edge < s else s for s in tree), leaf0 if edge == leaf0 else edge | {m})
+            for tree in trees
+            for edge in [*(frozenset({a}) for a in leaf0), *tree, leaf0]
+        ]
+    trees = [tuple(sorted(tree, key=lambda s: (len(s), sorted(s)))) for tree in trees]
+    return sorted(trees, key=lambda tree: [(len(s), sorted(s)) for s in tree])
 
 
 def split_vector(block: frozenset[int], n: int) -> tuple[int, ...]:

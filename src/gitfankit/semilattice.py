@@ -611,10 +611,12 @@ def verify_fk_bridge(
     Each trial draws from its own (seed, trial)-derived generator, so the
     outcome is identical for every worker count; at most one worker process
     is started per trial.  ``samples`` and ``jobs`` must be positive: a sweep
-    of no trial proves nothing.
+    of no trial proves nothing; a trial's ambient dimension is 2..max_ambient.
     """
     if samples < 1 or jobs < 1:
         raise ValueError(f"need samples >= 1 and jobs >= 1 (got {samples}, {jobs})")
+    if max_ambient < 2:
+        raise ValueError(f"need max_ambient >= 2 (got {max_ambient})")
     trials = [(seed, t, max_ambient, max_rays) for t in range(samples)]
     workers = min(jobs, samples)
     if workers > 1:

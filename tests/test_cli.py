@@ -190,6 +190,23 @@ def test_verify_fk_bridge_seeded(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ysets", "-n", "3"],
+        ["fan", "gitfan", "-n", "3"],
+        ["centers", "-n", "4", "-A", "2,3"],
+        ["poset", "gitfan", "-n", "3"],
+    ],
+)
+def test_seed_is_offered_on_verify_alone(args, capsys):
+    """Only the verify sweeps read a seed; elsewhere it is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
 def test_verify_guard(capsys):
     code, _, err = run(["verify", "delta-subfan", "-n", "6"], capsys)
     assert code == 2

@@ -73,6 +73,27 @@ def test_solve_dimension_mismatch():
         solve(EYE2, [1, 2, 3])
 
 
+RAGGED = [[[1, 2], [3]], [[1], [2, 3]], [[1, 0, 0], [0, 1], [0, 0, 1]]]
+
+
+@pytest.mark.parametrize("rows", RAGGED)
+def test_rank_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError, match="rows of unequal length"):
+        rank(rows)
+
+
+@pytest.mark.parametrize("rows", RAGGED)
+def test_kernel_basis_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError, match="rows of unequal length"):
+        kernel_basis(rows)
+
+
+@pytest.mark.parametrize("rows", RAGGED)
+def test_solve_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError, match="rows of unequal length"):
+        solve(rows, [1] * len(rows))
+
+
 def test_primitive_vector():
     assert primitive_vector([Fraction(1, 2), Fraction(3, 4)]) == (2, 3)
     assert primitive_vector([4, -6]) == (2, -3)

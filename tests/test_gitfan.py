@@ -90,6 +90,7 @@ LIBRARY_DOMAINS = {
     "verify_ray_classification": (lambda n: gf.verify_ray_classification(n), 3),
     "y_set_masks": (lambda n: gr.y_set_masks(n), 2),
     "brute_force_supports": (lambda n: gr.brute_force_supports(n), 2),
+    "trivalent_trees": (lambda n: gr.trivalent_trees(n), 2),
 }
 
 
@@ -291,6 +292,14 @@ def test_nu_vector_fixture_n3():
         wd.v[(0, 2)][r] + wd.v[(0, 3)][r] + 2 * wd.v[(2, 3)][r] for r in range(3)
     )
     assert expanded == (-1, -1, 0)
+
+
+@pytest.mark.parametrize("block", [[9], [], [1, 2, 3, 4], [0, 2], [2, 5]])
+def test_nu_vector_rejects_a_block_outside_1_to_n(block):
+    """An out-of-range index, the empty block and the whole of 1..4 give no
+    subdivision ray."""
+    with pytest.raises(ValueError, match="is not a proper nonempty part of 1..4"):
+        gf.nu_vector(block, 4)
 
 
 def test_nu_block_expressions_agree():

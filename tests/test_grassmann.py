@@ -11,7 +11,6 @@ from gitfankit import polyhedral
 from gitfankit.exact_linalg import kernel_basis, rank
 from gitfankit.grassmann import (
     TwoBlock,
-    all_splits,
     all_two_blocks,
     brute_force_supports,
     delta_contains,
@@ -479,10 +478,46 @@ def test_two_block_stores_a_frozenset_of_any_iterable(kind):
 # -- trees and tropical tests -------------------------------------------------
 
 
+def _all_splits(n):
+    """Splits of the leaf set {0..n} with both sides of size >= 2, stored by
+    the block not containing 0, sorted by (size, sorted block)."""
+    rest = range(1, n + 1)
+    blocks = [frozenset(c) for r in range(2, n) for c in itertools.combinations(rest, r)]
+    return sorted(blocks, key=lambda b: (len(b), sorted(b)))
+
+
+def _compatible(b1, b2):
+    return b1 <= b2 or b2 <= b1 or not (b1 & b2)
+
+
+def _trees_by_split_filter(n):
+    """The reference: every (n - 2)-subset of the splits, in
+    ``itertools.combinations`` order, kept when its splits are pairwise
+    compatible."""
+    return [
+        combo
+        for combo in itertools.combinations(_all_splits(n), n - 2)
+        if all(_compatible(a, b) for a, b in itertools.combinations(combo, 2))
+    ]
+
+
 def test_tree_counts():
-    assert len(trivalent_trees(3)) == 3
-    assert len(trivalent_trees(4)) == 15
-    assert len(trivalent_trees(5)) == 105
+    """(2n - 3)!! trees at n = 2..7, each distinct, with n - 2 pairwise
+    compatible splits of the leaf set {0..n}."""
+    for n, count in zip(range(2, 8), (1, 3, 15, 105, 945, 10395)):
+        trees = trivalent_trees(n)
+        assert len(trees) == count and len(set(trees)) == count
+        splits = set(_all_splits(n))
+        for tree in trees:
+            assert len(tree) == n - 2 and set(tree) <= splits
+            assert all(_compatible(a, b) for a, b in itertools.combinations(tree, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_trees_match_the_split_filter(n):
+    """Leaf insertion gives the reference's trees, each with its splits in
+    the same order, in the same list order."""
+    assert trivalent_trees(n) == _trees_by_split_filter(n)
 
 
 def test_split_vector_crossing():
@@ -662,7 +697,7 @@ def test_delta_contains_lineality_and_splits():
     assert delta_contains(lin, wd)
     assert delta_contains([-x for x in lin], wd)
     sgn = tropical_sign()
-    for block in all_splits(3):
+    for block in _all_splits(3):
         img = split_image(wd, block)
         assert delta_contains([sgn * x for x in img], wd)
 

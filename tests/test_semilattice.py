@@ -604,6 +604,13 @@ def test_fk_bridge_refuses_an_empty_sweep(sweep):
         verify_fk_bridge(seed=5, **sweep)
 
 
+@pytest.mark.parametrize("max_ambient", [1, 0, -2])
+def test_fk_bridge_refuses_an_ambient_below_2(max_ambient):
+    # trials draw their ambient dimension from 2..max_ambient
+    with pytest.raises(ValueError, match=r"need max_ambient >= 2 \(got "):
+        verify_fk_bridge(seed=5, samples=3, max_ambient=max_ambient)
+
+
 def test_fk_bridge_sweep_smoke():
     rep = verify_fk_bridge(seed=5, samples=25)
     assert rep["result"] and rep["samples"] == 25

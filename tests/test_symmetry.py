@@ -79,8 +79,10 @@ def test_gale_permutation_rejects_a_non_permutation(sigma):
         sym.gale_permutation(3, sigma)
 
 
-@pytest.mark.parametrize("n, orbits", [(3, 1), (4, 2), (5, 3)])
+@pytest.mark.parametrize("n, orbits", [(3, 1), (4, 2), (5, 3), (6, 6), (7, 11)])
 def test_tree_orbit_counts(n, orbits):
+    """The Wedderburn-Etherington numbers: S_n fixes 0, so an orbit is an
+    unlabelled binary tree rooted at leaf 0."""
     reps = {r for r, _ in sym.tree_orbits(n)}
     assert len(reps) == orbits
     identity = tuple(range(1, n + 1))
