@@ -76,21 +76,7 @@ EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
-    """Bad input from the command line or environment: exit 2, one stderr line."""
-
-
-def _jobs_from_env(value: Optional[int]) -> int:
-    if value is None:
-        env = os.environ.get("GITFANKIT_JOBS")
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise UsageError(f"GITFANKIT_JOBS must be an integer (got {env!r})") from None
-        if value < 1:
-            raise UsageError(f"GITFANKIT_JOBS must be at least 1 (got {value})")
-    elif value < 1:
-        raise UsageError(f"--jobs must be at least 1 (got {value})")
-    return value
+    """Bad input from the command line: exit 2, one stderr line."""
 
 
 def _check_output_path(path: str) -> None:
@@ -306,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", help="write the JSON payload to a file")
         p.add_argument("--format", choices=["json", "text"], default="text")
         p.add_argument("--force", action="store_true", help="override size guards")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = sub.add_parser("ysets", help="enumerate Y-sets, optionally against the oracle")
     common(p)
@@ -343,7 +329,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("need n >= 2", file=sys.stderr)
         return EXIT_USAGE
     try:
-        args.jobs = _jobs_from_env(args.jobs)
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1 (got {args.jobs})")
         if args.output:
             _check_output_path(args.output)
         args.payload_stream = sys.stdout

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linalg import _dot
 
@@ -303,17 +303,9 @@ def true_two_blocks(n: int) -> list[TwoBlock]:
     return [tb for tb in all_two_blocks(n) if tb.is_true]
 
 
-def two_block_hyperplane(block: Union[TwoBlock, Iterable[int]], n: int = 0) -> tuple[int, ...]:
-    """Wall normal: +1 on the given block, -1 on its complement."""
-    if isinstance(block, TwoBlock):
-        a, n = set(block.block), block.n
-    else:
-        a = set(block)
-        if not n:
-            raise ValueError("n required when passing a raw block")
-        if not a or not a < set(range(1, n + 1)):
-            raise ValueError(f"block {sorted(a)} is not a proper nonempty part of 1..{n}")
-    return tuple(1 if i in a else -1 for i in range(1, n + 1))
+def two_block_hyperplane(tb: TwoBlock) -> tuple[int, ...]:
+    """Wall normal: +1 on the stored block, -1 on its complement."""
+    return tuple(1 if i in tb.block else -1 for i in range(1, tb.n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +348,8 @@ def split_image(wd: WeightData, block: frozenset[int]) -> tuple[int, ...]:
 
 
 def lineality_image(wd: WeightData) -> tuple[int, ...]:
-    cols = [wd.v[(0, i)] for i in range(1, wd.n + 1)]
-    return tuple(sum(c[i] for c in cols) for i in range(len(wd.p)))
+    """The sum of the v_0i: the split {1..n} crosses exactly the pairs 0i."""
+    return split_image(wd, frozenset(range(1, wd.n + 1)))
 
 
 def tree_basis(n: int, tree: Iterable[frozenset[int]]) -> list[tuple[int, ...]]:

@@ -301,32 +301,33 @@ def test_below_domain_is_usage_error(args, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_malformed_jobs_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("GITFANKIT_JOBS", "abc")
-    code, _, err = run(["ysets", "-n", "3"], capsys)
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_usage_error(jobs, capsys):
+    code, _, err = run(["ysets", "-n", "3", "--jobs", jobs], capsys)
     assert code == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "args, env",
-    [
-        (["--jobs", "0"], None),
-        (["--jobs", "-2"], None),
-        ([], "0"),
-        ([], "-1"),
-    ],
-)
-def test_jobs_below_one_is_usage_error(args, env, monkeypatch, capsys):
-    if env is None:
-        monkeypatch.delenv("GITFANKIT_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("GITFANKIT_JOBS", env)
-    code, _, err = run(["ysets", "-n", "3", *args], capsys)
-    assert code == 2
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
+@pytest.mark.parametrize("env", ["abc", "0", "2"])
+def test_jobs_environment_variable_is_ignored(env, tmp_path, monkeypatch, capsys):
+    args = ["verify", "fk-bridge", "-n", "2", "--seed", "5", "-o"]
+    monkeypatch.delenv("GITFANKIT_JOBS", raising=False)
+    assert run([*args, str(tmp_path / "unset.json")], capsys)[0] == 0
+    monkeypatch.setenv("GITFANKIT_JOBS", env)
+    assert run([*args, str(tmp_path / "set.json")], capsys)[0] == 0
+    assert (tmp_path / "set.json").read_bytes() == (tmp_path / "unset.json").read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["ysets", "-n", "3"],
+    ["fan", "gitfan", "-n", "3"],
+    ["verify", "walls", "-n", "3"],
+    ["centers", "-n", "3", "-A", "2,3"],
+    ["poset", "gitfan", "-n", "3"],
+], ids=lambda a: a[0])
+def test_every_subcommand_accepts_one_job(args, capsys):
+    assert run([*args, "--jobs", "1"], capsys)[0] == 0
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):

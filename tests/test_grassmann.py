@@ -420,25 +420,11 @@ def test_wedge_points_satisfy_plucker():
 
 
 def test_hyperplane_singleton():
-    assert two_block_hyperplane({1}, 3) == (1, -1, -1)
+    assert two_block_hyperplane(TwoBlock(3, {1})) == (-1, 1, 1)
 
 
 def test_hyperplane_pair():
-    assert two_block_hyperplane({1, 2}, 4) == (1, 1, -1, -1)
-
-
-def test_hyperplane_negation_symmetry():
-    a = two_block_hyperplane({2, 3}, 4)
-    b = two_block_hyperplane({1, 4}, 4)
-    assert a == tuple(-x for x in b)
-
-
-@pytest.mark.parametrize("block", [set(), {5}, {1, 2, 3}, {0, 1}, {1, 4}])
-def test_hyperplane_rejects_raw_blocks_that_are_not_proper_parts(block):
-    # a raw block must be a nonempty proper part of 1..n, as a TwoBlock's is
-    with pytest.raises(ValueError, match="not a proper nonempty part"):
-        two_block_hyperplane(block, 3)
-    assert two_block_hyperplane({1}, 3) == (1, -1, -1)
+    assert two_block_hyperplane(TwoBlock(4, {1, 2})) == (-1, -1, 1, 1)
 
 
 def test_two_block_canonicalisation():
@@ -528,6 +514,18 @@ def test_split_vector_crossing():
         1 if (i in (2, 3)) != (j in (2, 3)) else 0 for i, j in order
     )
     assert vec == expected
+
+
+def _sum_of_v0i(wd):
+    """The lineality image as the sum of the columns v_0i, i = 1..n."""
+    cols = [wd.v[(0, i)] for i in range(1, wd.n + 1)]
+    return tuple(sum(c[i] for c in cols) for i in range(len(wd.p)))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_lineality_image_is_the_sum_of_the_v0i(n):
+    wd = weights(n)
+    assert lineality_image(wd) == _sum_of_v0i(wd)
 
 
 def test_trop_lineality_passes():
