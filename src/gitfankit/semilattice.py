@@ -220,6 +220,15 @@ class FiniteSemilattice:
 # ---------------------------------------------------------------------------
 
 
+def _elements(lattice: FiniteSemilattice, labels: Iterable[Hashable]) -> frozenset:
+    """The labels as a set; a ValueError names the first that is not an element."""
+    labels = tuple(labels)
+    for x in labels:
+        if x not in lattice:
+            raise ValueError(f"element {x!r} not in the semilattice")
+    return frozenset(labels)
+
+
 def blow_up(lattice: FiniteSemilattice, xi: Hashable) -> FiniteSemilattice:
     """Combinatorial blow-up at xi: keep x with x not >= xi, adjoin pairs (xi, x)
     for the survivors x that have a join with xi.
@@ -227,8 +236,7 @@ def blow_up(lattice: FiniteSemilattice, xi: Hashable) -> FiniteSemilattice:
     Survivors keep their order, (xi, x) <= (xi, y) iff x <= y, y <= (xi, x)
     iff y <= x, and no pair lies below a survivor.
     """
-    if xi not in lattice:
-        raise ValueError(f"element {xi!r} not in the semilattice")
+    _elements(lattice, (xi,))
     if xi == lattice.bottom:
         raise ValueError("cannot blow up the bottom element")
     up = lattice._up
@@ -320,7 +328,7 @@ def _building_by_two_conditions(lattice: FiniteSemilattice, s: frozenset) -> boo
 def is_building_set(lattice: FiniteSemilattice, s: Iterable[Hashable]) -> bool:
     """Building-set test by interval products, cross-checked against the
     two-condition criterion; a disagreement raises rather than picking one."""
-    s = frozenset(s)
+    s = _elements(lattice, s)
     if lattice.bottom in s:
         raise ValueError("building set candidates must avoid the bottom")
     a = _building_by_intervals(lattice, s)
@@ -336,7 +344,7 @@ def is_nested(
     lattice: FiniteSemilattice, s: Iterable[Hashable], c: Iterable[Hashable]
 ) -> bool:
     """Nested in s: every incomparable subset of size >= 2 has a join outside s."""
-    s = frozenset(s)
+    s = _elements(lattice, s)
     c = list(c)
     if not set(c) <= s:
         raise ValueError("candidate set must be contained in the reference set")
@@ -356,6 +364,7 @@ def is_harmonious(
     lattice: FiniteSemilattice, s: Iterable[Hashable], pair: tuple[Hashable, Hashable]
 ) -> bool:
     a, b = pair
+    _elements(lattice, (a, b))
     if lattice.meet((a, b)) == lattice.bottom:
         return True
     j = lattice.join((a, b))
@@ -366,7 +375,7 @@ def harmonious_closure(
     lattice: FiniteSemilattice, s: Iterable[Hashable]
 ) -> frozenset:
     """Close under adjoining joins of non-harmonious pairs, to a fixpoint."""
-    current = frozenset(s)
+    current = _elements(lattice, s)
     while True:
         added = set()
         for a, b in itertools.combinations(sorted(current, key=repr), 2):
@@ -553,11 +562,11 @@ def random_simplicial_fan(rng: random.Random, ambient: int, max_rays: int) -> Fa
     return fan
 
 
-def _fk_bridge_trial(args: tuple[int, int, int, int]) -> Optional[dict]:
-    seed, trial, max_ambient, max_rays = args
+def _fk_bridge_trial(args: tuple[int, int]) -> Optional[dict]:
+    seed, trial = args
     rng = random.Random(seed * 1_000_003 + trial)
-    ambient = rng.randint(2, max_ambient)
-    fan = random_simplicial_fan(rng, ambient, max_rays)
+    ambient = rng.randint(2, 4)
+    fan = random_simplicial_fan(rng, ambient, 7)
     nu = random_interior_ray(rng, fan)
     subdivided = stellar_subdivide(fan, nu)
     poset = ray_face_poset(fan)
@@ -578,13 +587,7 @@ def _fk_bridge_trial(args: tuple[int, int, int, int]) -> Optional[dict]:
     return None
 
 
-def verify_fk_bridge(
-    seed: int = 2024,
-    samples: int = 200,
-    max_ambient: int = 4,
-    max_rays: int = 7,
-    jobs: int = 1,
-) -> dict:
+def verify_fk_bridge(seed: int = 2024, samples: int = 200, jobs: int = 1) -> dict:
     """Random sweep: face poset of stellar(f, nu) iso blow_up(face poset of f,
     carrier), on random simplicial fans.
 
@@ -611,13 +614,12 @@ def verify_fk_bridge(
     Each trial draws from its own (seed, trial)-derived generator, so the
     outcome is identical for every worker count; at most one worker process
     is started per trial.  ``samples`` and ``jobs`` must be positive: a sweep
-    of no trial proves nothing; a trial's ambient dimension is 2..max_ambient.
+    of no trial proves nothing.  The bounds define the claim: a trial grows
+    a fan of ambient dimension 2..4 from the orthant to at most 7 rays.
     """
     if samples < 1 or jobs < 1:
         raise ValueError(f"need samples >= 1 and jobs >= 1 (got {samples}, {jobs})")
-    if max_ambient < 2:
-        raise ValueError(f"need max_ambient >= 2 (got {max_ambient})")
-    trials = [(seed, t, max_ambient, max_rays) for t in range(samples)]
+    trials = [(seed, t) for t in range(samples)]
     workers = min(jobs, samples)
     if workers > 1:
         import multiprocessing
@@ -694,13 +696,13 @@ def _sorted_families(
     return out
 
 
-def verify_blowup_join_criterion(max_dim: int = 3) -> dict:
+def verify_blowup_join_criterion() -> dict:
     """Exhaustive sweep on orthant face posets: nested in a building superset
     implies the (xi, 0)-join exists in the iterated blow-up.
 
-    The face posets are :func:`ray_face_poset`s, so a failure certificate
-    names its family and subset by ray tuples.  ``max_dim`` must be at
-    least 2: a sweep of no poset proves nothing.
+    The claim is defined by its sweep: the face posets of the orthants of
+    dimension 2 and 3.  They are :func:`ray_face_poset`s, so a failure
+    certificate names its family and subset by ray tuples.
 
     The sweep runs up to the symmetry of the orthant.  S_dim permutes the
     coordinates, hence the rays, hence the faces; each permutation's map
@@ -727,11 +729,9 @@ def verify_blowup_join_criterion(max_dim: int = 3) -> dict:
     (c nested in B) gives the building superset g B of g F (g c nested in
     g B), and back by g^-1.
     """
-    if max_dim < 2:
-        raise ValueError(f"need max_dim >= 2 (got {max_dim}): a sweep of no poset proves nothing")
     checked = 0
     failures = []
-    for dim in range(2, max_dim + 1):
+    for dim in (2, 3):
         lattice = ray_face_poset(_orthant_fan(dim))
         labels, bottom, index = lattice.labels, lattice.bottom, lattice._index
         maps = _coordinate_automorphisms(lattice, dim)

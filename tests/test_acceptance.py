@@ -94,14 +94,14 @@ def test_criterion_4_blowup_example():
 
 def test_criterion_5_stellar_blowup_bridge():
     with criterion(5, "stellar/blow-up bridge", 60) as out:
-        rep = sl.verify_fk_bridge(seed=2024, samples=200, max_ambient=4, max_rays=7)
+        rep = sl.verify_fk_bridge(seed=2024, samples=200)
         assert rep["result"], rep["certificates"][:3]
         out["note"] = f"{rep['samples']} random fans"
 
 
 def test_criterion_6_join_criterion_soundness():
     with criterion(6, "blow-up join criterion soundness", 300) as out:
-        rep = sl.verify_blowup_join_criterion(max_dim=3)
+        rep = sl.verify_blowup_join_criterion()
         assert rep["result"], rep["certificates"][:3]
         assert rep["checked"] == 7982
         out["note"] = f"{rep['checked']} nested instances, 0 counterexamples"

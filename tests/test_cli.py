@@ -243,6 +243,12 @@ def test_centers_rejects_singleton(capsys):
     assert code == 2
 
 
+def test_centers_rejects_a_block_that_is_not_indices(capsys):
+    code, _, err = run(["centers", "-n", "4", "-A", "2,x"], capsys)
+    assert code == 2
+    assert err == "block must be a comma-separated list of indices\n"
+
+
 def test_centers_guard(monkeypatch, capsys):
     class Built(Exception):
         pass

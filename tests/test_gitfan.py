@@ -1242,3 +1242,9 @@ def test_clear_caches_empties_every_module():
         if hasattr(obj, "cache_info") and obj.cache_info().currsize
     ]
     assert cached == []
+
+
+def test_chamber_refuses_a_weight_of_the_wrong_length():
+    with pytest.raises(ValueError) as err:
+        gf.chamber((1, 1), 3)
+    assert str(err.value) == "point has wrong dimension"

@@ -720,3 +720,17 @@ def test_serialization(tmp_path, capsys):
     got = json.loads(out.read_text())["ysets"]
     assert ["0,1", "1,2"] in got
     assert got[1] == [f"{i},{j}" for i, j in sorted(mask_to_yset(y_set_masks(3)[1], 3))]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: wedge_support((1, 0), (0, 1, 0)), "vectors must have equal length"),
+        (lambda: trop_contains((0,) * 5, 3), "vector length does not match the pair count"),
+    ],
+    ids=["wedge-lengths", "trop-length"],
+)
+def test_vectors_of_the_wrong_length_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -1368,3 +1368,33 @@ def test_stellar_rejects_star_facet_signs_off_the_carrier():
     quadrant = cone((1, 0), (0, 1))
     with pytest.raises(FanAxiomViolation, match="disagree with its carrier"):
         stellar_subdivide(Fan(2, (ray, quadrant)), (1, 1))
+
+
+# the pyramid over a square: one cone on four rays, so not simplicial
+SQUARE_PYRAMID = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Cone.from_generators([(1, 0), (0, 1, 0)], 2), "generator has wrong dimension"),
+        (lambda: cone((1, 0), (0, 1)).contains((1, 1, 1)), "point has wrong dimension"),
+        (lambda: cone((1, 0), (0, 1)).intersect(cone((1, 0, 0))), "ambient dimension mismatch"),
+        (lambda: fan_from_maximal([]), "empty cone collection"),
+        (lambda: fan_from_maximal([cone((1, 0)), cone((1, 0, 0))]), "mixed ambient dimensions"),
+        (lambda: is_subfan(orthant_fan(2), orthant_fan(3)), "ambient dimension mismatch"),
+        (
+            lambda: stellar_subdivide(fan_from_maximal([cone(*SQUARE_PYRAMID)]), (0, 0, 1)),
+            "stellar subdivision requires a simplicial fan",
+        ),
+        (lambda: stellar_subdivide(orthant_fan(2), (0, 0)), "zero ray"),
+    ],
+    ids=[
+        "generator-length", "point-length", "intersect-ambients", "empty-fan",
+        "mixed-fan", "subfan-ambients", "stellar-not-simplicial", "stellar-zero-ray",
+    ],
+)
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

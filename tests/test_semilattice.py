@@ -513,17 +513,10 @@ def test_sorted_families_are_the_least_of_their_orbits(dim, families, orbits):
     assert sum(len(maps) // fixed for _, fixed in reps) == families
 
 
-@pytest.mark.parametrize("max_dim", [2, 3])
+@pytest.mark.parametrize("max_dim", [3])
 def test_thm44_equals_the_full_sweep(max_dim):
-    assert verify_blowup_join_criterion(max_dim) == reference_thm44(max_dim)
-
-
-@pytest.mark.parametrize("max_dim", [1, 0, -2])
-def test_thm44_refuses_an_empty_sweep(max_dim):
-    # no orthant below dimension 2 is swept, so the sweep would pass
-    # without checking anything
-    with pytest.raises(ValueError, match="max_dim >= 2"):
-        verify_blowup_join_criterion(max_dim)
+    # the claim sweeps the orthants of dimension 2 up to max_dim
+    assert verify_blowup_join_criterion() == reference_thm44(max_dim)
 
 
 def test_a_coordinate_permutation_off_the_order_is_refused(monkeypatch):
@@ -537,7 +530,7 @@ def test_a_coordinate_permutation_off_the_order_is_refused(monkeypatch):
         sl._coordinate_automorphisms(chain, 2)
     monkeypatch.setattr(sl, "ray_face_poset", lambda fan: chain)
     with pytest.raises(ValueError, match="not an automorphism"):
-        verify_blowup_join_criterion(2)
+        verify_blowup_join_criterion()
 
 
 def test_building_sets_short_of_an_orbit_fail_the_invariance_check(monkeypatch):
@@ -555,9 +548,9 @@ def test_building_sets_short_of_an_orbit_fail_the_invariance_check(monkeypatch):
         return frozenset(s) != dropped and real(lattice, s)
 
     monkeypatch.setattr(sl, "is_building_set", short)
+    # the 2-orthant is swept first and passes the check
     with pytest.raises(ValueError, match="building sets of the 3-orthant are not invariant"):
-        verify_blowup_join_criterion(3)
-    assert verify_blowup_join_criterion(2)["result"]
+        verify_blowup_join_criterion()
 
 
 def test_harmonious_closure_all_pairs_harmonious():
@@ -602,13 +595,6 @@ def test_fk_bridge_refuses_an_empty_sweep(sweep):
     # a sweep of no trial would pass without checking anything
     with pytest.raises(ValueError, match="samples >= 1 and jobs >= 1"):
         verify_fk_bridge(seed=5, **sweep)
-
-
-@pytest.mark.parametrize("max_ambient", [1, 0, -2])
-def test_fk_bridge_refuses_an_ambient_below_2(max_ambient):
-    # trials draw their ambient dimension from 2..max_ambient
-    with pytest.raises(ValueError, match=r"need max_ambient >= 2 \(got "):
-        verify_fk_bridge(seed=5, samples=3, max_ambient=max_ambient)
 
 
 def test_fk_bridge_sweep_smoke():
@@ -1172,3 +1158,48 @@ def test_thm44_reports_pairs_without_up_sets(monkeypatch):
     # the failures of the orbit representatives expand to the full sweep's,
     # in its order
     assert rep == reference_thm44()
+
+
+def square_poset():
+    import gitfankit.semilattice as sl
+
+    return ray_face_poset(sl._orthant_fan(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda lat: lat.meet([]), "meet of the empty set"),
+        (lambda lat: lat.join([]), "join of the empty set"),
+        (lambda lat: is_building_set(lat, [lat.bottom]), "building set candidates must avoid the bottom"),
+        (
+            lambda lat: is_nested(lat, lat.labels[1:2], lat.labels[1:3]),
+            "candidate set must be contained in the reference set",
+        ),
+    ],
+    ids=["meet-empty", "join-empty", "building-bottom", "nested-outside"],
+)
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call(square_poset())
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, missing",
+    [
+        (lambda lat: blow_up(lat, "zzz"), "zzz"),
+        (lambda lat: is_building_set(lat, [lat.labels[1], "zzz"]), "zzz"),
+        (lambda lat: is_nested(lat, {"zzz"}, ["zzz"]), "zzz"),
+        (lambda lat: is_harmonious(lat, lat.labels[1:], (lat.labels[1], "zzz")), "zzz"),
+        (lambda lat: harmonious_closure(lat, [lat.labels[1], "zzz"]), "zzz"),
+        # the first label, in the caller's order, that is not an element
+        (lambda lat: is_nested(lat, [lat.labels[1], "yyy", "zzz"], []), "yyy"),
+    ],
+    ids=["blow_up", "is_building_set", "is_nested", "is_harmonious", "harmonious_closure", "first"],
+)
+def test_a_label_that_is_not_an_element_is_refused(call, missing):
+    # one refusal for every entry point, not a KeyError or a verdict
+    with pytest.raises(ValueError) as err:
+        call(square_poset())
+    assert str(err.value) == f"element {missing!r} not in the semilattice"
