@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, payloads, determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -98,6 +99,45 @@ def test_payload_pinned(command, tmp_path, capsys):
     assert main(command.split() + ["-o", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PAYLOADS[command]
+
+
+# sha256 of the -o payload of `centers -n N -A BLOCK` for every block of
+# {2..N} with at least two elements, N = 3, 4, 5
+PINNED_CENTERS = {
+    (3, "2,3"): "f10066aa877e21d4c7315e86948ce31e154bf6f1194356edcfac297df496c6ea",
+    (4, "2,3"): "b6a3e4bbc1476c4fc0a6588dd7dc501fdbcd64b84c0cb784dad8e85a531e429d",
+    (4, "2,4"): "57e8e057e7575230f94819f0046428666e4cbd6008a02d7fb020dff330c2dc71",
+    (4, "3,4"): "3c63d4757535e8f61e0e1703e78b1f8abbd1e24c0d9dae0ac64c187d81a55de1",
+    (4, "2,3,4"): "fffe6e7dd4876fec36d1c240a97915fdf2d5a88ab964a0ff4c31321c6d288973",
+    (5, "2,3"): "81d9c8d58c7c94d561cf987fa18a29f0c17271e2c7e688d029d5f17a0572f586",
+    (5, "2,4"): "6259a904c3304249151f0956e325656931eb92b5c758c63e2bb77669d4f3494e",
+    (5, "2,5"): "4e196c2522fd61a4fd7469700c2ba706f24993ce329a0a577f3a0a861a87fb73",
+    (5, "3,4"): "dafd1ea346f8dfe3395c989f71e2f878043d7ee2cdf1342201314a75f993a10d",
+    (5, "3,5"): "6e4f565e371cf3ecf667dab18a8f03d0a618266c64e68879e88940ea9e48ec79",
+    (5, "4,5"): "bc5114c618ab3941c6433ba4ef9a8cd79a1de4e4992992b2801572030dd99795",
+    (5, "2,3,4"): "15260b5a1ea9593558a99c1f0b7090909dfc710fbffc1371e8e0f9978b42889f",
+    (5, "2,3,5"): "c72f96c08802bc2ab408a228f7740714a0d51cfd72a2b4ccc9542303129a7d90",
+    (5, "2,4,5"): "291671d142d1d849ff1b8893603cb481955160cf29dad884cb67097abff2767b",
+    (5, "3,4,5"): "54f2fcdef72f2631b09fb532cc95044fae9443cc258f479a3dea6f97ff36b08a",
+    (5, "2,3,4,5"): "d5812b9f778749ec6ae7ed34f710116330abfe10c65240edd458901c91718d02",
+}
+
+
+def test_centers_pins_cover_every_block():
+    assert set(PINNED_CENTERS) == {
+        (n, ",".join(map(str, a)))
+        for n in (3, 4, 5)
+        for size in range(2, n)
+        for a in itertools.combinations(range(2, n + 1), size)
+    }
+
+
+@pytest.mark.parametrize("n, block", PINNED_CENTERS, ids=lambda x: str(x).replace(",", ""))
+def test_centers_payload_pinned(n, block, tmp_path, capsys):
+    out = tmp_path / "centers.json"
+    assert main(["centers", "-n", str(n), "-A", block, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CENTERS[n, block]
 
 
 def test_fan_delta_guard(capsys):
