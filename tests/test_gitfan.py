@@ -330,9 +330,21 @@ def test_sigma_r_carriers_interior():
     for n in (4, 5):
         s1 = gf.sigma_fan_cached(n, 1)
         for tb in gr.true_two_blocks(n):
-            carrier = gf.sigma_r_carrier(tb)
+            carrier = Cone.from_generators(gf.sigma_r_carrier(tb), len(gr.weights(n).p))
             assert carrier.contains(gf.nu_ray(tb), "relative_interior")
             assert s1.has_cone(carrier)
+
+
+@pytest.mark.parametrize("n, blocks", [(3, 0), (4, 3), (5, 10), (6, 25)])
+def test_sigma_r_carrier_is_the_simplicial_cone_on_its_rays(n, blocks):
+    # the rays fix the carrier: they are the rays of the cone they generate,
+    # and that cone is simplicial
+    assert len(gr.true_two_blocks(n)) == blocks
+    for tb in gr.true_two_blocks(n):
+        rays = gf.sigma_r_carrier(tb)
+        carrier = Cone.from_generators(rays, len(gr.weights(n).p))
+        assert carrier.rays == rays
+        assert carrier.is_simplicial
 
 
 def test_sigma_r_n4_every_linear_extension_agrees():

@@ -377,8 +377,8 @@ def test_dropping_maximality_from_the_incidence_rule_breaks_the_constructors(mon
 @pytest.mark.parametrize(
     "argv, runs",
     [
-        (["verify", "all", "-n", "4", "--seed", "2024", "--jobs", "1"], 39),
-        (["fan", "sigmar", "-n", "4"], 15),
+        (["verify", "all", "-n", "4", "--seed", "2024", "--jobs", "1"], 36),
+        (["fan", "sigmar", "-n", "4"], 12),
         (["poset", "gitfan", "-n", "5"], 82),
     ],
     ids=["verify-all-4", "fan-sigmar-4", "poset-gitfan-5"],
