@@ -501,7 +501,8 @@ def fresh_python(code, *args, **env):
 
 @pytest.mark.parametrize("hash_seed", ["0", "3"])
 def test_payload_is_independent_of_the_hash_seed(hash_seed, tmp_path):
-    # set and dict orders of str keys follow PYTHONHASHSEED; no payload may
+    # sets of strings iterate in an order set by PYTHONHASHSEED; no payload
+    # may depend on it
     code = "import sys; from gitfankit.cli import main; sys.exit(main(sys.argv[2:] + ['-o', sys.argv[1]]))"
     out = tmp_path / "payload.json"
     for argv, digest in [
